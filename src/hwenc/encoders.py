@@ -123,12 +123,16 @@ def _as_real_vector(x) -> np.ndarray:
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:
+    """values / |values|, dividing by the largest component part first so
+    the norm neither overflows nor underflows at any finite scale."""
     if not np.all(np.isfinite(values)):
         raise EncodingError("input vector has non-finite entries")
-    norm = float(np.linalg.norm(values))
-    if norm == 0.0:
+    scale = max(float(np.max(np.abs(values.real))),
+                float(np.max(np.abs(values.imag))))
+    if scale == 0.0:
         raise EncodingError("cannot encode the zero vector")
-    return values / norm
+    values = values / scale
+    return values / np.linalg.norm(values)
 
 
 def _x_layer(labels) -> list[Gate]:
@@ -324,9 +328,9 @@ def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderRepor
         )
 
     if with_phases:
-        thetas, phis = angles_from_complex(values)
+        thetas, phis = angles_from_complex(target)
     else:
-        thetas = angles_from_real(values.real)
+        thetas = angles_from_real(target.real)
         phis = np.zeros(s)
 
     amps: dict[int, complex] = {ordering[0].to_index(): 1.0 + 0j}

@@ -4,20 +4,23 @@ The sparse engine keeps a basis-index -> amplitude map and applies each gate
 by its basis-state action, which touches at most two states per input state.
 Encoder circuits have supports of size d << 2^n, so this is the default.
 
-A dense engine (plain numpy vectors) backs the noisy sampler and the
-equivalence tests on CNOT-level circuits, where mid-circuit superpositions
-fill out and per-entry dict work would dominate.
+A dense engine (plain numpy vectors) backs exact runs and the equivalence
+tests on CNOT-level circuits, where mid-circuit superpositions fill out and
+per-entry dict work would dominate.
 
 Noise is a single synthetic channel: after every CNOT, with probability p2,
 a uniformly random non-identity two-qubit Pauli hits that CNOT's wires.
-Each shot is its own trajectory.  Shots sharing an identical insertion
-pattern see the same final state, so trajectories are grouped by pattern and
-each distinct pattern is simulated once; the per-pattern counts are then
-multinomial draws.  Semantics match one-trajectory-per-shot exactly and the
-whole run is deterministic given the seed.
+Shots are iid, so their counts are Multinomial(shots, diag rho), with rho
+the final density matrix under the matching depolarizing channel.  Up to 9
+qubits rho is evolved exactly and the counts are one multinomial draw.  From
+10 to 16 qubits, where rho would need 4^n entries, each shot is its own
+trajectory: shots sharing an insertion pattern see the same final state, so
+each distinct pattern is simulated once and its counts are a multinomial
+draw.  Either way the run is deterministic given the seed.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,29 +136,32 @@ def sample(state: SparseState, shots: int, seed: int) -> dict[BitString, int]:
 
 # dense engine
 
-def _apply_1q_dense(vec: np.ndarray, n: int, q: int, u: np.ndarray) -> np.ndarray:
-    axis = n - q
-    t = vec.reshape((2,) * n)
-    t = np.tensordot(u, t, axes=([1], [axis]))
-    return np.moveaxis(t, 0, axis).reshape(-1)
+def _apply_1q_dense(vec: np.ndarray, q: int, u: np.ndarray) -> np.ndarray:
+    t = np.tensordot(u, vec.reshape(-1, 2, 1 << (q - 1)), axes=([1], [1]))
+    return t.transpose(1, 0, 2).reshape(-1)
 
 
-def _apply_cnot_dense(vec: np.ndarray, n: int, ctrl: int, tgt: int) -> np.ndarray:
-    out = vec.copy().reshape((2,) * n)
-    view = np.moveaxis(out, (n - ctrl, n - tgt), (0, 1))
-    view[1] = view[1, ::-1].copy()
-    return out.reshape(-1)
+def _cnot_permutation(dim: int, ctrl: int, tgt: int) -> np.ndarray:
+    index = np.arange(dim)
+    return index ^ (((index >> (ctrl - 1)) & 1) << (tgt - 1))
+
+
+def _apply_cnot_dense(vec: np.ndarray, ctrl: int, tgt: int) -> np.ndarray:
+    return vec[_cnot_permutation(vec.size, ctrl, tgt)]
 
 
 def dense_run(circuit: Circuit, initial: int = 0) -> np.ndarray:
-    """Full statevector run; fast for CNOT-level circuits.
+    """Full statevector run; fast for CNOT-level circuits, up to 16 qubits.
 
-    Falls back to dense gate matrices for multi-wire or controlled gates, so
-    it accepts logical circuits too (within the 12-qubit dense guard).
+    Logical circuits work too: mixing and controlled gates go through their
+    dense gate matrices, which limits circuits holding them to 12 qubits.
     """
     n = circuit.n
     if n > 16:
         raise ValueError("dense run limited to 16 qubits")
+    if n > 12 and any(_needs_unitary(g) for g in circuit.gates):
+        raise ValueError("dense run of mixing or controlled gates limited to"
+                         " 12 qubits")
     vec = np.zeros(2**n, dtype=complex)
     vec[initial] = 1.0
     for g in circuit.gates:
@@ -163,12 +169,17 @@ def dense_run(circuit: Circuit, initial: int = 0) -> np.ndarray:
     return vec
 
 
+def _needs_unitary(g: Gate) -> bool:
+    return g.kind != "CNOT" and bool(
+        g.kind in MIXING_KINDS or g.ctrls or g.anti_ctrls)
+
+
 def _apply_gate_dense(vec: np.ndarray, n: int, g: Gate) -> np.ndarray:
     if g.kind == "CNOT":
-        return _apply_cnot_dense(vec, n, g.ctrls[0], g.ins[0])
-    if g.kind in MIXING_KINDS or g.ctrls or g.anti_ctrls:
+        return _apply_cnot_dense(vec, g.ctrls[0], g.ins[0])
+    if _needs_unitary(g):
         return gate_unitary(g, n) @ vec
-    return _apply_1q_dense(vec, n, g.ins[0], _single_qubit_matrix(g))
+    return _apply_1q_dense(vec, g.ins[0], _single_qubit_matrix(g))
 
 
 # noise
@@ -179,6 +190,9 @@ _PAULIS = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+# widest circuit evolved as a density matrix (4^n entries, 4 MB at n = 9)
+_DENSITY_QUBITS = 9
 
 
 @dataclass(frozen=True)
@@ -193,131 +207,135 @@ class NoiseModel:
             raise ValueError(f"p2 must be in [0, 1), got {self.p2}")
 
 
-def _apply_pauli_1q(vec: np.ndarray, q: int, which: int) -> np.ndarray:
-    """X (1), Y (2), or Z (3) on qubit q, by index arithmetic."""
-    mask = 1 << (q - 1)
-    idx = np.arange(vec.size)
-    if which == 1:
-        return vec[idx ^ mask]
-    bit = (idx & mask).astype(bool)
-    if which == 3:
-        out = vec.copy()
-        out[bit] = -out[bit]
-        return out
-    out = vec[idx ^ mask].copy()
-    out[bit] *= 1j
-    out[~bit] *= -1j
-    return out
+def _depolarize(vec: np.ndarray, n: int, wires: tuple[int, int],
+                lam: float) -> None:
+    """rho -> (1 - lam) rho + lam Tr_{c,t}(rho) (x) I/4 on a vectorized rho."""
+    rows = [n - q for q in wires]
+    view = np.moveaxis(vec.reshape((2,) * (2 * n)),
+                       rows + [n + r for r in rows], (0, 1, 2, 3))
+    blocks = [(a, b, a, b) for a in (0, 1) for b in (0, 1)]
+    traced = sum(view[blk] for blk in blocks) * (lam / 4.0)
+    view *= 1.0 - lam
+    for blk in blocks:
+        view[blk] += traced
 
 
-def _apply_pauli_pair(vec: np.ndarray, n: int, wires: tuple[int, int],
+def _noisy_probabilities(circuit: Circuit, p2: float) -> np.ndarray:
+    """Exact outcome distribution under two-qubit depolarizing noise.
+
+    The density matrix is kept flat, vec[r * 2^n + c] = rho[r, c], so a
+    one-qubit U rho U^dagger is U (x) conj(U) on the qubit's row and column
+    bits, and a CNOT permutes rows and columns alike.  After each CNOT on
+    wires (c, t), rho -> (1 - 16 p2/15) rho + (16 p2/15) Tr_{c,t}(rho) (x) I/4,
+    which is a uniformly random non-identity Pauli pair with probability p2.
+    """
+    n, dim = circuit.n, 2**circuit.n
+    vec = np.zeros(dim * dim, dtype=complex)
+    vec[0] = 1.0
+    lam = 16.0 * p2 / 15.0
+    for g in circuit.gates:
+        if g.kind == "CNOT":
+            c, t = g.ctrls[0], g.ins[0]
+            perm = _cnot_permutation(dim, c, t)
+            vec = vec.reshape(dim, dim)[perm[:, None], perm].reshape(-1)
+            if lam:
+                _depolarize(vec, n, (c, t), lam)
+        else:
+            u = _single_qubit_matrix(g)
+            lo = 1 << (g.ins[0] - 1)
+            # axes: row bits above q, row bit q, row bits below q with
+            # column bits above q, column bit q, column bits below q
+            pair = np.tensordot(np.kron(u, u.conj()).reshape(2, 2, 2, 2),
+                                vec.reshape(dim // (2 * lo), 2, -1, 2, lo),
+                                axes=([2, 3], [1, 3]))
+            vec = pair.transpose(2, 0, 3, 1, 4).reshape(-1)
+    probs = np.clip(vec.reshape(dim, dim).diagonal().real, 0.0, None)
+    return probs / probs.sum()
+
+
+def _apply_pauli_pair(vec: np.ndarray, wires: tuple[int, int],
                       pauli_index: int) -> np.ndarray:
     """One of the 15 non-identity two-qubit Paulis, indexed 0..14."""
-    a, b = divmod(pauli_index + 1, 4)
-    if a:
-        vec = _apply_pauli_1q(vec, wires[0], a)
-    if b:
-        vec = _apply_pauli_1q(vec, wires[1], b)
+    for q, which in zip(wires, divmod(pauli_index + 1, 4)):
+        if which:
+            vec = _apply_1q_dense(vec, q, _PAULIS[which])
     return vec
 
 
 class _NoisyEngine:
     """Final-state solver for one Pauli-insertion pattern.
 
-    Matrix mode caches the cumulative circuit unitary after each CNOT, so a
-    pattern costs two matrix-vector products per insertion.  When the cache
-    would not fit, replay mode stores only the state after each CNOT and
-    re-applies the gate tail.
+    Stores the state after each CNOT and replays the gate tail after the
+    first insertion.
     """
 
-    def __init__(self, circuit: Circuit, sites: list[int],
-                 force_matrix: bool | None = None):
+    def __init__(self, circuit: Circuit, sites: list[int]):
         self.n = n = circuit.n
         self.gates = circuit.gates
         self.sites = sites
         self.wires = [
             (self.gates[i].ctrls[0], self.gates[i].ins[0]) for i in sites
         ]
-        self.matrix_mode = (len(sites) + 2) * 4**n <= 4_000_000
-        if force_matrix is not None:
-            self.matrix_mode = force_matrix
-        dim = 2**n
-        if self.matrix_mode:
-            mats = []
-            running = np.eye(dim, dtype=complex)
-            done = 0
-            for site in sites:
-                for g in self.gates[done : site + 1]:
-                    running = self._gate_on_matrix(running, g)
-                done = site + 1
-                mats.append(running.copy())
-            for g in self.gates[done:]:
-                running = self._gate_on_matrix(running, g)
-            self.mats = mats
-            self.dags = [m.conj().T.copy() for m in mats]
-            self.full = running
-        else:
-            prefixes = []
-            vec = np.zeros(dim, dtype=complex)
-            vec[0] = 1.0
-            done = 0
-            for site in sites:
-                for g in self.gates[done : site + 1]:
-                    vec = _apply_gate_dense(vec, n, g)
-                done = site + 1
-                prefixes.append(vec.copy())
-            for g in self.gates[done:]:
+        prefixes = []
+        vec = np.zeros(2**n, dtype=complex)
+        vec[0] = 1.0
+        done = 0
+        for site in sites:
+            for g in self.gates[done : site + 1]:
                 vec = _apply_gate_dense(vec, n, g)
-            self.prefixes = prefixes
-            self.full_vec = vec
-
-    def _gate_on_matrix(self, mat: np.ndarray, g: Gate) -> np.ndarray:
-        n = self.n
-        shaped = mat.reshape((2,) * n + (-1,))
-        if g.kind == "CNOT":
-            out = shaped.copy()
-            view = np.moveaxis(out, (n - g.ctrls[0], n - g.ins[0]), (0, 1))
-            view[1] = view[1, ::-1].copy()
-            return out.reshape(mat.shape)
-        axis = n - g.ins[0]
-        t = np.tensordot(_single_qubit_matrix(g), shaped, axes=([1], [axis]))
-        return np.moveaxis(t, 0, axis).reshape(mat.shape)
+            done = site + 1
+            prefixes.append(vec.copy())
+        for g in self.gates[done:]:
+            vec = _apply_gate_dense(vec, n, g)
+        self.prefixes = prefixes
+        self.full_vec = vec
 
     def final_vector(self, pattern: tuple[tuple[int, int], ...]) -> np.ndarray:
-        if self.matrix_mode:
-            if not pattern:
-                return self.full[:, 0]
-            first_site, first_pauli = pattern[0]
-            v = self.mats[first_site][:, 0].copy()
-            v = _apply_pauli_pair(v, self.n, self.wires[first_site], first_pauli)
-            prev = first_site
-            for site, pauli in pattern[1:]:
-                v = self.mats[site] @ (self.dags[prev] @ v)
-                v = _apply_pauli_pair(v, self.n, self.wires[site], pauli)
-                prev = site
-            return self.full @ (self.dags[prev] @ v)
         if not pattern:
             return self.full_vec
         first_site, first_pauli = pattern[0]
         inserts = dict(pattern)
         v = self.prefixes[first_site].copy()
-        v = _apply_pauli_pair(v, self.n, self.wires[first_site], first_pauli)
+        v = _apply_pauli_pair(v, self.wires[first_site], first_pauli)
         site_at = {gate_index: s for s, gate_index in enumerate(self.sites)}
         for gi in range(self.sites[first_site] + 1, len(self.gates)):
             v = _apply_gate_dense(v, self.n, self.gates[gi])
             s = site_at.get(gi)
             if s is not None and s in inserts and s != first_site:
-                v = _apply_pauli_pair(v, self.n, self.wires[s], inserts[s])
+                v = _apply_pauli_pair(v, self.wires[s], inserts[s])
         return v
+
+
+def _trajectory_counts(circuit: Circuit, p2: float, shots: int,
+                       rng: "np.random.Generator") -> np.ndarray:
+    """Counts from one Pauli trajectory a shot, grouped by insertion pattern."""
+    sites = [i for i, g in enumerate(circuit.gates) if g.kind == "CNOT"]
+    fire = rng.random((shots, len(sites))) < p2
+    pauli = rng.integers(0, 15, size=(shots, len(sites)))
+    patterns: list[list[tuple[int, int]]] = [[] for _ in range(shots)]
+    for shot, site in zip(*np.nonzero(fire)):
+        patterns[shot].append((int(site), int(pauli[shot, site])))
+    groups = Counter(map(tuple, patterns))
+    engine = _NoisyEngine(circuit, sites)
+    totals = np.zeros(2**circuit.n, dtype=np.int64)
+    for key in sorted(groups):
+        vec = engine.final_vector(key)
+        p = np.abs(vec) ** 2
+        totals += rng.multinomial(groups[key], p / p.sum())
+    return totals
 
 
 def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int,
               seed: int | None = None) -> dict[BitString, int]:
-    """Measurement counts under per-CNOT Pauli noise, one trajectory a shot.
+    """Measurement counts under per-CNOT two-qubit depolarizing noise.
 
-    Draw order is fixed: first the fire/which-Pauli tables for all shots and
-    sites, then one multinomial per distinct insertion pattern in sorted
-    pattern order.  ``seed`` falls back to the noise model's own seed.
+    Up to 9 qubits the counts are one multinomial draw from the exact
+    distribution, which is the law of iid noisy shots.  From 10 to 16
+    qubits each shot is its own Pauli trajectory: first the fire and
+    which-Pauli tables for all shots and sites are drawn, then one
+    multinomial per distinct insertion pattern in sorted pattern order.
+    Either way the counts are deterministic given the seed, which falls
+    back to the noise model's own.
     """
     if circuit.level != "cnot":
         raise ValueError("noisy runs need a cnot-level circuit")
@@ -327,33 +345,10 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int,
     if n > 16:
         raise ValueError("noisy simulation limited to 16 qubits")
     rng = np.random.default_rng(noise.seed if seed is None else seed)
-    sites = [i for i, g in enumerate(circuit.gates) if g.kind == "CNOT"]
-
-    fire = rng.random((shots, len(sites))) < noise.p2
-    pauli = rng.integers(0, 15, size=(shots, len(sites)))
-    groups: dict[tuple[tuple[int, int], ...], int] = {}
-    rows, cols = np.nonzero(fire)
-    fired_paulis = pauli[rows, cols]
-    i, total = 0, len(rows)
-    while i < total:
-        j = i
-        while j < total and rows[j] == rows[i]:
-            j += 1
-        key = tuple(
-            (int(cols[t]), int(fired_paulis[t])) for t in range(i, j)
-        )
-        groups[key] = groups.get(key, 0) + 1
-        i = j
-    clean = shots - len(np.unique(rows))
-    if clean:
-        groups[()] = clean
-
-    engine = _NoisyEngine(circuit, sites)
-    totals = np.zeros(2**n, dtype=np.int64)
-    for key in sorted(groups):
-        vec = engine.final_vector(key)
-        p = np.abs(vec) ** 2
-        totals += rng.multinomial(groups[key], p / p.sum())
+    if n <= _DENSITY_QUBITS:
+        totals = rng.multinomial(shots, _noisy_probabilities(circuit, noise.p2))
+    else:
+        totals = _trajectory_counts(circuit, noise.p2, shots, rng)
     return {
         BitString.from_index(n, int(i)): int(c)
         for i, c in enumerate(totals)

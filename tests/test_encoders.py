@@ -71,6 +71,43 @@ def assert_loads(report, x, tol=1e-11):
         assert index in support
 
 
+SCALES = [1e200, 1e-170]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+class TestScaleSafety:
+    """x and c * x load the same state for any c that keeps c * x finite."""
+
+    def test_dense_real(self, scale):
+        x = np.arange(1.0, 7.0)
+        assert_loads(encode_dense_real(4, 2, x * scale), x)
+
+    def test_dense_complex(self, scale):
+        z = np.arange(1.0, 7.0) * np.exp(1j * np.arange(6))
+        assert_loads(encode_dense_complex(4, 2, z * scale), z)
+
+    def test_sparse(self, scale):
+        addresses = ["0011", "0101", "0110", "1110"]
+        for vals in ([1.0, -2.0, 3.0, 4.0], [1.0, 2j, -3.0, 4.0 + 1j]):
+            data = [(v * scale, a) for v, a in zip(vals, addresses)]
+            assert_loads(encode_sparse(4, data), vals)
+
+    def test_binary(self, scale):
+        x = np.arange(1.0, 9.0)
+        assert_loads(encode_binary(3, x * scale), x)
+
+    def test_binary_complex(self, scale):
+        z = np.arange(1.0, 9.0) * np.exp(-1j * np.arange(8))
+        assert_loads(encode_binary_complex(3, z * scale), z)
+
+
+def test_largest_finite_components():
+    # |z| of each entry is above the largest double; the parts are not
+    big = np.finfo(float).max
+    z = np.array([big + big * 1j, -big + 0j, 0.5 * big * 1j])
+    assert_loads(encode_dense_complex(3, 1, z), z / big)
+
+
 class TestDenseReal:
     def test_golden_layout_6_2(self):
         x = np.arange(1.0, 16.0)
@@ -176,6 +213,13 @@ class TestDenseReal:
         x[3] = np.nan
         with pytest.raises(EncodingError, match="non-finite"):
             encode_dense_real(6, 2, x)
+        x[3] = np.inf
+        with pytest.raises(EncodingError, match="non-finite"):
+            encode_dense_real(6, 2, x)
+
+    def test_smallest_subnormal_is_not_zero(self):
+        tiny = np.array([5e-324, 0.0, 5e-324])
+        assert_loads(encode_dense_real(3, 1, tiny), [1.0, 0.0, 1.0])
 
 
 class TestDenseComplex:

@@ -1,11 +1,13 @@
 """Sparse engine against the dense oracle, sampling, and noise statistics."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from hwenc.bitstrings import BitString
+from hwenc.encoders import encode_dense_real
 from hwenc.ir import (
     Circuit,
     circuit_unitary,
@@ -22,6 +24,7 @@ from hwenc.simulator import (
     NoiseModel,
     SparseState,
     _NoisyEngine,
+    _noisy_probabilities,
     apply_gate,
     dense_run,
     run,
@@ -62,6 +65,30 @@ def random_logical_circuit(rng, n, n_gates):
                      [int(w) for w in wires[m : m + mp]])
             )
     return Circuit(n, tuple(gates))
+
+
+NOISY_CIRCUIT = Circuit(
+    3,
+    (ry(0.3, 3), cnot(3, 2), ry(0.2, 2), rz(0.7, 3), cnot(2, 1),
+     rw(0.9, (0.6, 0.0, 0.8), 1), cnot(3, 1), ry(0.4, 1), rz(-0.5, 2)),
+    level="cnot",
+)
+
+PAULI_AXES = {1: (1.0, 0.0, 0.0), 2: (0.0, 1.0, 0.0), 3: (0.0, 0.0, 1.0)}
+
+
+def with_paulis(circuit, choice):
+    """The circuit with Pauli pair choice[s] (0 = identity) after CNOT s."""
+    gates = []
+    cnots = 0
+    for g in circuit.gates:
+        gates.append(g)
+        if g.kind == "CNOT":
+            for q, which in zip((g.ctrls[0], g.ins[0]), divmod(choice[cnots], 4)):
+                if which:
+                    gates.append(rw(math.pi / 2, PAULI_AXES[which], q))
+            cnots += 1
+    return Circuit(circuit.n, tuple(gates), level="cnot")
 
 
 class TestSparseState:
@@ -160,6 +187,17 @@ class TestDenseRun:
                 dense_run(c), circuit_unitary(c)[:, 0], atol=1e-12
             )
 
+    def test_mixing_gate_past_12_qubits_rejected_up_front(self):
+        report = encode_dense_real(13, 1, np.arange(1.0, 14.0))
+        with pytest.raises(ValueError, match="mixing or controlled gates"):
+            dense_run(report.circuit)
+
+    def test_cnot_level_past_12_qubits(self):
+        c = Circuit(14, (x_gate(14), cnot(14, 1), ry(0.5, 7)), level="cnot")
+        vec = dense_run(c)
+        assert vec[(1 << 13) | 1] == pytest.approx(math.cos(0.5))
+        assert vec[(1 << 13) | (1 << 6) | 1] == pytest.approx(math.sin(0.5))
+
     def test_sparse_agrees_with_dense(self):
         c = Circuit(3, (x_gate(3), cnot(3, 1), ry(0.7, 2), cnot(2, 1)), level="cnot")
         np.testing.assert_allclose(run(c).as_vector(), dense_run(c), atol=1e-12)
@@ -236,16 +274,29 @@ class TestNoise:
         b = run_noisy(c, NoiseModel(0.2, 31), 200)
         assert a == b
 
-    def test_engine_modes_agree(self):
-        gates = (ry(0.3, 3), cnot(3, 2), ry(0.2, 2), cnot(2, 1), ry(0.9, 1),
-                 cnot(3, 1))
-        c = Circuit(3, gates, level="cnot")
-        sites = [i for i, g in enumerate(c.gates) if g.kind == "CNOT"]
-        fast = _NoisyEngine(c, sites, force_matrix=True)
-        slow = _NoisyEngine(c, sites, force_matrix=False)
-        for pattern in [(), ((0, 3),), ((0, 14), (2, 7)), ((1, 0), (2, 5))]:
+    def test_density_matches_trajectory_oracle(self):
+        # every Pauli pattern, weighted (1 - p) or p/15 per CNOT, summed
+        p = 0.2
+        want = np.zeros(8)
+        for choice in itertools.product(range(16), repeat=3):
+            weight = math.prod(1 - p if ch == 0 else p / 15 for ch in choice)
+            state = circuit_unitary(with_paulis(NOISY_CIRCUIT, choice))[:, 0]
+            want += weight * np.abs(state) ** 2
+        np.testing.assert_allclose(
+            _noisy_probabilities(NOISY_CIRCUIT, p), want, rtol=0, atol=1e-12
+        )
+
+    def test_replay_matches_explicit_paulis(self):
+        sites = [i for i, g in enumerate(NOISY_CIRCUIT.gates) if g.kind == "CNOT"]
+        engine = _NoisyEngine(NOISY_CIRCUIT, sites)
+        for choice in itertools.product(range(16), repeat=3):
+            pattern = tuple((s, ch - 1) for s, ch in enumerate(choice) if ch)
+            # each explicit Pauli is Rw(pi/2) = i * P
+            phase = 1j ** sum((ch >> 2 > 0) + (ch & 3 > 0) for ch in choice)
             np.testing.assert_allclose(
-                fast.final_vector(pattern), slow.final_vector(pattern), atol=1e-12
+                phase * engine.final_vector(pattern),
+                dense_run(with_paulis(NOISY_CIRCUIT, choice)),
+                rtol=0, atol=1e-12,
             )
 
     def test_error_grows_with_p2(self):
