@@ -3,10 +3,12 @@
 Multi-controlled rotations become Gray-code multiplexors costing exactly
 2^(number of controls) CNOTs. Two-wire mixing gates choose between an
 entangle-rotate-disentangle template ("top") and a parity-ladder plus
-one central multi-controlled rotation ("bottom"), keeping whichever
-needs fewer CNOTs. Generalized mixing gates always take the ladder
-route. Conditional phase gates unroll into a stack of multi-controlled
-Rz gates with geometrically shrinking angles.
+one central multi-controlled rotation ("bottom"). Both templates are
+priced from their rotations' control counts before either is built, and
+only the one needing fewer CNOTs is built (ties go to "bottom").
+Generalized mixing gates always take the ladder route. Conditional
+phase gates unroll into a stack of multi-controlled Rz gates with
+geometrically shrinking angles.
 
 Everything here preserves the logical unitary up to a global phase;
 :func:`phase_distance` measures exactly that and backs the tests.
@@ -14,6 +16,8 @@ Everything here preserves the logical unitary up to a global phase;
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +77,18 @@ def _ctz(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+@functools.lru_cache(maxsize=None)
+def _gray_steps(ell: int) -> tuple[tuple[float, int], ...]:
+    """(angle sign, control index) of each rotation/CNOT pair of an ell-control stack."""
+    size = 1 << ell
+    steps = []
+    for j in range(size):
+        gray = j ^ (j >> 1)
+        sign = -1.0 if bin(gray).count("1") % 2 else 1.0
+        steps.append((sign, ell - 1 if j == size - 1 else _ctz(j + 1)))
+    return tuple(steps)
+
+
 def _multiplexed(emit, tau: float, target: int, ctrls: tuple[int, ...]) -> list[Gate]:
     """Gray-code rotation stack firing angle tau on the all-ones pattern.
 
@@ -80,14 +96,10 @@ def _multiplexed(emit, tau: float, target: int, ctrls: tuple[int, ...]) -> list[
     exactly 2^len(ctrls) CNOTs and is the identity (not merely a phase)
     on every other control pattern.
     """
-    ell = len(ctrls)
-    size = 1 << ell
+    size = 1 << len(ctrls)
     gates: list[Gate] = []
-    for j in range(size):
-        gray = j ^ (j >> 1)
-        sign = -1.0 if bin(gray).count("1") % 2 else 1.0
+    for sign, wire in _gray_steps(len(ctrls)):
         gates.append(emit(sign * tau / size, target))
-        wire = ell - 1 if j == size - 1 else _ctz(j + 1)
         gates.append(cnot(ctrls[wire], target))
     return gates
 
@@ -108,6 +120,16 @@ def compile_mcry(gate: Gate) -> list[Gate]:
     return _with_anti_conjugation(gate, _mcry_core)
 
 
+def _is_identity(lam: float) -> bool:
+    """Whether exp(i*lam * w.sigma) is the identity, whatever the axis."""
+    return abs(math.sin(lam)) < AXIS_TOL and math.cos(lam) > 0
+
+
+def _rotation_cnots(lam: float, ell: int) -> int:
+    """CNOTs :func:`_mcry_core` spends on exp(i*lam * w.sigma) with ell controls."""
+    return 0 if ell == 0 or _is_identity(lam) else 1 << ell
+
+
 def _mcry_core(gate: Gate, ctrls: tuple[int, ...]) -> list[Gate]:
     t = gate.target
     if not ctrls:
@@ -125,10 +147,9 @@ def _mcry_core(gate: Gate, ctrls: tuple[int, ...]) -> list[Gate]:
     else:
         lam, axis = gate.theta, gate.axis
 
-    sin_l = np.sin(lam)
-    if abs(sin_l) < AXIS_TOL:
-        if np.cos(lam) > 0:
-            return []
+    if _is_identity(lam):
+        return []
+    if abs(math.sin(lam)) < AXIS_TOL:
         # exp(i*pi*W) = -I regardless of axis; realize it on the y axis
         lam, axis = np.pi, (0.0, 1.0, 0.0)
 
@@ -156,12 +177,24 @@ def _mcry_core(gate: Gate, ctrls: tuple[int, ...]) -> list[Gate]:
 
 
 def compile_rbs(gate: Gate) -> list[Gate]:
-    """Lower a two-wire mixing gate, taking the cheaper of two templates."""
+    """Lower a two-wire mixing gate, building only the cheaper of two templates.
+
+    Each template is priced by :func:`_rotation_cnots` over the rotations
+    it would build: "top" is two frame CNOTs plus its Ry (and Rz) stacks,
+    "bottom" a two-CNOT ladder plus one rotation with one extra control.
+    """
     if gate.kind not in ("RBS", "ComplexRBS"):
         raise ValueError(f"compile_rbs cannot lower {gate.kind}")
-    top = _rbs_top(gate)
-    bottom = _mixing_bottom(gate)
-    return top if _cnots(top) < _cnots(bottom) else bottom
+    ell = len(gate.ctrls) + len(gate.anti_ctrls)
+    half = gate.theta / 2.0
+    top = 2 + 2 * _rotation_cnots(-half, ell)
+    if gate.kind == "ComplexRBS":
+        quarter = gate.phi / 2.0
+        top += _rotation_cnots(-quarter, ell) + _rotation_cnots(quarter, ell)
+    lam, _ = _mixing_central(gate)
+    if top < 2 + _rotation_cnots(lam, ell + 1):
+        return _rbs_top(gate)
+    return _mixing_bottom(gate)
 
 
 def compile_grbs(gate: Gate) -> list[Gate]:
@@ -202,6 +235,19 @@ def _rbs_top(gate: Gate) -> list[Gate]:
     return gates
 
 
+def _mixing_central(gate: Gate) -> tuple[float, tuple[float, float, float]]:
+    """(lam, axis) of the central rotation of :func:`_mixing_bottom`."""
+    theta = gate.theta
+    phi = gate.phi if gate.phi is not None else 0.0
+    c, s = np.cos(theta), np.sin(theta)
+    ep, em = np.exp(1j * phi), np.exp(-1j * phi)
+    if gate.ins:
+        # target reads 1 on the first pattern, 0 on the second
+        return axis_angle(np.array([[em * c, em * s], [-ep * s, ep * c]]))
+    # raising gate: target reads 0 on the first pattern
+    return axis_angle(np.array([[ep * c, -ep * s], [em * s, em * c]]))
+
+
 def _mixing_bottom(gate: Gate) -> list[Gate]:
     """Parity ladder onto one wire pair, one central rotation, unladder.
 
@@ -212,11 +258,6 @@ def _mixing_bottom(gate: Gate) -> list[Gate]:
     """
     ins = gate.ins
     outs = gate.outs
-    theta = gate.theta
-    phi = gate.phi if gate.phi is not None else 0.0
-    c, s = np.cos(theta), np.sin(theta)
-    ep, em = np.exp(1j * phi), np.exp(-1j * phi)
-
     ladder: list[Gate] = []
     if ins:
         src, dst = ins[0], outs[0]
@@ -226,17 +267,13 @@ def _mixing_bottom(gate: Gate) -> list[Gate]:
         target = src
         extra_ctrl = (dst,)
         spectators = ins[1:] + outs[1:]
-        # target reads 1 on the first pattern, 0 on the second
-        central = np.array([[em * c, em * s], [-ep * s, ep * c]])
     else:
         target = outs[0]
         ladder += [cnot(target, q) for q in outs[1:]]
         extra_ctrl = ()
         spectators = outs[1:]
-        # raising gate: target reads 0 on the first pattern
-        central = np.array([[ep * c, -ep * s], [em * s, em * c]])
 
-    lam, axis = axis_angle(central)
+    lam, axis = _mixing_central(gate)
     rotation = rw(
         lam,
         axis,

@@ -21,6 +21,7 @@ Conventions, fixed package-wide:
   bitstring, integer bit q-1 is qubit q, and QASM wire index = n - label.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -42,6 +43,11 @@ class SerializationError(ValueError):
 
 
 def _as_labels(values, what: str) -> tuple[int, ...]:
+    # fast path for the shapes nearly every gate has: no label, or one plain int
+    if type(values) is tuple and (
+        not values or (len(values) == 1 and type(values[0]) is int and values[0] >= 1)
+    ):
+        return values
     labels = tuple(values)
     for q in labels:
         if not isinstance(q, int) or isinstance(q, bool) or q < 1:
@@ -49,6 +55,15 @@ def _as_labels(values, what: str) -> tuple[int, ...]:
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate label in {what}: {labels}")
     return tuple(sorted(labels))
+
+
+def _check_angle(value, what: str) -> None:
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,9 +92,15 @@ class Gate:
         object.__setattr__(self, "ctrls", _as_labels(self.ctrls, "ctrls"))
         object.__setattr__(self, "anti_ctrls", _as_labels(self.anti_ctrls, "anti_ctrls"))
         all_labels = self.ins + self.outs + self.ctrls + self.anti_ctrls
-        if len(set(all_labels)) != len(all_labels):
+        if len(all_labels) > 1 and len(set(all_labels)) != len(all_labels):
             raise ValueError(f"{self.kind}: a qubit appears in two roles: {all_labels}")
+        if self.theta is not None:
+            _check_angle(self.theta, "theta")
+        if self.phi is not None:
+            _check_angle(self.phi, "phi")
         if self.axis is not None:
+            for a in self.axis:
+                _check_angle(a, "axis component")
             ax = tuple(float(a) for a in self.axis)
             if len(ax) != 3:
                 raise ValueError("axis must have three components")
@@ -139,7 +160,8 @@ class Circuit:
             raise ValueError(f"unknown level {self.level!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for i, g in enumerate(self.gates):
-            high = max(g.qubits, default=1)
+            # label tuples are sorted, so each one's highest label is its last
+            high = max(g.ins[-1:] + g.outs[-1:] + g.ctrls[-1:] + g.anti_ctrls[-1:], default=1)
             if high > self.n:
                 raise ValueError(f"gate {i}: label {high} exceeds {self.n} qubits")
             if self.level == "cnot":
@@ -156,8 +178,11 @@ class Circuit:
         return Circuit(self.n, self.gates + tuple(gates), self.level)
 
 
-# shorthand constructors
+# shorthand constructors; X and CNOT gates are frozen and fixed by their labels,
+# so each distinct one is built once and reused (typed, so a True or np.int64
+# label is not served a cached int's gate but reaches the checks)
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def x_gate(target: int) -> Gate:
     return Gate("X", ins=(target,))
 
@@ -195,6 +220,7 @@ def grbs(theta: float, phi: float, ins, outs, ctrls=(), anti_ctrls=()) -> Gate:
                 ctrls=ctrls, anti_ctrls=anti_ctrls)
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def cnot(ctrl: int, target: int) -> Gate:
     return Gate("CNOT", ins=(target,), ctrls=(ctrl,))
 

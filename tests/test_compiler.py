@@ -5,6 +5,8 @@ import pytest
 
 from hwenc.compiler import (
     LoweringResult,
+    _mixing_bottom,
+    _rbs_top,
     axis_angle,
     compile_anti_phase,
     compile_grbs,
@@ -227,6 +229,44 @@ class TestMixingGates:
             compile_rbs(ry(0.3, 1))
         with pytest.raises(ValueError, match="compile_grbs"):
             compile_grbs(rbs(0.3, 1, 2))
+
+
+class TestTemplateChoice:
+    """compile_rbs prices the templates; building both must agree with it."""
+
+    @staticmethod
+    def build_both(gate):
+        top, bottom = _rbs_top(gate), _mixing_bottom(gate)
+        return "top" if cnots(top) < cnots(bottom) else "bottom", top, bottom
+
+    def test_priced_choice_matches_building_both(self):
+        rng = np.random.default_rng(54)
+        seen = {"top": 0, "bottom": 0, "tie": 0}
+        for ell in range(7):
+            thetas = (0.0, 1e-13, np.pi / 2, -np.pi / 2, np.pi, 2 * np.pi,
+                      float(rng.uniform(-2 * np.pi, 2 * np.pi)))
+            phis = (0.0, np.pi, float(rng.uniform(-np.pi, np.pi)))
+            for cut in range(ell + 1):
+                src, dst, *rest = (int(q) for q in rng.permutation(np.arange(1, ell + 3)))
+                ctrls, antis = tuple(sorted(rest[:cut])), tuple(sorted(rest[cut:]))
+                for theta in thetas:
+                    gates = [rbs(theta, src, dst, ctrls=ctrls, anti_ctrls=antis)]
+                    gates += [complex_rbs(theta, phi, src, dst, ctrls=ctrls,
+                                          anti_ctrls=antis) for phi in phis]
+                    for g in gates:
+                        winner, top, bottom = self.build_both(g)
+                        lowered = compile_rbs(g)
+                        assert lowered == (top if winner == "top" else bottom), (
+                            g, winner)
+                        seen["tie" if cnots(top) == cnots(bottom) else winner] += 1
+        # every branch of the rule was exercised, ties included
+        assert min(seen.values()) > 0, seen
+
+    def test_tie_goes_to_bottom(self):
+        # theta = 0 with no controls: both templates cost 2 CNOTs
+        g = rbs(0.0, 1, 2)
+        assert cnots(_rbs_top(g)) == cnots(_mixing_bottom(g)) == 2
+        assert compile_rbs(g) == _mixing_bottom(g)
 
 
 class TestAntiPhase:

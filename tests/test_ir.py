@@ -5,11 +5,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hwenc.ir import (
     Circuit,
     Gate,
     SerializationError,
+    _as_labels,
     anti_phase,
     apply_to_basis_state,
     circuit_unitary,
@@ -73,12 +76,113 @@ class TestValidation:
         with pytest.raises(ValueError, match="exceeds"):
             Circuit(2, (ry(0.1, 3),))
 
+    def test_circuit_label_range_every_role(self):
+        # the highest label of each gate may sit in any of its four roles
+        for gate in (
+            rbs(0.1, 1, 4),
+            grbs(0.1, 0.0, (2,), (4, 1)),
+            ry(0.1, 1, ctrls=(4, 2)),
+            rz(0.1, 2, ctrls=(1,), anti_ctrls=(4, 3)),
+            cnot(4, 1),
+        ):
+            with pytest.raises(ValueError, match="gate 1: label 4 exceeds 3 qubits"):
+                Circuit(3, (x_gate(1), gate))
+            Circuit(4, (x_gate(1), gate))  # fine
+
     def test_cnot_level_restrictions(self):
         with pytest.raises(ValueError, match="not allowed at cnot level"):
             Circuit(2, (rbs(0.1, 2, 1),), level="cnot")
         with pytest.raises(ValueError, match="controlled Ry"):
             Circuit(3, (ry(0.1, 1, ctrls=(2,)),), level="cnot")
         Circuit(2, (cnot(2, 1), ry(0.1, 1)), level="cnot")  # fine
+
+
+def reference_labels(values, what):
+    """Plain label validation: every label a positive int (not bool), no repeats."""
+    labels = tuple(values)
+    for q in labels:
+        if type(q) is bool or not isinstance(q, int) or q < 1:
+            raise ValueError(f"{what} must be positive integer labels, got {q!r}")
+    if len(labels) != len(set(labels)):
+        raise ValueError(f"duplicate label in {what}: {labels}")
+    return tuple(sorted(labels))
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as err:
+        return "error", str(err)
+
+
+class TestLabelValidation:
+    @pytest.mark.parametrize("bad", [True, np.int64(1), 0, -1])
+    def test_rejects_non_labels(self, bad):
+        x_gate(1), cnot(2, 1)  # cached int-labelled gates must not answer for bad
+        message = f"must be positive integer labels, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match="ins " + message):
+            x_gate(bad)
+        with pytest.raises(ValueError, match="ins " + message):
+            Gate("Ry", theta=0.1, ins=(bad,))
+        with pytest.raises(ValueError, match="ctrls " + message):
+            cnot(bad, 1)
+        with pytest.raises(ValueError, match="ins " + message):
+            cnot(2, bad)
+        with pytest.raises(ValueError, match="outs " + message):
+            rbs(0.1, 2, bad)
+        with pytest.raises(ValueError, match="anti_ctrls " + message):
+            ry(0.1, 2, anti_ctrls=(bad,))
+
+    def test_rejects_duplicates_and_shared_roles(self):
+        with pytest.raises(ValueError, match=re.escape("duplicate label in outs: (3, 3)")):
+            grbs(0.1, 0.0, (1,), (3, 3))
+        with pytest.raises(ValueError, match=re.escape("duplicate label in ctrls: (2, 2)")):
+            ry(0.1, 1, ctrls=(2, 2))
+        with pytest.raises(ValueError, match=re.escape("CNOT: a qubit appears in two roles: (1, 1)")):
+            cnot(1, 1)
+        with pytest.raises(ValueError, match=re.escape("Rz: a qubit appears in two roles: (1, 2, 1)")):
+            rz(0.1, 1, ctrls=(2,), anti_ctrls=(1,))
+
+    @given(st.lists(st.one_of(st.integers(-2, 9), st.booleans(), st.just(np.int64(3)),
+                              st.just(2.0)), max_size=4),
+           st.booleans())
+    def test_agrees_with_reference(self, values, as_tuple):
+        values = tuple(values) if as_tuple else values
+        assert outcome(_as_labels, values, "ctrls") == outcome(reference_labels, values, "ctrls")
+
+    def test_cached_gates_are_reused(self):
+        assert cnot(3, 1) is cnot(3, 1)
+        assert x_gate(2) is x_gate(2)
+
+
+class TestAngleValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.3", 0.3 + 0j, None])
+    def test_rejects_non_finite_and_non_numeric(self, bad):
+        if bad is not None:
+            with pytest.raises(ValueError, match="theta must be a finite real number"):
+                ry(bad, 1)
+            with pytest.raises(ValueError, match="phi must be a finite real number"):
+                complex_rbs(0.1, bad, 1, 2, ctrls=(3,))
+            with pytest.raises(ValueError, match="theta must be a finite real number"):
+                rbs(bad, 1, 2, ctrls=(3,))
+        with pytest.raises(ValueError, match="axis component must be a finite real number"):
+            rw(0.1, (bad, 0.0, 0.0), 1)
+
+    def test_accepts_numpy_and_integer_angles(self):
+        assert ry(np.float64(0.3), 1).theta == 0.3
+        assert rz(0, 1).phi == 0
+        assert rw(np.float32(0.5), (0, np.float64(1.0), 0), 1).axis == (0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("angle", ["NaN", "Infinity", "-Infinity", '"0.3"'])
+    def test_deserialize_rejects_bad_angles(self, angle):
+        text = ('{"n":2,"level":"logical","gates":[{"kind":"RBS","theta":%s,'
+                '"ins":[1],"outs":[2],"ctrls":[],"anti_ctrls":[]}]}' % angle)
+        with pytest.raises(SerializationError, match="gate 0: theta must be a finite"):
+            deserialize(text)
+        axis = ('{"n":1,"level":"cnot","gates":[{"kind":"Rw","theta":0.1,'
+                '"axis":[%s,0,0],"ins":[1]}]}' % angle)
+        with pytest.raises(SerializationError, match="gate 0: axis component"):
+            deserialize(axis)
 
 
 class TestSingleQubitSemantics:
