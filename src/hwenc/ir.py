@@ -262,6 +262,15 @@ def _single_qubit_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"{gate.kind} is not a single-qubit gate")
 
 
+def _mixing_matrix(gate: Gate) -> np.ndarray:
+    """A mixing gate's 2x2 block on (|b>, |b'>): in-wires 1 and out-wires 0
+    first, the mirrored state second."""
+    phi = gate.phi if gate.phi is not None else 0.0
+    fwd, bwd = np.exp(1j * phi), np.exp(-1j * phi)
+    c, s = math.cos(gate.theta), math.sin(gate.theta)
+    return np.array([[fwd * c, -fwd * s], [bwd * s, bwd * c]])
+
+
 def apply_to_basis_state(gate: Gate, state: int) -> dict[int, complex]:
     """Column of the gate unitary indexed by one basis state.
 
@@ -289,23 +298,20 @@ def apply_to_basis_state(gate: Gate, state: int) -> dict[int, complex]:
     # mixing gates
     ins_mask, outs_mask = _mask(gate.ins), _mask(gate.outs)
     flip = ins_mask | outs_mask
-    theta = gate.theta
-    phi = gate.phi if gate.phi is not None else 0.0
-    fwd, bwd = np.exp(1j * phi), np.exp(-1j * phi)
-    c, s = math.cos(theta), math.sin(theta)
+    u = _mixing_matrix(gate)
     if (state & ins_mask) == ins_mask and (state & outs_mask) == 0:
         out = {}
-        if c != 0:
-            out[state] = fwd * c
-        if s != 0:
-            out[state ^ flip] = bwd * s
+        if u[0, 0] != 0:
+            out[state] = u[0, 0]
+        if u[1, 0] != 0:
+            out[state ^ flip] = u[1, 0]
         return out or {state: 0j}
     if (state & ins_mask) == 0 and (state & outs_mask) == outs_mask:
         out = {}
-        if s != 0:
-            out[state ^ flip] = -fwd * s
-        if c != 0:
-            out[state] = bwd * c
+        if u[0, 1] != 0:
+            out[state ^ flip] = u[0, 1]
+        if u[1, 1] != 0:
+            out[state] = u[1, 1]
         return out or {state: 0j}
     return {state: 1.0 + 0j}
 

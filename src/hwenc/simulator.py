@@ -1,12 +1,17 @@
 """Sparse statevector simulation, sampling, and synthetic CNOT noise.
 
-The sparse engine keeps a basis-index -> amplitude map and applies each gate
-by its basis-state action, which touches at most two states per input state.
-Encoder circuits have supports of size d << 2^n, so this is the default.
+The sparse engine keeps the support as a sorted array of basis indices with a
+matching complex amplitude array (int64 indices up to 62 qubits, Python ints
+beyond).  X and CNOT flip an index bit on the entries whose controls hold and
+re-sort; every other gate is a 2x2 block on pairs of indices that differ by a
+fixed bit flip, found with ``searchsorted``, with a partner inserted only when
+it is new and nonzero.  A gate thus costs a few array passes over the support,
+which for encoder circuits is d << 2^n, so this is the default.  The per-state
+action of ``ir.apply_to_basis_state`` is the reference it is tested against.
 
 A dense engine (plain numpy vectors) backs exact runs and the equivalence
 tests on CNOT-level circuits, where mid-circuit superpositions fill out and
-per-entry dict work would dominate.
+index bookkeeping over a full support would dominate.
 
 Noise is a single synthetic channel: after every CNOT, with probability p2,
 a uniformly random non-identity two-qubit Pauli hits that CNOT's wires.
@@ -30,8 +35,9 @@ from hwenc.ir import (
     Circuit,
     Gate,
     MIXING_KINDS,
+    _mask,
+    _mixing_matrix,
     _single_qubit_matrix,
-    apply_to_basis_state,
     gate_unitary,
 )
 
@@ -80,42 +86,145 @@ class SparseState:
         return v
 
 
-def apply_gate(amps: dict[int, complex], gate: Gate) -> dict[int, complex]:
-    """One gate on a sparse map.  Matches the basis-state action exactly."""
-    out: dict[int, complex] = {}
-    for state, amp in amps.items():
-        for target, coeff in apply_to_basis_state(gate, state).items():
-            value = out.get(target, 0j) + amp * coeff
-            if value == 0j:
-                out.pop(target, None)
-            else:
-                out[target] = value
+def _to_arrays(amps: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # int64 holds the indices of up to 62 qubits; wider ones are Python ints,
+    # which the same kernel runs on as an object array
+    idx = np.array(list(amps), dtype=np.int64 if n <= 62 else object)
+    amp = np.array(list(amps.values()), dtype=complex)
+    nonzero = np.flatnonzero(amp)
+    order = nonzero[np.argsort(idx[nonzero])]
+    return idx[order], amp[order]
+
+
+def _apply_flip(idx, amp, care: int, want: int, bit: int):
+    """X or CNOT: a permutation, so nothing merges; only the order changes."""
+    active = (idx & care) == want
+    idx = idx.copy()
+    idx[active] ^= bit
+    order = np.argsort(idx)
+    return idx[order], amp[order]
+
+
+def _apply_pair(idx, amp, care: int, want: int, lo_key: int, hi_key: int,
+                u: np.ndarray):
+    """A 2x2 block u on every pair (lo, lo ^ flip), flip = lo_key | hi_key,
+    among the entries with idx & care == want; the lo side reads lo_key on
+    the flip bits and the hi side hi_key.  Other entries are fixed.
+
+    Each entry on a side takes its new amplitude from its own and its
+    partner's old ones, in place.  An entry whose partner is absent inserts
+    the partner in sorted order when the amplitude it sends there is nonzero.
+    Exact zeros are dropped.
+    """
+    flip = lo_key | hi_key
+    active = np.flatnonzero((idx & care) == want)
+    key = idx[active] & flip
+    is_hi = key == hi_key
+    on_side = is_hi | (key == lo_key)
+    at, is_hi = active[on_side], is_hi[on_side]
+    if not at.size:
+        return idx, amp
+    # a partner past the end is clipped onto the last index, which is
+    # smaller, so it reads as absent
+    partner = idx[at] ^ flip
+    pos = np.searchsorted(idx, partner)
+    found = idx.take(pos, mode="clip") == partner
+    mine = amp[at]
+    theirs = np.where(found, amp.take(pos, mode="clip"), 0)
+    amp[at] = (np.where(is_hi, u[1, 1], u[0, 0]) * mine
+               + np.where(is_hi, u[1, 0], u[0, 1]) * theirs)
+    sent = np.where(is_hi, u[0, 1], u[1, 0]) * mine
+    born = np.flatnonzero(~found & (sent != 0))
+    dead = at[amp[at] == 0]
+    if dead.size:
+        idx, amp = np.delete(idx, dead), np.delete(amp, dead)
+    if born.size:
+        born = born[np.argsort(partner[born])]
+        new_idx, new_amp = partner[born], sent[born]
+        slots = np.searchsorted(idx, new_idx) + np.arange(born.size)
+        old = np.ones(idx.size + born.size, dtype=bool)
+        old[slots] = False
+        idx = _scatter(idx, new_idx, slots, old)
+        amp = _scatter(amp, new_amp, slots, old)
+    return idx, amp
+
+
+def _scatter(values: np.ndarray, new: np.ndarray, at: np.ndarray,
+             old: np.ndarray) -> np.ndarray:
+    out = np.empty(old.size, dtype=values.dtype)
+    out[at] = new
+    out[old] = values
     return out
 
 
-def run(circuit: Circuit, initial=None, check_norm: bool = True) -> SparseState:
-    """Run a circuit exactly on the sparse engine.
+def _apply_arrays(idx: np.ndarray, amp: np.ndarray,
+                  gate: Gate) -> tuple[np.ndarray, np.ndarray]:
+    """One gate on a sorted index array and its amplitudes.
 
-    ``initial`` may be a SparseState, a BitString, a basis index, or None
-    for the all-zeros state.  Amplitudes below 1e-12 are pruned at the end
-    (mid-circuit cancellation residue), never during the run.
+    Matches ``apply_to_basis_state`` summed over the support, to rounding.
+    ``amp`` may be updated in place, so callers pass arrays they own.
     """
-    if isinstance(initial, SparseState):
-        amps = dict(initial.amps)
-    elif isinstance(initial, BitString):
-        amps = {initial.to_index(): 1.0 + 0j}
-    elif initial is None:
-        amps = {0: 1.0 + 0j}
+    ctrl = _mask(gate.ctrls)
+    care = ctrl | _mask(gate.anti_ctrls)
+    if gate.kind in ("X", "CNOT"):
+        return _apply_flip(idx, amp, care, ctrl, 1 << (gate.ins[0] - 1))
+    if gate.kind in MIXING_KINDS:
+        lo, hi = _mask(gate.ins), _mask(gate.outs)
+        u = _mixing_matrix(gate)
     else:
-        amps = {int(initial): 1.0 + 0j}
+        lo, hi = 0, 1 << (gate.ins[0] - 1)
+        u = _single_qubit_matrix(gate)
+    return _apply_pair(idx, amp, care, ctrl, lo, hi, u)
+
+
+def apply_gate(amps: dict[int, complex], gate: Gate) -> dict[int, complex]:
+    """One gate on a sparse index -> amplitude map, through the array engine.
+
+    Matches the basis-state action of ``apply_to_basis_state`` to rounding;
+    amplitudes that cancel exactly are dropped.
+    """
+    width = max(int(max(amps, default=0)).bit_length(), max(gate.qubits, default=0))
+    idx, amp = _apply_arrays(*_to_arrays(amps, width), gate)
+    return dict(zip(idx.tolist(), amp.tolist()))
+
+
+def _initial_amps(n: int, initial) -> dict:
+    if initial is None:
+        return {0: 1.0 + 0j}
+    if isinstance(initial, (SparseState, BitString)):
+        if initial.n != n:
+            raise ValueError(f"initial state has {initial.n} qubits, the"
+                             f" circuit {n}")
+        if isinstance(initial, BitString):
+            return {initial.to_index(): 1.0 + 0j}
+        return initial.amps
+    index = int(initial)
+    if not 0 <= index < 1 << n:
+        raise ValueError(f"initial index {index} outside [0, 2^{n})")
+    return {index: 1.0 + 0j}
+
+
+def run(circuit: Circuit, initial=None, check_norm: bool = True) -> SparseState:
+    """Run a circuit exactly on the sparse array engine.
+
+    The state is a sorted index array and its complex amplitudes, one kernel
+    call a gate.  ``initial`` may be a SparseState or a BitString over the
+    circuit's qubits, a basis index in [0, 2^n), or None for the all-zeros
+    state; another width or an index out of range raises ValueError.  The
+    norm (its drift past 1e-9 raises ArithmeticError) is checked after every
+    gate unless ``check_norm`` is false.  Amplitudes below 1e-12 are pruned
+    at the end (mid-circuit cancellation residue), never during the run.
+    """
+    n = circuit.n
+    idx, amp = _to_arrays(_initial_amps(n, initial), n)
     for i, gate in enumerate(circuit.gates):
-        amps = apply_gate(amps, gate)
+        idx, amp = _apply_arrays(idx, amp, gate)
         if check_norm:
-            norm = sum(abs(a) ** 2 for a in amps.values())
+            norm = float(np.vdot(amp, amp).real)
             if abs(norm - 1.0) > 1e-9:
                 raise ArithmeticError(f"norm drifted to {norm} after gate {i}")
-    amps = {s: a for s, a in amps.items() if abs(a) > PRUNE_TOL}
-    return SparseState(circuit.n, amps)
+    keep = np.abs(amp) > PRUNE_TOL
+    return SparseState(n, dict(zip(idx[keep].tolist(), amp[keep].tolist())))
 
 
 def sample(state: SparseState, shots: int, seed: int) -> dict[BitString, int]:
@@ -162,6 +271,8 @@ def dense_run(circuit: Circuit, initial: int = 0) -> np.ndarray:
     if n > 12 and any(_needs_unitary(g) for g in circuit.gates):
         raise ValueError("dense run of mixing or controlled gates limited to"
                          " 12 qubits")
+    if not 0 <= initial < 2**n:
+        raise ValueError(f"initial index {initial} outside [0, 2^{n})")
     vec = np.zeros(2**n, dtype=complex)
     vec[initial] = 1.0
     for g in circuit.gates:

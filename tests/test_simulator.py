@@ -1,15 +1,23 @@
 """Sparse engine against the dense oracle, sampling, and noise statistics."""
 
+import dataclasses
 import itertools
 import math
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwenc.bitstrings import BitString
 from hwenc.encoders import encode_dense_real
 from hwenc.ir import (
+    GATE_KINDS,
+    MIXING_KINDS,
     Circuit,
+    Gate,
+    apply_to_basis_state,
     circuit_unitary,
     cnot,
     complex_rbs,
@@ -91,6 +99,73 @@ def with_paulis(circuit, choice):
     return Circuit(circuit.n, tuple(gates), level="cnot")
 
 
+def dict_loop_apply(amps, gate):
+    """The per-entry reference engine: sum of apply_to_basis_state columns."""
+    out = {}
+    for state, amp in amps.items():
+        for target, coeff in apply_to_basis_state(gate, state).items():
+            value = out.get(target, 0j) + amp * coeff
+            if value == 0j:
+                out.pop(target, None)
+            else:
+                out[target] = value
+    return out
+
+
+THETA_KINDS = frozenset({"Ry", "Rw", "RBS", "ComplexRBS", "GRBS"})
+PHI_KINDS = frozenset({"Rz", "AntiPhase", "ComplexRBS", "GRBS"})
+
+
+def build_gate(kind, wires, counts, theta, phi, axis):
+    """A gate of this kind on the wires in turn: ins, outs, ctrls, anti_ctrls.
+
+    ``counts`` asks for (ins, outs, ctrls, anti_ctrls); the kind's own shape
+    overrides it and wires that run out cut the controls short.
+    """
+    n_ins, n_outs, n_ctrls, n_anti = counts
+    if kind == "GRBS":
+        n_outs = min(max(n_outs, 1), len(wires))
+        n_ins = min(n_ins, len(wires) - n_outs)
+    elif kind in ("RBS", "ComplexRBS"):
+        n_ins, n_outs = 1, 1
+    else:
+        n_ins, n_outs = 1, 0
+    rest = wires[n_ins + n_outs:]
+    if kind == "X":
+        n_ctrls = n_anti = 0
+    elif kind == "CNOT":
+        n_ctrls, n_anti = 1, 0
+    n_ctrls = min(n_ctrls, len(rest))
+    n_anti = min(n_anti, len(rest) - n_ctrls)
+    return Gate(
+        kind,
+        theta=theta if kind in THETA_KINDS else None,
+        phi=phi if kind in PHI_KINDS else None,
+        axis=axis if kind == "Rw" else None,
+        ins=tuple(wires[:n_ins]),
+        outs=tuple(wires[n_ins:n_ins + n_outs]),
+        ctrls=tuple(rest[:n_ctrls]),
+        anti_ctrls=tuple(rest[n_ctrls:n_ctrls + n_anti]),
+    )
+
+
+def bits(labels):
+    return sum(1 << (q - 1) for q in labels)
+
+
+def gate_pairs(gate, n):
+    """Every (lo, hi) basis pair the gate mixes or flips, over n qubits."""
+    ctrl = bits(gate.ctrls)
+    care = ctrl | bits(gate.anti_ctrls)
+    if gate.kind in MIXING_KINDS:
+        lo, hi = bits(gate.ins), bits(gate.outs)
+    else:
+        lo, hi = 0, bits(gate.ins)
+    flip = lo | hi
+    return [(s, s ^ flip) for s in range(1 << n)
+            if (s & care) == ctrl and (s & flip) == lo]
+
+
 class TestSparseState:
     def test_zero(self):
         s = SparseState.zero(3)
@@ -160,6 +235,121 @@ class TestRun:
         with pytest.raises(ArithmeticError, match="norm drifted"):
             run(Circuit(1, (ry(0.3, 1),)), initial=state)
 
+    def test_initial_bitstring_of_another_width_rejected(self):
+        with pytest.raises(ValueError, match="initial state has 3 qubits"):
+            run(Circuit(2), initial=BitString("101"))
+
+    def test_initial_sparse_state_of_another_width_rejected(self):
+        with pytest.raises(ValueError, match="initial state has 3 qubits"):
+            run(Circuit(2), initial=SparseState.zero(3))
+
+    @pytest.mark.parametrize("index", [-1, 4, 1 << 70])
+    def test_initial_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValueError, match="outside"):
+            run(Circuit(2), initial=index)
+
+    def test_initial_index_at_the_top(self):
+        assert run(Circuit(2, (x_gate(1),)), initial=3).amps == {2: 1.0 + 0j}
+
+    def test_amps_are_a_plain_dict(self):
+        # the CLI and callers read .get() and .items() and print the values
+        assert run(Circuit(4)).amps == {0: 1.0 + 0j}
+        rng = np.random.default_rng(5)
+        wide = encode_dense_real(70, 1, rng.normal(size=70)).circuit
+        for c in (Circuit(4), random_logical_circuit(rng, 5, 20), wide):
+            amps = run(c).amps
+            assert type(amps) is dict
+            assert all(type(k) is int for k in amps)
+            assert all(type(v) is complex for v in amps.values())
+        amps = apply_gate({0: 1.0 + 0j}, ry(0.3, 1))
+        assert [type(k) for k in amps] == [int, int]
+        assert [type(v) for v in amps.values()] == [complex, complex]
+
+    def test_wide_circuit_round_trips(self):
+        # 70 qubits: indices past int64, held as Python ints by the same kernel
+        x = np.random.default_rng(70).normal(size=comb(70, 2))
+        report = encode_dense_real(70, 2, x)
+        state = run(report.circuit)
+        got = np.array([state.amps.get(b.to_index(), 0j) for b in report.ordering])
+        assert len(state.amps) == len(x)
+        assert np.max(np.abs(got - x / np.linalg.norm(x))) < 1e-10
+
+
+class TestKernel:
+    """The array engine against the per-entry reference, gate by gate."""
+
+    @pytest.mark.parametrize("offset", [0, 64], ids=["int64", "wide"])
+    def test_matches_dict_loop_on_every_pair_shape(self, offset):
+        # offset 64 moves the same gates and states past 64 bits, where the
+        # indices are Python ints
+        rng = np.random.default_rng(2024 + offset)
+        n = 6
+        seen = set()
+        cases = itertools.product(GATE_KINDS, (0.0, math.pi / 2, math.pi, None),
+                                  (0.0, None), range(3))
+        for kind, theta, phi, _ in cases:
+            theta = rng.uniform(-4, 4) if theta is None else theta
+            phi = rng.uniform(-4, 4) if phi is None else phi
+            axis = rng.normal(size=3)
+            axis = (0.0, 0.0, 1.0) if rng.random() < 0.25 else tuple(axis / np.linalg.norm(axis))
+            counts = tuple(int(c) for c in rng.integers(0, 3, size=4))
+            gate = build_gate(kind, [int(w) for w in rng.permutation(n) + 1],
+                              counts, theta, phi, axis)
+            amps = {}
+            pairs = gate_pairs(gate, n)
+            for lo, hi in pairs:
+                shape = ("both", "lo", "hi", "neither")[rng.integers(4)]
+                seen.add(shape)
+                for state, present in ((lo, shape in ("both", "lo")),
+                                       (hi, shape in ("both", "hi"))):
+                    if present:
+                        amps[state] = complex(*rng.uniform(-1, 1, size=2))
+            in_pairs = {s for pair in pairs for s in pair}
+            for state in range(1 << n):
+                if state not in in_pairs and rng.random() < 0.3:
+                    amps[state] = complex(*rng.uniform(-1, 1, size=2))
+            if amps and rng.random() < 0.2:
+                amps[next(iter(amps))] = 0j
+            if offset:
+                amps = {s << offset: a for s, a in amps.items()}
+                gate = dataclasses.replace(gate, **{
+                    role: tuple(q + offset for q in getattr(gate, role))
+                    for role in ("ins", "outs", "ctrls", "anti_ctrls")})
+            got, want = apply_gate(amps, gate), dict_loop_apply(amps, gate)
+            assert set(got) == set(want), gate
+            assert max((abs(got[s] - want[s]) for s in want), default=0.0) <= 1e-15, gate
+        assert seen == {"both", "lo", "hi", "neither"}
+
+    @pytest.mark.parametrize("gate", [ry(0.7, 1), rbs(0.7, 1, 2)])
+    def test_exact_cancellation_drops_the_entry(self, gate):
+        # (sin, cos) on a pair cancels exactly on the lo side of Ry and RBS
+        c, s = math.cos(0.7), math.sin(0.7)
+        lo, hi = (0, 1) if gate.kind == "Ry" else (1, 2)
+        amps = {lo: s + 0j, hi: c + 0j}
+        assert dict_loop_apply(amps, gate).keys() == {hi}
+        assert apply_gate(amps, gate).keys() == {hi}
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_logical_circuits_match_unitary(self, data):
+        n = data.draw(st.integers(2, 6))
+        angle = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi]),
+                          st.floats(-4, 4, allow_nan=False))
+        gates = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            axis = np.array(data.draw(st.tuples(*[st.floats(-1, 1)] * 3)))
+            norm = np.linalg.norm(axis)
+            axis = tuple(axis / norm) if norm > 1e-3 else (0.0, 0.0, 1.0)
+            gates.append(build_gate(
+                data.draw(st.sampled_from(GATE_KINDS)),
+                data.draw(st.permutations(range(1, n + 1))),
+                data.draw(st.tuples(*[st.integers(0, 2)] * 4)),
+                data.draw(angle), data.draw(angle), axis))
+        c = Circuit(n, tuple(gates))
+        start = data.draw(st.integers(0, (1 << n) - 1))
+        np.testing.assert_allclose(run(c, initial=start).as_vector(),
+                                   circuit_unitary(c)[:, start], atol=1e-11)
+
 
 class TestDenseRun:
     def test_matches_unitary_on_cnot_level(self):
@@ -197,6 +387,11 @@ class TestDenseRun:
         vec = dense_run(c)
         assert vec[(1 << 13) | 1] == pytest.approx(math.cos(0.5))
         assert vec[(1 << 13) | (1 << 6) | 1] == pytest.approx(math.sin(0.5))
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_initial_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValueError, match="outside"):
+            dense_run(Circuit(2), initial=index)
 
     def test_sparse_agrees_with_dense(self):
         c = Circuit(3, (x_gate(3), cnot(3, 1), ry(0.7, 2), cnot(2, 1)), level="cnot")
