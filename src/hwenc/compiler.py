@@ -1,14 +1,15 @@
 """Lowering of logical gates to the {X, Ry, Rz, Rw, CNOT} gate set.
 
 Multi-controlled rotations become Gray-code multiplexors costing exactly
-2^(number of controls) CNOTs. Two-wire mixing gates choose between an
-entangle-rotate-disentangle template ("top") and a parity-ladder plus
-one central multi-controlled rotation ("bottom"). Both templates are
-priced from their rotations' control counts before either is built, and
-only the one needing fewer CNOTs is built (ties go to "bottom").
-Generalized mixing gates always take the ladder route. Conditional
-phase gates unroll into a stack of multi-controlled Rz gates with
-geometrically shrinking angles.
+2^(number of controls) CNOTs; a multiplexor's rotations take only two
+angles, so it builds two rotation gates and reuses them at every step.
+Two-wire mixing gates choose between an entangle-rotate-disentangle
+template ("top") and a parity-ladder plus one central multi-controlled
+rotation ("bottom"). Both templates are priced from their rotations'
+control counts before either is built, and only the one needing fewer
+CNOTs is built (ties go to "bottom"). Generalized mixing gates always
+take the ladder route. Conditional phase gates unroll into a stack of
+multi-controlled Rz gates with geometrically shrinking angles.
 
 Everything here preserves the logical unitary up to a global phase;
 :func:`phase_distance` measures exactly that and backs the tests.
@@ -94,12 +95,17 @@ def _multiplexed(emit, tau: float, target: int, ctrls: tuple[int, ...]) -> list[
 
     ``emit(angle, target)`` builds one plain rotation. The stack costs
     exactly 2^len(ctrls) CNOTs and is the identity (not merely a phase)
-    on every other control pattern.
+    on every other control pattern. Its rotations take only the angles
+    +-tau/2^len(ctrls), so ``emit`` builds those two gates once and every
+    step appends one of them; negation and division by a power of two are
+    sign-symmetric in IEEE arithmetic, so each equals sign * tau / size.
     """
     size = 1 << len(ctrls)
+    plus = emit(tau / size, target)
+    minus = emit(-tau / size, target)
     gates: list[Gate] = []
     for sign, wire in _gray_steps(len(ctrls)):
-        gates.append(emit(sign * tau / size, target))
+        gates.append(plus if sign > 0 else minus)
         gates.append(cnot(ctrls[wire], target))
     return gates
 
@@ -345,7 +351,12 @@ def lower_gate(gate: Gate) -> list[Gate]:
 
 
 def lower(circuit: Circuit) -> LoweringResult:
-    """Lower every gate of a circuit and tally CNOTs per source gate."""
+    """Lower every gate of a circuit and tally CNOTs per source gate.
+
+    Gates are frozen, so the lowered circuit may hold the same gate object
+    at several positions: a multiplexor's two rotations and the cached X
+    and CNOT gates each appear wherever they are used.
+    """
     lowered: list[Gate] = []
     per_gate: list[int] = []
     for gate in circuit.gates:

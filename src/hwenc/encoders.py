@@ -265,13 +265,19 @@ def _sparse_gate(
 def _verify_loaded(
     amps: dict[int, complex],
     ordering: tuple[BitString, ...],
-    target: np.ndarray,
+    indices: list[int],
+    wants: list[complex],
     upto: int,
     label: str,
 ) -> None:
+    """Check the first ``upto`` addresses' amplitudes against ``wants``.
+
+    ``indices`` and ``wants`` are the addresses' ``to_index()`` and target
+    amplitudes, taken once per encoder call.
+    """
     for j in range(upto):
-        got = amps.get(ordering[j].to_index(), 0j)
-        want = complex(target[j])
+        got = amps.get(indices[j], 0j)
+        want = wants[j]
         if abs(got - want) > 1e-9:
             raise EncodingVerificationError(
                 f"{label} disturbed amplitude of {ordering[j].bits}:"
@@ -307,12 +313,14 @@ def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderRepor
     with_phases = bool(np.any(values.imag != 0.0))
     target = _normalized(values)
     ordering = tuple(address for _, address in tup.pairs)
+    indices = [address.to_index() for address in ordering]
+    wants = [complex(t) for t in target]
     s = len(ordering)
 
     gates = _x_layer(ordering[0].ones)
     if s == 1:
         param_count = 0
-        amps = {ordering[0].to_index(): 1.0 + 0j}
+        amps = {indices[0]: 1.0 + 0j}
         phase = float(np.angle(target[0]))
         if phase != 0.0:
             # a lone negative or complex value still needs its argument
@@ -320,7 +328,7 @@ def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderRepor
                 gates.append(gate)
                 amps = apply_gate(amps, gate)
             param_count = 1
-        _verify_loaded(amps, ordering, target, 1, "phase layer")
+        _verify_loaded(amps, ordering, indices, wants, 1, "phase layer")
         return EncoderReport(
             circuit=Circuit(n=n, gates=tuple(gates)),
             ordering=ordering,
@@ -333,7 +341,7 @@ def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderRepor
         thetas = angles_from_real(target.real)
         phis = np.zeros(s)
 
-    amps: dict[int, complex] = {ordering[0].to_index(): 1.0 + 0j}
+    amps: dict[int, complex] = {indices[0]: 1.0 + 0j}
     untouched = frozenset(ordering[0].ones)
     for j in range(s - 1):
         p = gate_params(ordering[j], ordering[j + 1], untouched)
@@ -341,12 +349,12 @@ def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderRepor
         gate = _sparse_gate(thetas[j], phis[j], p, with_phases)
         gates.append(gate)
         amps = apply_gate(amps, gate)
-        _verify_loaded(amps, ordering, target, j + 1, f"gate {j + 1}")
+        _verify_loaded(amps, ordering, indices, wants, j + 1, f"gate {j + 1}")
     if with_phases:
         for gate in _phase_on_state(phis[s - 1], ordering[-1]):
             gates.append(gate)
             amps = apply_gate(amps, gate)
-    _verify_loaded(amps, ordering, target, s, f"gate {s - 1}")
+    _verify_loaded(amps, ordering, indices, wants, s, f"gate {s - 1}")
 
     return EncoderReport(
         circuit=Circuit(n=n, gates=tuple(gates)),

@@ -159,7 +159,14 @@ class Circuit:
         if self.level not in ("logical", "cnot"):
             raise ValueError(f"unknown level {self.level!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
+        # the checks depend only on the gate and the circuit, so a gate object
+        # reused at later positions (lowered circuits share frozen gates) is
+        # checked at its first index only; the tuple keeps every id valid
+        seen: set[int] = set()
         for i, g in enumerate(self.gates):
+            if id(g) in seen:
+                continue
+            seen.add(id(g))
             # label tuples are sorted, so each one's highest label is its last
             high = max(g.ins[-1:] + g.outs[-1:] + g.ctrls[-1:] + g.anti_ctrls[-1:], default=1)
             if high > self.n:
@@ -434,23 +441,30 @@ def emit_qasm(circuit: Circuit) -> str:
     if circuit.level != "cnot":
         raise ValueError("QASM emission needs a cnot-level circuit")
     n = circuit.n
-    wire = lambda q: n - q
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]
+    # a gate object reused at several positions is formatted once; the
+    # circuit's tuple keeps every id valid for the whole call
+    text: dict[int, str] = {}
     for g in circuit.gates:
-        if g.kind == "X":
-            lines.append(f"x q[{wire(g.target)}];")
-        elif g.kind == "Ry":
-            lines.append(f"ry({2 * g.theta:.17g}) q[{wire(g.target)}];")
-        elif g.kind == "Rz":
-            lines.append(f"rz({2 * g.phi:.17g}) q[{wire(g.target)}];")
-        elif g.kind == "CNOT":
-            lines.append(f"cx q[{wire(g.ctrls[0])}],q[{wire(g.target)}];")
-        elif g.kind == "Rw":
-            a, b, c = zyz_angles(rw_matrix(g.theta, g.axis))
-            w = wire(g.target)
-            lines.append(f"rz({2 * c:.17g}) q[{w}];")
-            lines.append(f"ry({2 * b:.17g}) q[{w}];")
-            lines.append(f"rz({2 * a:.17g}) q[{w}];")
-        else:  # pragma: no cover - level validation forbids this
-            raise ValueError(f"cannot emit {g.kind}")
+        line = text.get(id(g))
+        if line is None:
+            line = text[id(g)] = _qasm_text(g, n)
+        lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def _qasm_text(g: Gate, n: int) -> str:
+    """QASM line(s) of one CNOT-level gate, newline-separated."""
+    if g.kind == "X":
+        return f"x q[{n - g.target}];"
+    if g.kind == "Ry":
+        return f"ry({2 * g.theta:.17g}) q[{n - g.target}];"
+    if g.kind == "Rz":
+        return f"rz({2 * g.phi:.17g}) q[{n - g.target}];"
+    if g.kind == "CNOT":
+        return f"cx q[{n - g.ctrls[0]}],q[{n - g.target}];"
+    if g.kind == "Rw":
+        a, b, c = zyz_angles(rw_matrix(g.theta, g.axis))
+        w = n - g.target
+        return f"rz({2 * c:.17g}) q[{w}];\nry({2 * b:.17g}) q[{w}];\nrz({2 * a:.17g}) q[{w}];"
+    raise ValueError(f"cannot emit {g.kind}")  # pragma: no cover - level validation forbids this

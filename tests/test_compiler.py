@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hwenc import compiler
 from hwenc.compiler import (
     LoweringResult,
     _mixing_bottom,
@@ -30,6 +31,7 @@ from hwenc.ir import (
     rw,
     ry,
     rz,
+    serialize,
     x_gate,
 )
 
@@ -141,6 +143,70 @@ class TestMultiplexedRotations:
     def test_rejects_other_kinds(self):
         with pytest.raises(ValueError, match="compile_mcry"):
             compile_mcry(rbs(0.3, 1, 2))
+
+
+def oracle_multiplexed(emit, tau, target, ctrls):
+    """The Gray-code stack with every step built fresh as emit(sign * tau / size)."""
+    size = 1 << len(ctrls)
+    gates = []
+    for j in range(size):
+        gray = j ^ (j >> 1)
+        sign = -1.0 if bin(gray).count("1") % 2 else 1.0
+        wire = len(ctrls) - 1 if j == size - 1 else ((j + 1) & -(j + 1)).bit_length() - 1
+        gates.append(emit(sign * tau / size, target))
+        gates.append(cnot(ctrls[wire], target))
+    return gates
+
+
+class TestSharedStackRotations:
+    """_multiplexed builds two rotations per stack; the output must not change."""
+
+    # subnormal angles make tau / 2^ell round, so the sign-symmetry of that
+    # rounding is exercised, not just exact exponent shifts
+    SUBNORMAL = (7 * 5e-324, -3 * 5e-324, 1e-310 + 13 * 5e-324)
+
+    @staticmethod
+    def gates(rng, ell):
+        n = ell + 2
+        t = int(rng.integers(1, n + 1))
+        rest = [int(q) for q in rng.permutation([q for q in range(1, n + 1) if q != t])]
+        cut = int(rng.integers(0, ell + 1))
+        ctrls, antis = tuple(sorted(rest[cut:ell])), tuple(sorted(rest[:cut]))
+        ax = rng.normal(size=3)
+        # (axis, kind of the stack it lowers to); a generic axis stacks Rz
+        axes = (((0.0, -1.0, 0.0), "Ry"), ((0.0, 0.0, 1.0), "Rz"),
+                (tuple(ax / np.linalg.norm(ax)), "Rz"))
+        for tau in (0.1, -np.pi / 3, 2.5, 1e3 + 0.1, 5e-12, float(rng.uniform(-7, 7))):
+            yield n, ry(tau, t, ctrls=ctrls, anti_ctrls=antis), "Ry"
+            yield n, rz(tau, t, ctrls=ctrls, anti_ctrls=antis), "Rz"
+            for axis, stack in axes:
+                yield n, rw(tau, axis, t, ctrls=ctrls, anti_ctrls=antis), stack
+
+    def test_lower_matches_fresh_oracle(self, monkeypatch):
+        rng = np.random.default_rng(58)
+        cases = [(n, g, stack) for ell in range(9) for n, g, stack in self.gates(rng, ell)]
+        got = [lower(Circuit(n, (g,))).circuit for n, g, _ in cases]
+        monkeypatch.setattr(compiler, "_multiplexed", oracle_multiplexed)
+        for (n, g, stack), circuit in zip(cases, got):
+            want = lower(Circuit(n, (g,))).circuit
+            assert circuit.gates == want.gates, g
+            assert serialize(circuit) == serialize(want), g
+            rotations = [x for x in circuit.gates if x.kind == stack]
+            if len(g.ctrls) + len(g.anti_ctrls) >= 2:
+                assert len(rotations) == 1 << (len(g.ctrls) + len(g.anti_ctrls)), g
+            # a regression to one object per step would hold 2^ell of them
+            assert len({id(x) for x in rotations}) <= 2, g
+
+    def test_inexact_division_matches_oracle(self):
+        for ell in range(1, 9):
+            ctrls = tuple(range(1, ell + 1))
+            for tau in self.SUBNORMAL + (0.0, -0.0, 0.3):
+                for emit in (ry, rz):
+                    got = compiler._multiplexed(emit, tau, ell + 1, ctrls)
+                    want = oracle_multiplexed(emit, tau, ell + 1, ctrls)
+                    assert got == want
+                    assert [repr(x) for x in got] == [repr(x) for x in want]
+                    assert len({id(x) for x in got[::2]}) == 2
 
 
 class TestMixingGates:

@@ -368,10 +368,10 @@ class TestSparse:
 
     def test_verification_error_names_gate(self):
         ordering = (BitString("01"), BitString("10"))
-        target = np.array([0.6, 0.8])
-        poisoned = {ordering[0].to_index(): 0.1 + 0j}
+        indices = [b.to_index() for b in ordering]
+        poisoned = {indices[0]: 0.1 + 0j}
         with pytest.raises(EncodingVerificationError, match="gate 1 disturbed.*01"):
-            _verify_loaded(poisoned, ordering, target, 1, "gate 1")
+            _verify_loaded(poisoned, ordering, indices, [0.6 + 0j, 0.8 + 0j], 1, "gate 1")
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(33)

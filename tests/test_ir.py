@@ -1,5 +1,6 @@
 """Gate semantics, validation, serialization and QASM emission."""
 
+import dataclasses
 import math
 import re
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hwenc.compiler import lower
 from hwenc.ir import (
     Circuit,
     Gate,
@@ -95,6 +97,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="controlled Ry"):
             Circuit(3, (ry(0.1, 1, ctrls=(2,)),), level="cnot")
         Circuit(2, (cnot(2, 1), ry(0.1, 1)), level="cnot")  # fine
+
+    @pytest.mark.parametrize("level, bad, message", [
+        ("logical", ry(0.1, 4), "label 4 exceeds 3 qubits"),
+        ("cnot", cnot(4, 1), "label 4 exceeds 3 qubits"),
+        ("cnot", rbs(0.1, 2, 1), "RBS not allowed at cnot level"),
+        ("cnot", ry(0.1, 1, ctrls=(2,)), "controlled Ry at cnot level"),
+    ])
+    def test_reused_gate_reports_its_first_index(self, level, bad, message):
+        # a checked gate object is skipped at later positions, so the error
+        # must still name the first one, also after valid (and reused) gates
+        ok = ry(0.2, 1)
+        for gates, first in (
+            ((bad, ok, bad), 0),
+            ((ok, cnot(2, 1), ok, bad, x_gate(1), bad, bad), 3),
+            ((x_gate(3), x_gate(3), ok, bad), 3),
+        ):
+            with pytest.raises(ValueError, match=f"^gate {first}: {message}$"):
+                Circuit(3, gates, level=level)
 
 
 def reference_labels(values, what):
@@ -391,6 +411,27 @@ class TestQasm:
             level="cnot",
         )
         assert self.GRAMMAR.match(emit_qasm(c))
+
+    def test_reused_gates_emit_like_distinct_copies(self):
+        # lowered circuits hold one frozen gate object at several positions;
+        # formatting each object once must not change the text
+        a = rw(0.3, (0.6, 0.0, 0.8), 2)
+        b, c = ry(-0.7, 1), rz(1e-300, 3)
+        shared = (a, cnot(3, 1), b, a, x_gate(2), cnot(3, 1), b, c, a, x_gate(2), c)
+        lowered = lower(Circuit(4, (
+            rw(0.9, (0.48, -0.6, 0.64), 4, ctrls=(1, 2), anti_ctrls=(3,)),
+            rbs(0.4, 1, 2, ctrls=(3, 4)),
+        ))).circuit.gates
+        for n, gates in ((3, shared), (4, lowered)):
+            assert len({id(g) for g in gates}) < len(gates)
+            copies = tuple(dataclasses.replace(g) for g in gates)
+            assert len({id(g) for g in copies}) == len(copies)
+            text = emit_qasm(Circuit(n, gates, level="cnot"))
+            assert text == emit_qasm(Circuit(n, copies, level="cnot"))
+            # and gate by gate, each emitted on its own
+            header = emit_qasm(Circuit(n, (), level="cnot"))
+            assert text == header + "".join(
+                emit_qasm(Circuit(n, (g,), level="cnot"))[len(header):] for g in gates)
 
     def test_zyz_reconstructs(self):
         rng = np.random.default_rng(5)
