@@ -109,8 +109,10 @@ def _cmd_sparse(args) -> int:
     for i, e in enumerate(entries):
         if not isinstance(e, dict) or "bits" not in e:
             raise EncodingError(f"sparse entry {i} needs a 'bits' field")
-        value = complex(e.get("re", 0.0), e.get("im", 0.0))
-        pairs.append((value, e["bits"]))
+        parts = (e.get("re", 0.0), e.get("im", 0.0))
+        if any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in parts):
+            raise EncodingError(f"sparse entry {i}: 're' and 'im' must be numbers")
+        pairs.append((complex(*parts), e["bits"]))
     report = encode_sparse(args.n, pairs, sort_by_weight=args.sort_by_weight)
     sys.stdout.write(_emit_circuit(report, args.level, args.format))
     return 0

@@ -53,8 +53,8 @@ def gate_cnot_bound(gate: Gate) -> int:
     """Table bound for one logical gate; anti-controls count as controls.
 
     Mixing gates on one or two wires use the Ry and two-wire columns
-    even when expressed in generalized form, matching how the sparse
-    budget prices its gate list.
+    even when expressed in generalized form, the same rule by which
+    ``count_sparse`` prices its gate list.
     """
     ell = len(gate.ctrls) + len(gate.anti_ctrls)
     if gate.kind in ("Ry", "Rz", "Rw"):
@@ -68,14 +68,18 @@ def gate_cnot_bound(gate: Gate) -> int:
     if gate.kind in ("RBS", "ComplexRBS"):
         return rbs_bound(ell, complex_amplitudes=gate.kind == "ComplexRBS")
     if gate.kind == "GRBS":
-        complex_amplitudes = bool(gate.phi)
-        m, mp = len(gate.ins), len(gate.outs)
-        if m == 0 and mp == 1:
-            return mcry_bound(ell)
-        if m + mp <= 2:
-            return rbs_bound(ell, complex_amplitudes)
-        return grbs_bound(m, mp, ell, complex_amplitudes)
+        return _mixing_bound(len(gate.ins), len(gate.outs), ell, bool(gate.phi))
     raise ValueError(f"no bound for gate kind {gate.kind}")
+
+
+def _mixing_bound(m: int, mp: int, ell: int, complex_amplitudes: bool) -> int:
+    """A mixing gate with m in- and mp out-wires: a single raise is priced
+    as an Ry, one or two wires as an RBS, anything wider as a GRBS."""
+    if m == 0 and mp == 1:
+        return mcry_bound(ell)
+    if m + mp <= 2:
+        return rbs_bound(ell, complex_amplitudes)
+    return grbs_bound(m, mp, ell, complex_amplitudes)
 
 
 @dataclass(frozen=True)
@@ -199,23 +203,18 @@ def count_sparse(
             raise ValueError(
                 f"addresses out of order at {i} and {i + 1}"
             )
-        if parsed[i].bits == parsed[i + 1].bits:
-            raise ValueError(f"duplicate address {parsed[i].bits}")
-    if len({b.bits for b in parsed}) != len(parsed):
-        raise ValueError("duplicate address")
+    seen = set()
+    for b in parsed:
+        if b.bits in seen:
+            raise ValueError(f"duplicate address {b.bits}")
+        seen.add(b.bits)
 
     rows = []
     untouched = frozenset(parsed[0].ones)
     for j in range(len(parsed) - 1):
         p = gate_params(parsed[j], parsed[j + 1], untouched)
         untouched = p.untouched
-        m, mp, ell = len(p.ins), len(p.outs), len(p.ctrls)
-        if m == 0 and mp == 1:
-            per = mcry_bound(ell)
-        elif m + mp <= 2:
-            per = rbs_bound(ell, complex_amplitudes)
-        else:
-            per = grbs_bound(m, mp, ell, complex_amplitudes)
+        per = _mixing_bound(len(p.ins), len(p.outs), len(p.ctrls), complex_amplitudes)
         rows.append(
             BudgetRow(
                 label=f"{parsed[j].bits} -> {parsed[j + 1].bits}",

@@ -1,15 +1,17 @@
 """Circuit constructions that load classical vectors into quantum amplitudes.
 
-Four families, all built from the same walk-and-split cascade:
+Every encoder is one walk-and-split cascade, :func:`_cascade`: walk a list
+of basis states and split amplitude onto each next state with one mixing
+gate per consecutive pair. The five encoders differ only in their walk:
 
 - ``encode_dense_real`` / ``encode_dense_complex``: a full (or leading
-  slice of a) fixed-weight basis, visited in minimal-change order, one
-  mixing gate per consecutive pair.
+  slice of a) fixed-weight basis in minimal-change order, walked at the
+  complementary weight and mirrored when k > n/2.
 - ``encode_sparse``: an arbitrary list of (value, address) pairs with
-  non-decreasing address weight, one generalized mixing gate per pair.
+  non-decreasing address weight.
 - ``encode_binary`` / ``encode_binary_complex``: the complete n-qubit
-  basis, loaded weight class by weight class with single-flip bridge
-  rotations between classes.
+  basis, 0^n and then each weight class in turn, so that every class
+  boundary is a single-flip raising gate.
 
 Every encoder returns an :class:`EncoderReport` whose ``ordering`` maps
 vector slot i to the basis state that receives amplitude ``x[i] / |x|``.
@@ -25,7 +27,6 @@ import numpy as np
 from .bitstrings import (
     BitString,
     EhrlichState,
-    GateParams,
     ehrlich_sequence,
     gate_params,
     walk_states,
@@ -39,7 +40,6 @@ from .ir import (
     grbs,
     rbs,
     ry,
-    rz,
     x_gate,
 )
 from .simulator import apply_gate
@@ -155,19 +155,62 @@ def _phase_on_state(phi: float, b: BitString) -> list[Gate]:
 
 
 # ---------------------------------------------------------------------------
-# dense fixed-weight encoders
+# the cascade
 
 
-def _dense_walk(n: int, k: int, d: int) -> tuple[list[BitString], bool]:
-    """First d strings of the minimal-change walk, mirrored when k > n/2.
+def _cascade(
+    n: int, walk: list[BitString], x: np.ndarray, with_phases: bool, mirrored: bool = False
+) -> EncoderReport:
+    """Load the normalized ``x`` onto ``walk``, one mixing gate per consecutive pair.
 
-    Mirroring runs the walk at weight n-k and complements every string,
-    which keeps the per-gate wire count small for heavy vectors.
+    Ones shared by a pair are controls (minus those on wires still in their
+    initial state), ones only in the first string are in-wires and ones
+    only in the second are out-wires: a single raise is a controlled Ry, a
+    one-in/one-out move an RBS, anything else a GRBS. ``mirrored`` loads
+    the complement of every walk string instead. With phases every gate
+    carries a phase angle, and a final conditioned phase fixes the
+    argument of the last amplitude.
     """
-    mirrored = k > n - k
-    kk = n - k if mirrored else k
-    walk = [s.string for s in walk_states(EhrlichState.start(n, kk), d)]
-    return walk, mirrored
+    d = len(walk)
+    if with_phases:
+        thetas, phis = angles_from_complex(x)
+    else:
+        thetas, phis = angles_from_real(x.real), np.zeros(d)
+    ordering = tuple(b.complement() for b in walk) if mirrored else tuple(walk)
+
+    gates = _x_layer(ordering[0].ones)
+    untouched = frozenset(walk[0].ones)
+    for j in range(d - 1):
+        p = gate_params(walk[j], walk[j + 1], untouched)
+        untouched = p.untouched
+        ins, outs, ctrls = (tuple(sorted(w)) for w in (p.ins, p.outs, p.ctrls))
+        if mirrored:
+            # complemented wires swap roles and shared ones become shared zeros
+            ins, outs = outs, ins
+            wires = dict(ctrls=(), anti_ctrls=ctrls)
+        else:
+            wires = dict(ctrls=ctrls)
+        if not with_phases and not ins and len(outs) == 1:
+            # plain single-bit raise: a controlled Ry is the same rotation
+            gates.append(ry(thetas[j], outs[0], **wires))
+        elif len(ins) == len(outs) == 1 and with_phases:
+            gates.append(complex_rbs(thetas[j], phis[j], ins[0], outs[0], **wires))
+        elif len(ins) == len(outs) == 1:
+            gates.append(rbs(thetas[j], ins[0], outs[0], **wires))
+        else:
+            gates.append(grbs(thetas[j], phis[j], ins, outs, **wires))
+    if with_phases:
+        gates.extend(_phase_on_state(phis[d - 1], ordering[-1]))
+
+    return EncoderReport(
+        circuit=Circuit(n=n, gates=tuple(gates)),
+        ordering=ordering,
+        param_count=2 * d - 1 if with_phases else d - 1,
+    )
+
+
+# ---------------------------------------------------------------------------
+# dense fixed-weight encoders
 
 
 def _dense(n: int, k: int, x: np.ndarray, with_phases: bool) -> EncoderReport:
@@ -180,40 +223,12 @@ def _dense(n: int, k: int, x: np.ndarray, with_phases: bool) -> EncoderReport:
             f"need between 2 and {space} amplitudes for weight {k}"
             f" on {n} qubits, got {d}"
         )
-    x = _normalized(x)
-    if with_phases:
-        thetas, phis = angles_from_complex(x)
-    else:
-        thetas = angles_from_real(x)
-        phis = np.zeros(d)
-
-    walk, mirrored = _dense_walk(n, k, d)
-    ordering = tuple(s.complement() for s in walk) if mirrored else tuple(walk)
-
-    gates = _x_layer(ordering[0].ones)
-    untouched = frozenset(walk[0].ones)
-    for j in range(d - 1):
-        p = gate_params(walk[j], walk[j + 1], untouched)
-        untouched = p.untouched
-        (src,) = p.ins
-        (dst,) = p.outs
-        if mirrored:
-            # complemented wires swap roles and shared ones become shared zeros
-            wires = dict(in_=dst, out=src, ctrls=(), anti_ctrls=tuple(sorted(p.ctrls)))
-        else:
-            wires = dict(in_=src, out=dst, ctrls=tuple(sorted(p.ctrls)))
-        if with_phases:
-            gates.append(complex_rbs(thetas[j], phis[j], **wires))
-        else:
-            gates.append(rbs(thetas[j], **wires))
-    if with_phases:
-        gates.extend(_phase_on_state(phis[d - 1], ordering[-1]))
-
-    return EncoderReport(
-        circuit=Circuit(n=n, gates=tuple(gates)),
-        ordering=ordering,
-        param_count=2 * d - 1 if with_phases else d - 1,
-    )
+    # a heavy vector walks weight n-k and loads the complements, which
+    # keeps the per-gate wire count small
+    mirrored = k > n - k
+    start = EhrlichState.start(n, n - k if mirrored else k)
+    walk = [s.string for s in walk_states(start, d)]
+    return _cascade(n, walk, _normalized(x), with_phases, mirrored)
 
 
 def encode_dense_real(n: int, k: int, x) -> EncoderReport:
@@ -241,25 +256,6 @@ def encode_dense_complex(n: int, k: int, x) -> EncoderReport:
 
 # ---------------------------------------------------------------------------
 # sparse encoder
-
-
-def _sparse_gate(
-    theta: float,
-    phi: float,
-    p: GateParams,
-    with_phases: bool,
-) -> Gate:
-    ins = tuple(sorted(p.ins))
-    outs = tuple(sorted(p.outs))
-    ctrls = tuple(sorted(p.ctrls))
-    if not with_phases and not ins and len(outs) == 1:
-        # plain single-bit raise: a controlled Ry is the same rotation
-        return ry(theta, outs[0], ctrls=ctrls)
-    if len(ins) == 1 and len(outs) == 1:
-        if with_phases:
-            return complex_rbs(theta, phi, ins[0], outs[0], ctrls=ctrls)
-        return rbs(theta, ins[0], outs[0], ctrls=ctrls)
-    return grbs(theta, phi if with_phases else 0.0, ins, outs, ctrls=ctrls)
 
 
 def _verify_loaded(
@@ -291,9 +287,9 @@ def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderRepor
     Addresses must appear in non-decreasing weight order (pass
     ``sort_by_weight=True`` for a stable pre-sort; nothing is reordered
     silently). Complex mode switches on automatically when any value has
-    a nonzero imaginary part. After every gate the partial state is
-    simulated and checked against the target amplitudes, so a wire
-    pattern that disturbs an already-loaded address fails loudly and
+    a nonzero imaginary part. The gates are then replayed and the partial
+    state checked against the target amplitudes after every one, so a
+    wire pattern that disturbs an already-loaded address fails loudly and
     names the gate.
     """
     tup = data if isinstance(data, SparseTuple) else SparseTuple(tuple(data))
@@ -310,57 +306,26 @@ def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderRepor
             )
 
     values = np.array([v for v, _ in tup.pairs], dtype=complex)
-    with_phases = bool(np.any(values.imag != 0.0))
+    s = len(values)
+    # a lone negative value needs its argument fixed like a complex one
+    with_phases = bool(np.any(values.imag != 0.0) or (s == 1 and values[0].real < 0))
     target = _normalized(values)
-    ordering = tuple(address for _, address in tup.pairs)
+    report = _cascade(n, [address for _, address in tup.pairs], target, with_phases)
+
+    ordering = report.ordering
     indices = [address.to_index() for address in ordering]
     wants = [complex(t) for t in target]
-    s = len(ordering)
-
-    gates = _x_layer(ordering[0].ones)
-    if s == 1:
-        param_count = 0
-        amps = {indices[0]: 1.0 + 0j}
-        phase = float(np.angle(target[0]))
-        if phase != 0.0:
-            # a lone negative or complex value still needs its argument
-            for gate in _phase_on_state(phase, ordering[0]):
-                gates.append(gate)
-                amps = apply_gate(amps, gate)
-            param_count = 1
-        _verify_loaded(amps, ordering, indices, wants, 1, "phase layer")
-        return EncoderReport(
-            circuit=Circuit(n=n, gates=tuple(gates)),
-            ordering=ordering,
-            param_count=param_count,
-        )
-
-    if with_phases:
-        thetas, phis = angles_from_complex(target)
-    else:
-        thetas = angles_from_real(target.real)
-        phis = np.zeros(s)
-
+    gates = report.circuit.gates
+    mixing = len(ordering[0].ones)  # index of the first gate after the X layer
     amps: dict[int, complex] = {indices[0]: 1.0 + 0j}
-    untouched = frozenset(ordering[0].ones)
-    for j in range(s - 1):
-        p = gate_params(ordering[j], ordering[j + 1], untouched)
-        untouched = p.untouched
-        gate = _sparse_gate(thetas[j], phis[j], p, with_phases)
-        gates.append(gate)
+    for j in range(1, s):
+        amps = apply_gate(amps, gates[mixing + j - 1])
+        _verify_loaded(amps, ordering, indices, wants, j, f"gate {j}")
+    for gate in gates[mixing + s - 1:]:
         amps = apply_gate(amps, gate)
-        _verify_loaded(amps, ordering, indices, wants, j + 1, f"gate {j + 1}")
-    if with_phases:
-        for gate in _phase_on_state(phis[s - 1], ordering[-1]):
-            gates.append(gate)
-            amps = apply_gate(amps, gate)
-    _verify_loaded(amps, ordering, indices, wants, s, f"gate {s - 1}")
-
-    return EncoderReport(
-        circuit=Circuit(n=n, gates=tuple(gates)),
-        ordering=ordering,
-        param_count=2 * s - 1 if with_phases else s - 1,
-    )
+    label = f"gate {s - 1}" if s > 1 else "phase layer"
+    _verify_loaded(amps, ordering, indices, wants, s, label)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -389,51 +354,16 @@ def _binary(n: int, x: np.ndarray, with_phases: bool) -> EncoderReport:
     d = len(x)
     if d != 2**n:
         raise EncodingError(f"need 2^{n} = {2**n} amplitudes, got {d}")
-    x = _normalized(x)
-    if with_phases:
-        thetas, phis = angles_from_complex(x)
-    else:
-        thetas = angles_from_real(x)
-        phis = np.zeros(d)
-
-    ordering: list[BitString] = [BitString("0" * n)]
-    gates: list[Gate] = []
-    prev_end = ordering[0]
-    idx = 0
+    # 0^n, then each weight class walked from a seed one flip away from the
+    # end of the class before. 0^n has no ones, so no control is dropped as
+    # redundant, and full controls keep every loaded amplitude fixed
+    walk = [BitString("0" * n)]
     for k in range(1, n + 1):
-        seed, rev = _stage_seed(n, k, prev_end)
-        (flip,) = prev_end.differing_qubits(seed)
-        ctrls = tuple(sorted(prev_end.ones))
-        gates.append(ry(thetas[idx], flip, ctrls=ctrls))
-        if with_phases:
-            gates.append(rz(-phis[idx], flip, ctrls=ctrls))
-        idx += 1
-        stage = ehrlich_sequence(n, k, reverse=rev)
-        ordering.extend(stage)
-        for j in range(len(stage) - 1):
-            # weight classes above k are still unpopulated, so full
-            # controls (no untouched-set elimination) keep every loaded
-            # amplitude fixed
-            p = gate_params(stage[j], stage[j + 1], frozenset())
-            (src,) = p.ins
-            (dst,) = p.outs
-            ctrls = tuple(sorted(p.ctrls))
-            if with_phases:
-                gates.append(complex_rbs(thetas[idx], phis[idx], src, dst, ctrls=ctrls))
-            else:
-                gates.append(rbs(thetas[idx], src, dst, ctrls=ctrls))
-            idx += 1
-        prev_end = stage[-1]
-    if prev_end.bits != "1" * n or idx != d - 1:
+        _, rev = _stage_seed(n, k, walk[-1])
+        walk.extend(ehrlich_sequence(n, k, reverse=rev))
+    if walk[-1].bits != "1" * n or len(walk) != d:
         raise EncodingError("stage chain failed to cover the basis")
-    if with_phases:
-        gates.extend(_phase_on_state(phis[d - 1], prev_end))
-
-    return EncoderReport(
-        circuit=Circuit(n=n, gates=tuple(gates)),
-        ordering=tuple(ordering),
-        param_count=2 ** (n + 1) - 1 if with_phases else 2**n - 1,
-    )
+    return _cascade(n, walk, _normalized(x), with_phases)
 
 
 def encode_binary(n: int, x) -> EncoderReport:
@@ -452,9 +382,9 @@ def encode_binary(n: int, x) -> EncoderReport:
 def encode_binary_complex(n: int, x) -> EncoderReport:
     """Complex variant of :func:`encode_binary`; 2^(n+1) - 1 parameters.
 
-    Bridges become Ry followed by Rz(-phase) under the same controls,
-    mixing gates carry phase angles, and a final conditioned phase fixes
-    the argument on the all-ones state.
+    Bridges become raising GRBS gates (no in-wire, one out-wire) under the
+    same controls, every gate carries a phase angle, and a final
+    conditioned phase fixes the argument on the all-ones state.
     """
     x = np.asarray(x, dtype=complex)
     if x.ndim != 1:

@@ -197,11 +197,13 @@ def _initial_amps(n: int, initial) -> dict:
                              f" circuit {n}")
         if isinstance(initial, BitString):
             return {initial.to_index(): 1.0 + 0j}
-        return initial.amps
-    index = int(initial)
-    if not 0 <= index < 1 << n:
-        raise ValueError(f"initial index {index} outside [0, 2^{n})")
-    return {index: 1.0 + 0j}
+        amps = initial.amps
+    else:
+        amps = {int(initial): 1.0 + 0j}
+    for index in amps:
+        if not 0 <= index < 1 << n:
+            raise ValueError(f"initial index {index} outside [0, 2^{n})")
+    return amps
 
 
 def run(circuit: Circuit, initial=None, check_norm: bool = True) -> SparseState:

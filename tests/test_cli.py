@@ -123,6 +123,17 @@ class TestSparse:
         code, _, err = run_cli(capsys, "sparse", "--n", "4", "--input", path)
         assert code == 1 and "entry 0" in err
 
+    @pytest.mark.parametrize("entry", [
+        {"bits": "011", "re": "0.5"},
+        {"bits": "011", "re": 0.5, "im": None},
+        {"bits": "011", "re": True},
+    ], ids=["string", "null", "bool"])
+    def test_non_number_value(self, capsys, tmp_path, entry):
+        path = self.write(tmp_path, [{"bits": "101", "re": 0.6}, entry])
+        code, out, err = run_cli(capsys, "sparse", "--n", "3", "--input", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "entry 1" in err
+
     def test_non_list_input(self, capsys, tmp_path):
         path = self.write(tmp_path, {"bits": "0011"})
         code, _, err = run_cli(capsys, "sparse", "--n", "4", "--input", path)

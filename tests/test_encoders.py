@@ -1,5 +1,7 @@
 """Encoder tests: golden circuit layouts, round trips, and error paths."""
 
+import hashlib
+import json
 from math import comb
 
 import numpy as np
@@ -18,7 +20,13 @@ from hwenc.encoders import (
     encode_dense_real,
     encode_sparse,
 )
+from hwenc.ir import serialize
 from hwenc.simulator import SparseState, apply_gate, run
+from test_acceptance import (
+    GOLDEN_BINARY_BRIDGE_CTRLS,
+    GOLDEN_BINARY_BRIDGE_SLOTS,
+    GOLDEN_BINARY_BRIDGE_TARGETS,
+)
 
 # Frozen layout for the weight-2 walk on six qubits: (ins, outs, ctrls)
 # per mixing gate, after redundant controls on never-touched wires are
@@ -453,13 +461,17 @@ class TestBinary:
             assert_loads(rep, z)
 
     def test_complex_bridge_pairs(self):
-        rep = encode_binary_complex(3, np.arange(1.0, 9.0) * (1 + 1j))
-        gates = rep.circuit.gates
-        for i, g in enumerate(gates):
-            if g.kind == "Ry":
-                follower = gates[i + 1]
-                assert follower.kind == "Rz"
-                assert follower.ins == g.ins and follower.ctrls == g.ctrls
+        # a complex bridge is one raising GRBS: no in-wire, one out-wire,
+        # at the same slot and under the same controls as the real Ry bridge
+        rep = encode_binary_complex(6, np.arange(1.0, 65.0) * (1 + 1j))
+        bridges = [
+            (i + 1, g) for i, g in enumerate(rep.circuit.gates) if g.kind == "GRBS"
+        ]
+        assert len(bridges) == 6
+        assert all(g.ins == () and len(g.outs) == 1 for _, g in bridges)
+        assert [i for i, _ in bridges] == GOLDEN_BINARY_BRIDGE_SLOTS
+        assert [g.outs[0] for _, g in bridges] == GOLDEN_BINARY_BRIDGE_TARGETS
+        assert [g.ctrls for _, g in bridges] == GOLDEN_BINARY_BRIDGE_CTRLS
 
     def test_wrong_length(self):
         with pytest.raises(EncodingError, match="need 2\\^3 = 8"):
@@ -472,3 +484,80 @@ class TestBinary:
     def test_n_zero_rejected(self):
         with pytest.raises(EncodingError, match="at least one qubit"):
             encode_binary(0, [1.0])
+
+
+def _digest(reports) -> str:
+    """SHA-256 over each report's serialized circuit, ordering and param_count.
+
+    Angles enter rounded to ten significant digits, so that a last-bit
+    difference in a platform's arctan2 or BLAS does not read as drift.
+    """
+    h = hashlib.sha256()
+    for rep in reports:
+        circuit = json.loads(serialize(rep.circuit))
+        for g in circuit["gates"]:
+            for key in ("theta", "phi"):
+                if key in g:
+                    g[key] = float(f"{g[key]:.10g}") + 0.0
+        ordering = [b.bits for b in rep.ordering]
+        h.update(json.dumps([circuit, ordering, rep.param_count]).encode())
+    return h.hexdigest()
+
+
+def _dense_family(encode, shapes, cplx):
+    rng = np.random.default_rng(606)
+    for n, k, d in shapes:
+        x = rng.normal(size=d)
+        yield encode(n, k, x + 1j * rng.normal(size=d) if cplx else x)
+
+
+def _sparse_family(cplx):
+    rng = np.random.default_rng(707)
+    for s in (1, 1, 2, 3, 5, 8, 13):
+        n = 6
+        picks = rng.choice(2**n, size=s, replace=False)
+        addresses = sorted(
+            (BitString.from_index(n, int(i)) for i in picks), key=lambda b: b.weight
+        )
+        vals = rng.normal(size=s)
+        if cplx:
+            vals = vals + 1j * rng.normal(size=s)
+        yield encode_sparse(n, list(zip(vals, addresses)))
+    # a lone negative or complex value still gets its argument fixed
+    yield encode_sparse(6, [(-0.5 + 0.25j if cplx else -0.5, "011010")])
+
+
+# One generator per encoder family: full and prefix walks, mirrored
+# (k > n/2) and not, single-address and longer sparse lists.
+GOLDEN_FAMILIES = {
+    "dense_real": lambda: _dense_family(
+        encode_dense_real, [(6, 2, 15), (7, 3, 20), (6, 4, 15), (7, 5, 9)], False
+    ),
+    "dense_complex": lambda: _dense_family(
+        encode_dense_complex, [(6, 2, 15), (7, 3, 20)], True
+    ),
+    "dense_complex_mirrored": lambda: _dense_family(
+        encode_dense_complex, [(6, 4, 15), (7, 5, 9)], True
+    ),
+    "sparse_real": lambda: _sparse_family(False),
+    "sparse_complex": lambda: _sparse_family(True),
+    "binary_real": lambda: (
+        encode_binary(n, np.random.default_rng(808 + n).normal(size=2**n))
+        for n in range(1, 6)
+    ),
+}
+
+# Taken before the encoders shared one cascade; that change kept them all.
+GOLDEN_DIGESTS = {
+    "binary_real": "0c2a114f3ada319de4eff677ec9c8ceca14836112ab63dbfbfa8e2d09421e779",
+    "dense_complex": "78cbbda6a4b6054cc627daaa2dc533080e3ffabcf6ffd01448ca4e7dc7fe7baf",
+    "dense_complex_mirrored": "238db1f671f106a47b001a63f3f6babbc171b77b96dc0da52e3f76daf5e20a61",
+    "dense_real": "a70fe91b3eada93afd86468f37307ea72481832420bb2f79a9e4a15eccbf3752",
+    "sparse_complex": "5be3354729e2ac41ec24fab612a68e49e5f1a15831ffa14141b6c40d60857dd8",
+    "sparse_real": "3b111de9018b2011238172c09ead87d58ed92e7061c0ed9543dfd9a3bd271f85",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_FAMILIES))
+def test_golden_digest(family):
+    assert _digest(GOLDEN_FAMILIES[family]()) == GOLDEN_DIGESTS[family]

@@ -243,10 +243,14 @@ class TestRun:
         with pytest.raises(ValueError, match="initial state has 3 qubits"):
             run(Circuit(2), initial=SparseState.zero(3))
 
-    @pytest.mark.parametrize("index", [-1, 4, 1 << 70])
-    def test_initial_index_out_of_range_rejected(self, index):
+    @pytest.mark.parametrize("initial", [
+        -1, 4, 1 << 70,
+        pytest.param(SparseState(2, {5: 1.0 + 0j}), id="sparse_state-5"),
+        pytest.param(SparseState(2, {0: 0.6 + 0j, -1: 0.8 + 0j}), id="sparse_state--1"),
+    ])
+    def test_initial_index_out_of_range_rejected(self, initial):
         with pytest.raises(ValueError, match="outside"):
-            run(Circuit(2), initial=index)
+            run(Circuit(2), initial=initial)
 
     def test_initial_index_at_the_top(self):
         assert run(Circuit(2, (x_gate(1),)), initial=3).amps == {2: 1.0 + 0j}
