@@ -67,6 +67,12 @@ def single_qubit_cliffords() -> tuple[np.ndarray, ...]:
     return mats
 
 
+@lru_cache(maxsize=1)
+def _clifford_rotations() -> tuple[tuple[float, tuple[float, float, float]], ...]:
+    """``axis_angle`` of each of ``single_qubit_cliffords()``, in its order."""
+    return tuple(axis_angle(m) for m in single_qubit_cliffords())
+
+
 @dataclass(frozen=True)
 class CdrConfig:
     """Ensemble shape for the regression: rates, draws per rate, shots."""
@@ -147,7 +153,7 @@ def near_clifford_ensemble(circuit: Circuit, config: CdrConfig) -> list[Circuit]
     positions = rotation_positions(circuit)
     if not positions:
         raise ValueError("circuit has no rotation gates to replace")
-    pool = single_qubit_cliffords()
+    pool = _clifford_rotations()
     rng = np.random.default_rng(config.seed)
     ensemble = []
     for rate in config.replacement_rates:
@@ -157,7 +163,7 @@ def near_clifford_ensemble(circuit: Circuit, config: CdrConfig) -> list[Circuit]
             gates = list(circuit.gates)
             for c in chosen:
                 pos = positions[int(c)]
-                lam, axis = axis_angle(pool[int(rng.integers(24))])
+                lam, axis = pool[int(rng.integers(24))]
                 gates[pos] = rw(lam, axis, circuit.gates[pos].target)
             ensemble.append(Circuit(circuit.n, gates, level=circuit.level))
     return ensemble

@@ -9,9 +9,11 @@ it is new and nonzero.  A gate thus costs a few array passes over the support,
 which for encoder circuits is d << 2^n, so this is the default.  The per-state
 action of ``ir.apply_to_basis_state`` is the reference it is tested against.
 
-A dense engine (plain numpy vectors) backs exact runs and the equivalence
-tests on CNOT-level circuits, where mid-circuit superpositions fill out and
-index bookkeeping over a full support would dominate.
+A dense engine (plain numpy vectors, up to 16 qubits) backs exact runs of
+CNOT-level circuits, where mid-circuit superpositions fill out and index
+bookkeeping over a full support would dominate.  It runs logical circuits
+too: a controlled or mixing gate goes through the sparse pair kernel over
+every index, so no gate is ever built as a 2^n x 2^n matrix.
 
 Noise is a single synthetic channel: after every CNOT, with probability p2,
 a uniformly random non-identity two-qubit Pauli hits that CNOT's wires.
@@ -21,7 +23,9 @@ qubits rho is evolved exactly and the counts are one multinomial draw.  From
 10 to 16 qubits, where rho would need 4^n entries, each shot is its own
 trajectory: shots sharing an insertion pattern see the same final state, so
 each distinct pattern is simulated once and its counts are a multinomial
-draw.  Either way the run is deterministic given the seed.
+draw.  The patterns are replayed in sorted order off one noiseless pass, so
+one vector per pattern in flight is kept, not one per CNOT.  Either way the
+run is deterministic given the seed.
 """
 
 import math
@@ -38,7 +42,6 @@ from hwenc.ir import (
     _mask,
     _mixing_matrix,
     _single_qubit_matrix,
-    gate_unitary,
 )
 
 PRUNE_TOL = 1e-12
@@ -188,6 +191,17 @@ def apply_gate(amps: dict[int, complex], gate: Gate) -> dict[int, complex]:
     return dict(zip(idx.tolist(), amp.tolist()))
 
 
+def _basis_index(index, n: int) -> int:
+    """``index`` as a Python int; a bool, a non-integer or an index outside
+    [0, 2^n) raises ValueError."""
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise ValueError(f"initial index {index!r} is not an integer")
+    index = int(index)
+    if not 0 <= index < 1 << n:
+        raise ValueError(f"initial index {index} outside [0, 2^{n})")
+    return index
+
+
 def _initial_amps(n: int, initial) -> dict:
     if initial is None:
         return {0: 1.0 + 0j}
@@ -197,34 +211,29 @@ def _initial_amps(n: int, initial) -> dict:
                              f" circuit {n}")
         if isinstance(initial, BitString):
             return {initial.to_index(): 1.0 + 0j}
-        amps = initial.amps
-    else:
-        amps = {int(initial): 1.0 + 0j}
-    for index in amps:
-        if not 0 <= index < 1 << n:
-            raise ValueError(f"initial index {index} outside [0, 2^{n})")
-    return amps
+        return {_basis_index(i, n): a for i, a in initial.amps.items()}
+    return {_basis_index(initial, n): 1.0 + 0j}
 
 
-def run(circuit: Circuit, initial=None, check_norm: bool = True) -> SparseState:
+def run(circuit: Circuit, initial=None) -> SparseState:
     """Run a circuit exactly on the sparse array engine.
 
     The state is a sorted index array and its complex amplitudes, one kernel
     call a gate.  ``initial`` may be a SparseState or a BitString over the
-    circuit's qubits, a basis index in [0, 2^n), or None for the all-zeros
-    state; another width or an index out of range raises ValueError.  The
-    norm (its drift past 1e-9 raises ArithmeticError) is checked after every
-    gate unless ``check_norm`` is false.  Amplitudes below 1e-12 are pruned
-    at the end (mid-circuit cancellation residue), never during the run.
+    circuit's qubits, a basis index in [0, 2^n) (a Python or NumPy integer),
+    or None for the all-zeros state; another width, a bool, a non-integer or
+    an index out of range raises ValueError.  The norm is checked after
+    every gate; its drift past 1e-9 raises ArithmeticError.  Amplitudes
+    below 1e-12 are pruned at the end (mid-circuit cancellation residue),
+    never during the run.
     """
     n = circuit.n
     idx, amp = _to_arrays(_initial_amps(n, initial), n)
     for i, gate in enumerate(circuit.gates):
         idx, amp = _apply_arrays(idx, amp, gate)
-        if check_norm:
-            norm = float(np.vdot(amp, amp).real)
-            if abs(norm - 1.0) > 1e-9:
-                raise ArithmeticError(f"norm drifted to {norm} after gate {i}")
+        norm = float(np.vdot(amp, amp).real)
+        if abs(norm - 1.0) > 1e-9:
+            raise ArithmeticError(f"norm drifted to {norm} after gate {i}")
     keep = np.abs(amp) > PRUNE_TOL
     return SparseState(n, dict(zip(idx[keep].tolist(), amp[keep].tolist())))
 
@@ -257,41 +266,33 @@ def _cnot_permutation(dim: int, ctrl: int, tgt: int) -> np.ndarray:
     return index ^ (((index >> (ctrl - 1)) & 1) << (tgt - 1))
 
 
-def _apply_cnot_dense(vec: np.ndarray, ctrl: int, tgt: int) -> np.ndarray:
-    return vec[_cnot_permutation(vec.size, ctrl, tgt)]
-
-
 def dense_run(circuit: Circuit, initial: int = 0) -> np.ndarray:
-    """Full statevector run; fast for CNOT-level circuits, up to 16 qubits.
+    """Full statevector run of any circuit up to 16 qubits.
 
-    Logical circuits work too: mixing and controlled gates go through their
-    dense gate matrices, which limits circuits holding them to 12 qubits.
+    ``initial`` is a basis index in [0, 2^n), a Python or NumPy integer;
+    a bool, a non-integer or an index out of range raises ValueError.
+    CNOTs are an index permutation and plain one-qubit gates a 2x2 block
+    on one axis; controlled and mixing gates run the sparse pair kernel
+    over every index.
     """
     n = circuit.n
     if n > 16:
         raise ValueError("dense run limited to 16 qubits")
-    if n > 12 and any(_needs_unitary(g) for g in circuit.gates):
-        raise ValueError("dense run of mixing or controlled gates limited to"
-                         " 12 qubits")
-    if not 0 <= initial < 2**n:
-        raise ValueError(f"initial index {initial} outside [0, 2^{n})")
     vec = np.zeros(2**n, dtype=complex)
-    vec[initial] = 1.0
+    vec[_basis_index(initial, n)] = 1.0
     for g in circuit.gates:
-        vec = _apply_gate_dense(vec, n, g)
+        vec = _apply_gate_dense(vec, g)
     return vec
 
 
-def _needs_unitary(g: Gate) -> bool:
-    return g.kind != "CNOT" and bool(
-        g.kind in MIXING_KINDS or g.ctrls or g.anti_ctrls)
-
-
-def _apply_gate_dense(vec: np.ndarray, n: int, g: Gate) -> np.ndarray:
+def _apply_gate_dense(vec: np.ndarray, g: Gate) -> np.ndarray:
     if g.kind == "CNOT":
-        return _apply_cnot_dense(vec, g.ctrls[0], g.ins[0])
-    if _needs_unitary(g):
-        return gate_unitary(g, n) @ vec
+        return vec[_cnot_permutation(vec.size, g.ctrls[0], g.ins[0])]
+    if g.kind in MIXING_KINDS or g.ctrls or g.anti_ctrls:
+        idx, amp = _apply_arrays(np.arange(vec.size), vec.copy(), g)
+        out = np.zeros_like(vec)
+        out[idx] = amp
+        return out
     return _apply_1q_dense(vec, g.ins[0], _single_qubit_matrix(g))
 
 
@@ -366,73 +367,60 @@ def _noisy_probabilities(circuit: Circuit, p2: float) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _apply_pauli_pair(vec: np.ndarray, wires: tuple[int, int],
+def _apply_pauli_pair(vec: np.ndarray, cnot_gate: Gate,
                       pauli_index: int) -> np.ndarray:
-    """One of the 15 non-identity two-qubit Paulis, indexed 0..14."""
+    """One of the 15 non-identity two-qubit Paulis, indexed 0..14, on the
+    wires of a CNOT."""
+    wires = (cnot_gate.ctrls[0], cnot_gate.ins[0])
     for q, which in zip(wires, divmod(pauli_index + 1, 4)):
         if which:
             vec = _apply_1q_dense(vec, q, _PAULIS[which])
     return vec
 
 
-class _NoisyEngine:
-    """Final-state solver for one Pauli-insertion pattern.
+def _replay(circuit: Circuit, patterns):
+    """Final statevector of each Pauli-insertion pattern, in input order.
 
-    Stores the state after each CNOT and replays the gate tail after the
-    first insertion.
+    A pattern is a tuple of (CNOT ordinal, Pauli index) pairs in ordinal
+    order, and ``patterns`` must be sorted.  One noiseless pass walks the
+    gates; each pattern branches off it after its first insertion and
+    replays only the tail, so one vector per pattern is in flight.
     """
-
-    def __init__(self, circuit: Circuit, sites: list[int]):
-        self.n = n = circuit.n
-        self.gates = circuit.gates
-        self.sites = sites
-        self.wires = [
-            (self.gates[i].ctrls[0], self.gates[i].ins[0]) for i in sites
-        ]
-        prefixes = []
-        vec = np.zeros(2**n, dtype=complex)
-        vec[0] = 1.0
-        done = 0
-        for site in sites:
-            for g in self.gates[done : site + 1]:
-                vec = _apply_gate_dense(vec, n, g)
-            done = site + 1
-            prefixes.append(vec.copy())
-        for g in self.gates[done:]:
-            vec = _apply_gate_dense(vec, n, g)
-        self.prefixes = prefixes
-        self.full_vec = vec
-
-    def final_vector(self, pattern: tuple[tuple[int, int], ...]) -> np.ndarray:
+    n, gates = circuit.n, circuit.gates
+    sites = [i for i, g in enumerate(gates) if g.kind == "CNOT"]
+    vec = np.zeros(2**n, dtype=complex)
+    vec[0] = 1.0
+    done = 0
+    for pattern in patterns:
         if not pattern:
-            return self.full_vec
-        first_site, first_pauli = pattern[0]
-        inserts = dict(pattern)
-        v = self.prefixes[first_site].copy()
-        v = _apply_pauli_pair(v, self.wires[first_site], first_pauli)
-        site_at = {gate_index: s for s, gate_index in enumerate(self.sites)}
-        for gi in range(self.sites[first_site] + 1, len(self.gates)):
-            v = _apply_gate_dense(v, self.n, self.gates[gi])
-            s = site_at.get(gi)
-            if s is not None and s in inserts and s != first_site:
-                v = _apply_pauli_pair(v, self.wires[s], inserts[s])
-        return v
+            yield dense_run(circuit)
+            continue
+        inserts = {sites[s]: pauli for s, pauli in pattern}
+        first = sites[pattern[0][0]]
+        for g in gates[done : first + 1]:
+            vec = _apply_gate_dense(vec, g)
+        done = first + 1
+        v = _apply_pauli_pair(vec, gates[first], inserts[first])
+        for i in range(first + 1, len(gates)):
+            v = _apply_gate_dense(v, gates[i])
+            if i in inserts:
+                v = _apply_pauli_pair(v, gates[i], inserts[i])
+        yield v
 
 
 def _trajectory_counts(circuit: Circuit, p2: float, shots: int,
                        rng: "np.random.Generator") -> np.ndarray:
     """Counts from one Pauli trajectory a shot, grouped by insertion pattern."""
-    sites = [i for i, g in enumerate(circuit.gates) if g.kind == "CNOT"]
-    fire = rng.random((shots, len(sites))) < p2
-    pauli = rng.integers(0, 15, size=(shots, len(sites)))
+    cnots = circuit.cnot_count
+    fire = rng.random((shots, cnots)) < p2
+    pauli = rng.integers(0, 15, size=(shots, cnots))
     patterns: list[list[tuple[int, int]]] = [[] for _ in range(shots)]
     for shot, site in zip(*np.nonzero(fire)):
         patterns[shot].append((int(site), int(pauli[shot, site])))
     groups = Counter(map(tuple, patterns))
-    engine = _NoisyEngine(circuit, sites)
+    keys = sorted(groups)
     totals = np.zeros(2**circuit.n, dtype=np.int64)
-    for key in sorted(groups):
-        vec = engine.final_vector(key)
+    for key, vec in zip(keys, _replay(circuit, keys)):
         p = np.abs(vec) ** 2
         totals += rng.multinomial(groups[key], p / p.sum())
     return totals

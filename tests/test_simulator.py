@@ -1,6 +1,7 @@
 """Sparse engine against the dense oracle, sampling, and noise statistics."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 from math import comb
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 
 from hwenc.bitstrings import BitString
 from hwenc.encoders import encode_dense_real
+from hwenc.encoders import encode_dense_complex
 from hwenc.ir import (
     GATE_KINDS,
     MIXING_KINDS,
     Circuit,
     Gate,
+    anti_phase,
     apply_to_basis_state,
     circuit_unitary,
     cnot,
@@ -31,8 +34,8 @@ from hwenc.ir import (
 from hwenc.simulator import (
     NoiseModel,
     SparseState,
-    _NoisyEngine,
     _noisy_probabilities,
+    _replay,
     apply_gate,
     dense_run,
     run,
@@ -55,8 +58,6 @@ def random_logical_circuit(rng, n, n_gates):
         elif kind == "Rz":
             gates.append(rz(phi, int(wires[0])))
         elif kind == "AntiPhase":
-            from hwenc.ir import anti_phase
-
             gates.append(anti_phase(phi, int(wires[0])))
         elif kind == "RBS":
             gates.append(rbs(theta, int(wires[0]), int(wires[1])))
@@ -247,13 +248,22 @@ class TestRun:
         -1, 4, 1 << 70,
         pytest.param(SparseState(2, {5: 1.0 + 0j}), id="sparse_state-5"),
         pytest.param(SparseState(2, {0: 0.6 + 0j, -1: 0.8 + 0j}), id="sparse_state--1"),
+        True, 1.5,
+        pytest.param(SparseState(2, {1.5: 1.0 + 0j}), id="sparse_state-1.5"),
+        pytest.param(SparseState(2, {True: 1.0 + 0j}), id="sparse_state-True"),
     ])
     def test_initial_index_out_of_range_rejected(self, initial):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="outside|not an integer"):
             run(Circuit(2), initial=initial)
 
     def test_initial_index_at_the_top(self):
         assert run(Circuit(2, (x_gate(1),)), initial=3).amps == {2: 1.0 + 0j}
+
+    def test_initial_numpy_integer_index(self):
+        c = Circuit(2, (x_gate(1),))
+        assert run(c, initial=np.int64(3)).amps == {2: 1.0 + 0j}
+        state = SparseState(2, {np.int64(1): 1.0 + 0j})
+        assert run(c, initial=state).amps == {0: 1.0 + 0j}
 
     def test_amps_are_a_plain_dict(self):
         # the CLI and callers read .get() and .items() and print the values
@@ -381,10 +391,67 @@ class TestDenseRun:
                 dense_run(c), circuit_unitary(c)[:, 0], atol=1e-12
             )
 
-    def test_mixing_gate_past_12_qubits_rejected_up_front(self):
-        report = encode_dense_real(13, 1, np.arange(1.0, 14.0))
-        with pytest.raises(ValueError, match="mixing or controlled gates"):
-            dense_run(report.circuit)
+    def test_logical_matches_unitary_column(self):
+        # every logical gate kind, each under random controls and
+        # anti-controls, from a random basis state
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            gates = []
+            for _ in range(10):
+                kind = rng.choice(["Ry", "Rz", "Rw", "AntiPhase", "X", "CNOT",
+                                   "RBS", "ComplexRBS", "GRBS"])
+                w = [int(q) for q in rng.permutation(n) + 1]
+                theta, phi = rng.uniform(-3, 3, size=2)
+                if kind == "X":
+                    gates.append(x_gate(w[0]))
+                    continue
+                if kind == "CNOT":
+                    gates.append(cnot(w[0], w[1]))
+                    continue
+                if kind == "GRBS":
+                    m = int(rng.integers(0, min(3, n)))
+                    mp = int(rng.integers(1, min(3, n - m) + 1))
+                    ins, outs = w[:m], w[m : m + mp]
+                elif kind in ("RBS", "ComplexRBS"):
+                    ins, outs = w[:1], w[1:2]
+                else:
+                    ins, outs = w[:1], []
+                spare = w[len(ins) + len(outs):]
+                split = int(rng.integers(0, len(spare) + 1))
+                ctrls = spare[:int(rng.integers(0, split + 1))]
+                anti = spare[split : split + int(rng.integers(0, 3))]
+                if kind == "Ry":
+                    g = ry(theta, ins[0], ctrls, anti)
+                elif kind == "Rz":
+                    g = rz(phi, ins[0], ctrls, anti)
+                elif kind == "Rw":
+                    ax = rng.normal(size=3)
+                    g = rw(theta, tuple(ax / np.linalg.norm(ax)), ins[0], ctrls, anti)
+                elif kind == "AntiPhase":
+                    g = anti_phase(phi, ins[0], ctrls, anti)
+                elif kind == "RBS":
+                    g = rbs(theta, ins[0], outs[0], ctrls, anti)
+                elif kind == "ComplexRBS":
+                    g = complex_rbs(theta, phi, ins[0], outs[0], ctrls, anti)
+                else:
+                    g = grbs(theta, phi, ins, outs, ctrls, anti)
+                gates.append(g)
+            c = Circuit(n, tuple(gates))
+            initial = int(rng.integers(1, 2**n))
+            np.testing.assert_allclose(
+                dense_run(c, initial=initial), circuit_unitary(c)[:, initial],
+                rtol=0, atol=1e-12,
+            )
+
+    def test_logical_past_12_qubits_matches_sparse(self):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=91) + 1j * rng.normal(size=91)
+        c = encode_dense_complex(14, 2, x).circuit
+        want = np.zeros(2**14, dtype=complex)
+        for i, a in run(c).amps.items():
+            want[i] = a
+        np.testing.assert_allclose(dense_run(c), want, rtol=0, atol=1e-12)
 
     def test_cnot_level_past_12_qubits(self):
         c = Circuit(14, (x_gate(14), cnot(14, 1), ry(0.5, 7)), level="cnot")
@@ -392,10 +459,14 @@ class TestDenseRun:
         assert vec[(1 << 13) | 1] == pytest.approx(math.cos(0.5))
         assert vec[(1 << 13) | (1 << 6) | 1] == pytest.approx(math.sin(0.5))
 
-    @pytest.mark.parametrize("index", [-1, 4])
+    @pytest.mark.parametrize("index", [-1, 4, True, 1.5])
     def test_initial_index_out_of_range_rejected(self, index):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="outside|not an integer"):
             dense_run(Circuit(2), initial=index)
+
+    def test_initial_numpy_integer_index(self):
+        vec = dense_run(Circuit(2, (x_gate(1),)), initial=np.int64(3))
+        np.testing.assert_array_equal(vec, [0, 0, 1, 0])
 
     def test_sparse_agrees_with_dense(self):
         c = Circuit(3, (x_gate(3), cnot(3, 1), ry(0.7, 2), cnot(2, 1)), level="cnot")
@@ -486,17 +557,36 @@ class TestNoise:
         )
 
     def test_replay_matches_explicit_paulis(self):
-        sites = [i for i, g in enumerate(NOISY_CIRCUIT.gates) if g.kind == "CNOT"]
-        engine = _NoisyEngine(NOISY_CIRCUIT, sites)
-        for choice in itertools.product(range(16), repeat=3):
-            pattern = tuple((s, ch - 1) for s, ch in enumerate(choice) if ch)
+        choices = {
+            tuple((s, ch - 1) for s, ch in enumerate(choice) if ch): choice
+            for choice in itertools.product(range(16), repeat=3)
+        }
+        patterns = sorted(choices)
+        vectors = list(_replay(NOISY_CIRCUIT, patterns))
+        assert len(vectors) == len(patterns) == 4096
+        for pattern, vec in zip(patterns, vectors):
+            choice = choices[pattern]
             # each explicit Pauli is Rw(pi/2) = i * P
             phase = 1j ** sum((ch >> 2 > 0) + (ch & 3 > 0) for ch in choice)
             np.testing.assert_allclose(
-                phase * engine.final_vector(pattern),
-                dense_run(with_paulis(NOISY_CIRCUIT, choice)),
+                phase * vec, dense_run(with_paulis(NOISY_CIRCUIT, choice)),
                 rtol=0, atol=1e-12,
             )
+
+    def test_replay_golden_digest(self):
+        # 10 qubits takes the trajectory replay; the digest pins its counts
+        # bitwise for this seed, draw order included
+        gates = [ry(0.15 * q, q) for q in range(1, 11)]
+        gates += [cnot(q + 1, q) for q in range(1, 10)]
+        gates += [rz(0.3, 4), rw(0.8, (0.6, 0.0, 0.8), 7), x_gate(2),
+                  cnot(1, 10), cnot(10, 5), ry(-0.4, 5), cnot(3, 8)]
+        c = Circuit(10, tuple(gates), level="cnot")
+        counts = run_noisy(c, NoiseModel(0.05, 0), 2000, seed=17)
+        text = ",".join(f"{b.bits}:{v}" for b, v in
+                        sorted(counts.items(), key=lambda kv: kv[0].bits))
+        assert len(counts) == 409
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9695d01b519e310be7ae690e730cfcb60dd534c241596c31ab1d419042f69af1")
 
     def test_error_grows_with_p2(self):
         gates = (ry(0.5, 3), cnot(3, 2), ry(0.4, 2), cnot(2, 1), ry(0.3, 1),
