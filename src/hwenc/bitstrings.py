@@ -10,11 +10,15 @@ Two index spaces coexist throughout the package and are easy to mix up:
 The walk over weight-k strings operates on positions (its pivot rules talk
 about "left" and "right" of the written word); everything gate-facing is
 expressed in qubit labels.
+
+:func:`walk_wires` is the one place that reads a gate's wires off a walk:
+the encoders build their gates from it and ``counting.count_sparse`` prices
+the same wires.
 """
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 
 class SequenceExhausted(Exception):
@@ -200,3 +204,19 @@ def gate_params(
     untouched = untouched - (ins | outs)
     ctrls = ctrls - untouched
     return GateParams(ins, outs, ctrls, untouched)
+
+
+def walk_wires(
+    walk: Sequence[BitString],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """Sorted ``(ins, outs, ctrls)`` of the gate between each consecutive pair.
+
+    The untouched set starts as the first string's ones and is threaded
+    through :func:`gate_params`, so one step's wires depend on every step
+    before it.
+    """
+    untouched = walk[0].ones
+    for b, b_next in zip(walk, walk[1:]):
+        p = gate_params(b, b_next, untouched)
+        untouched = p.untouched
+        yield tuple(sorted(p.ins)), tuple(sorted(p.outs)), tuple(sorted(p.ctrls))

@@ -26,6 +26,7 @@ import numpy as np
 from .ir import (
     Circuit,
     Gate,
+    _mixing_matrix,
     cnot,
     rw,
     ry,
@@ -225,33 +226,27 @@ def _rbs_top(gate: Gate) -> list[Gate]:
     src = gate.ins[0]
     dst = gate.outs[0]
     half = gate.theta / 2.0
-
-    def mc(g: Gate) -> list[Gate]:
-        return compile_mcry(g)
-
     ctrls, antis = gate.ctrls, gate.anti_ctrls
     gates = [rw(np.pi / 2.0, _H_AXIS, src), cnot(src, dst)]
-    gates += mc(ry(half, src, ctrls=ctrls, anti_ctrls=antis))
-    gates += mc(ry(half, dst, ctrls=ctrls, anti_ctrls=antis))
+    gates += compile_mcry(ry(half, src, ctrls=ctrls, anti_ctrls=antis))
+    gates += compile_mcry(ry(half, dst, ctrls=ctrls, anti_ctrls=antis))
     gates += [cnot(src, dst), rw(np.pi / 2.0, _H_AXIS, src)]
     if gate.kind == "ComplexRBS":
         quarter = gate.phi / 2.0
-        gates += mc(rz(quarter, src, ctrls=ctrls, anti_ctrls=antis))
-        gates += mc(rz(-quarter, dst, ctrls=ctrls, anti_ctrls=antis))
+        gates += compile_mcry(rz(quarter, src, ctrls=ctrls, anti_ctrls=antis))
+        gates += compile_mcry(rz(-quarter, dst, ctrls=ctrls, anti_ctrls=antis))
     return gates
 
 
 def _mixing_central(gate: Gate) -> tuple[float, tuple[float, float, float]]:
-    """(lam, axis) of the central rotation of :func:`_mixing_bottom`."""
-    theta = gate.theta
-    phi = gate.phi if gate.phi is not None else 0.0
-    c, s = np.cos(theta), np.sin(theta)
-    ep, em = np.exp(1j * phi), np.exp(-1j * phi)
-    if gate.ins:
-        # target reads 1 on the first pattern, 0 on the second
-        return axis_angle(np.array([[em * c, em * s], [-ep * s, ep * c]]))
-    # raising gate: target reads 0 on the first pattern
-    return axis_angle(np.array([[ep * c, -ep * s], [em * s, em * c]]))
+    """(lam, axis) of the central rotation of :func:`_mixing_bottom`.
+
+    The rotation is the gate's own 2x2 block. A raising gate's target reads
+    0 on the block's first state; with in-wires the ladder leaves the target
+    reading 1 there, so rows and columns swap.
+    """
+    u = _mixing_matrix(gate)
+    return axis_angle(u[::-1, ::-1] if gate.ins else u)
 
 
 def _mixing_bottom(gate: Gate) -> list[Gate]:

@@ -7,6 +7,11 @@ or more wires. Budgets sum those columns over the gate census of each
 construction; they are estimates that the actual compiled counts stay
 under for moderate control counts, and the dense budgets additionally
 collapse to closed-form polynomials in n.
+
+The sparse budget defines none of its inputs itself: its addresses pass the
+encoder's rules (``encoders._check_addresses``), its wires come from the
+encoder's walk (``bitstrings.walk_wires``), and its phase-fix row prices the
+encoder's own phase-fix gates (``encoders._phase_on_state``).
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .bitstrings import BitString, gate_params
+from .bitstrings import walk_wires
+from .encoders import _check_addresses, _phase_on_state
 from .ir import Gate
 
 _MCRY_SMALL = (0, 2, 4, 12, 36)
@@ -164,8 +170,7 @@ def count_dense(n: int, k: int, complex_amplitudes: bool = False) -> CnotBudget:
     mixing gates carry ell controls. The row total equals the closed
     form for every n and k.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"weight {k} out of range for {n} qubits")
+    analytic = closed_form_dense(n, k, complex_amplitudes)
     kk = min(k, n - k)
     rows = tuple(
         BudgetRow(
@@ -176,11 +181,7 @@ def count_dense(n: int, k: int, complex_amplitudes: bool = False) -> CnotBudget:
         for ell in range(kk)
     )
     total = sum(row.subtotal for row in rows)
-    return CnotBudget(
-        rows=rows,
-        total=total,
-        analytic_total=closed_form_dense(n, k, complex_amplitudes),
-    )
+    return CnotBudget(rows=rows, total=total, analytic_total=analytic)
 
 
 def count_sparse(
@@ -188,46 +189,22 @@ def count_sparse(
 ) -> CnotBudget:
     """Budget for a sparse address list, one row per mixing gate.
 
-    Addresses follow the same rules as the encoder: equal length,
-    distinct, non-decreasing weight. With complex amplitudes a final
-    phase-fix row is added.
+    The addresses, the wires of each gate and the final phase fix are the
+    encoder's own, so the rows price the gates ``encode_sparse`` emits.
+    With complex amplitudes a final phase-fix row is added.
     """
-    parsed = [a if isinstance(a, BitString) else BitString(a) for a in addresses]
-    if not parsed:
-        raise ValueError("need at least one address")
-    for i, b in enumerate(parsed):
-        if b.n != n:
-            raise ValueError(f"address {i} has length {b.n}, expected {n}")
-    for i in range(len(parsed) - 1):
-        if parsed[i].weight > parsed[i + 1].weight:
-            raise ValueError(
-                f"addresses out of order at {i} and {i + 1}"
-            )
-    seen = set()
-    for b in parsed:
-        if b.bits in seen:
-            raise ValueError(f"duplicate address {b.bits}")
-        seen.add(b.bits)
-
-    rows = []
-    untouched = frozenset(parsed[0].ones)
-    for j in range(len(parsed) - 1):
-        p = gate_params(parsed[j], parsed[j + 1], untouched)
-        untouched = p.untouched
-        per = _mixing_bound(len(p.ins), len(p.outs), len(p.ctrls), complex_amplitudes)
-        rows.append(
-            BudgetRow(
-                label=f"{parsed[j].bits} -> {parsed[j + 1].bits}",
-                gates=1,
-                per_gate=per,
-            )
+    walk = _check_addresses(addresses, n)
+    rows = [
+        BudgetRow(
+            label=f"{walk[j].bits} -> {walk[j + 1].bits}",
+            gates=1,
+            per_gate=_mixing_bound(len(ins), len(outs), len(ctrls), complex_amplitudes),
         )
+        for j, (ins, outs, ctrls) in enumerate(walk_wires(walk))
+    ]
     if complex_amplitudes:
-        last = parsed[-1]
-        pattern = last.weight + 1 if last.weight < n else n
-        rows.append(
-            BudgetRow(label="final phase", gates=1, per_gate=2**pattern - 2)
-        )
+        fix = sum(gate_cnot_bound(g) for g in _phase_on_state(0.0, walk[-1]))
+        rows.append(BudgetRow(label="final phase", gates=1, per_gate=fix))
     rows = tuple(rows)
     return CnotBudget(rows=rows, total=sum(r.subtotal for r in rows))
 

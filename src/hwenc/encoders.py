@@ -15,6 +15,11 @@ gate per consecutive pair. The five encoders differ only in their walk:
 
 Every encoder returns an :class:`EncoderReport` whose ``ordering`` maps
 vector slot i to the basis state that receives amplitude ``x[i] / |x|``.
+
+Each gate's wires come from ``bitstrings.walk_wires``. The sparse address
+rules are :func:`_check_addresses` and the closing phase fix is
+:func:`_phase_on_state`; ``counting.count_sparse`` uses both, so a budget
+prices the very gates the encoder emits.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from .bitstrings import (
     BitString,
     EhrlichState,
     ehrlich_sequence,
-    gate_params,
     walk_states,
+    walk_wires,
 )
 from .coordinates import angles_from_complex, angles_from_real
 from .ir import (
@@ -57,41 +62,24 @@ class EncodingVerificationError(EncodingError):
 class SparseTuple:
     """Ordered (value, address) pairs describing a sparse vector.
 
-    Addresses must share one length and be pairwise distinct; values may
-    be real or complex. Weight ordering is checked by the encoder, not
-    here, so a tuple can be built first and sorted at encode time.
+    Addresses follow :func:`_check_addresses` except for weight order,
+    which the encoder checks, so a tuple can be built first and sorted at
+    encode time. Values may be real or complex.
     """
 
     pairs: tuple[tuple[complex, BitString], ...]
 
     def __post_init__(self) -> None:
-        if not self.pairs:
-            raise EncodingError("sparse input needs at least one pair")
-        norm_pairs = []
+        values, addresses = [], []
         for i, item in enumerate(self.pairs):
             try:
                 value, address = item
             except (TypeError, ValueError):
                 raise EncodingError(f"pair {i}: expected (value, address)") from None
-            if isinstance(address, str):
-                address = BitString(address)
-            elif not isinstance(address, BitString):
-                raise EncodingError(f"pair {i}: address must be a bitstring")
-            norm_pairs.append((complex(value), address))
-        n = norm_pairs[0][1].n
-        seen: dict[str, int] = {}
-        for i, (_, address) in enumerate(norm_pairs):
-            if address.n != n:
-                raise EncodingError(
-                    f"pair {i}: address length {address.n} != {n}"
-                )
-            if address.bits in seen:
-                raise EncodingError(
-                    f"duplicate address {address.bits} at pairs"
-                    f" {seen[address.bits]} and {i}"
-                )
-            seen[address.bits] = i
-        object.__setattr__(self, "pairs", tuple(norm_pairs))
+            values.append(complex(value))
+            addresses.append(address)
+        addresses = _check_addresses(addresses, ordered=False)
+        object.__setattr__(self, "pairs", tuple(zip(values, addresses)))
 
     @property
     def n(self) -> int:
@@ -113,10 +101,45 @@ class EncoderReport:
     param_count: int
 
 
-def _as_real_vector(x) -> np.ndarray:
-    if np.iscomplexobj(x):
+def _check_addresses(addresses, n: int | None = None, *,
+                     ordered: bool = True) -> list[BitString]:
+    """The sparse address rules, as BitStrings: at least one, all of one
+    length (``n`` if given), pairwise distinct and, when ``ordered``, of
+    non-decreasing weight. Bitstrings given as text are parsed."""
+    parsed = []
+    for i, address in enumerate(addresses):
+        if isinstance(address, str):
+            address = BitString(address)
+        elif not isinstance(address, BitString):
+            raise EncodingError(f"pair {i}: address must be a bitstring")
+        parsed.append(address)
+    if not parsed:
+        raise EncodingError("sparse input needs at least one pair")
+    n = parsed[0].n if n is None else n
+    seen: dict[str, int] = {}
+    for i, b in enumerate(parsed):
+        if b.n != n:
+            raise EncodingError(f"pair {i}: address length {b.n} != {n}")
+        if b.bits in seen:
+            raise EncodingError(
+                f"duplicate address {b.bits} at pairs {seen[b.bits]} and {i}"
+            )
+        seen[b.bits] = i
+        if ordered and i and parsed[i - 1].weight > b.weight:
+            a = parsed[i - 1]
+            raise EncodingError(
+                f"addresses out of order at pairs {i - 1} and {i}:"
+                f" weight({a.bits}) = {a.weight} > weight({b.bits}) = {b.weight}"
+            )
+    return parsed
+
+
+def _as_vector(x, with_phases: bool) -> np.ndarray:
+    """``x`` as a one-dimensional complex array, or a float one for a real
+    encoder, which rejects complex entries."""
+    if not with_phases and np.iscomplexobj(x):
         raise EncodingError("input has complex entries; use the complex encoder")
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=complex if with_phases else float)
     if x.ndim != 1:
         raise EncodingError("input vector must be one-dimensional")
     return x
@@ -144,7 +167,7 @@ def _phase_on_state(phi: float, b: BitString) -> list[Gate]:
 
     A phase gate conditioned on the ones of b and firing on a zero of b
     does the job directly; the all-ones state needs an X conjugation to
-    manufacture a zero first.
+    manufacture a zero first. ``count_sparse`` prices these same gates.
     """
     zeros = sorted(b.zeros)
     ones = tuple(sorted(b.ones))
@@ -163,9 +186,10 @@ def _cascade(
 ) -> EncoderReport:
     """Load the normalized ``x`` onto ``walk``, one mixing gate per consecutive pair.
 
-    Ones shared by a pair are controls (minus those on wires still in their
-    initial state), ones only in the first string are in-wires and ones
-    only in the second are out-wires: a single raise is a controlled Ry, a
+    The wires come from :func:`walk_wires`: ones shared by a pair are
+    controls (minus those on wires still in their initial state), ones only
+    in the first string are in-wires and ones only in the second are
+    out-wires. A single raise is a controlled Ry, a
     one-in/one-out move an RBS, anything else a GRBS. ``mirrored`` loads
     the complement of every walk string instead. With phases every gate
     carries a phase angle, and a final conditioned phase fixes the
@@ -179,11 +203,7 @@ def _cascade(
     ordering = tuple(b.complement() for b in walk) if mirrored else tuple(walk)
 
     gates = _x_layer(ordering[0].ones)
-    untouched = frozenset(walk[0].ones)
-    for j in range(d - 1):
-        p = gate_params(walk[j], walk[j + 1], untouched)
-        untouched = p.untouched
-        ins, outs, ctrls = (tuple(sorted(w)) for w in (p.ins, p.outs, p.ctrls))
+    for j, (ins, outs, ctrls) in enumerate(walk_wires(walk)):
         if mirrored:
             # complemented wires swap roles and shared ones become shared zeros
             ins, outs = outs, ins
@@ -213,7 +233,8 @@ def _cascade(
 # dense fixed-weight encoders
 
 
-def _dense(n: int, k: int, x: np.ndarray, with_phases: bool) -> EncoderReport:
+def _dense(n: int, k: int, x, with_phases: bool) -> EncoderReport:
+    x = _as_vector(x, with_phases)
     if not 0 <= k <= n:
         raise EncodingError(f"weight {k} out of range for {n} qubits")
     d = len(x)
@@ -238,7 +259,7 @@ def encode_dense_real(n: int, k: int, x) -> EncoderReport:
     encoding. The circuit is an X layer followed by len(x) - 1 two-wire
     mixing rotations, each consuming one inclination angle.
     """
-    return _dense(n, k, _as_real_vector(x), with_phases=False)
+    return _dense(n, k, x, with_phases=False)
 
 
 def encode_dense_complex(n: int, k: int, x) -> EncoderReport:
@@ -248,9 +269,6 @@ def encode_dense_complex(n: int, k: int, x) -> EncoderReport:
     trailing phase gate fixes the final amplitude's argument, so the
     loaded state matches x / |x| exactly rather than up to phase.
     """
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 1:
-        raise EncodingError("input vector must be one-dimensional")
     return _dense(n, k, x, with_phases=True)
 
 
@@ -293,24 +311,16 @@ def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderRepor
     names the gate.
     """
     tup = data if isinstance(data, SparseTuple) else SparseTuple(tuple(data))
-    if tup.n != n:
-        raise EncodingError(f"addresses have length {tup.n}, expected {n}")
     if sort_by_weight:
         tup = tup.sorted_by_weight()
-    for i in range(len(tup.pairs) - 1):
-        a, b = tup.pairs[i][1], tup.pairs[i + 1][1]
-        if a.weight > b.weight:
-            raise EncodingError(
-                f"addresses out of order at pairs {i} and {i + 1}:"
-                f" weight({a.bits}) = {a.weight} > weight({b.bits}) = {b.weight}"
-            )
+    addresses = _check_addresses([address for _, address in tup.pairs], n)
 
-    values = np.array([v for v, _ in tup.pairs], dtype=complex)
+    values = _as_vector([v for v, _ in tup.pairs], with_phases=True)
     s = len(values)
     # a lone negative value needs its argument fixed like a complex one
     with_phases = bool(np.any(values.imag != 0.0) or (s == 1 and values[0].real < 0))
     target = _normalized(values)
-    report = _cascade(n, [address for _, address in tup.pairs], target, with_phases)
+    report = _cascade(n, addresses, target, with_phases)
 
     ordering = report.ordering
     indices = [address.to_index() for address in ordering]
@@ -332,25 +342,28 @@ def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderRepor
 # full binary-basis encoder
 
 
-def _stage_seed(n: int, k: int, prev_end: BitString) -> tuple[BitString, bool]:
-    """Weight-k canonical start reachable from prev_end by one bit flip.
+def _stage_seed(n: int, k: int, prev_end: BitString) -> bool:
+    """Whether the weight-k stage walks from 0^(n-k) 1^k rather than 1^k 0^(n-k).
 
-    Candidates are the block strings 1^k 0^(n-k) (walked with the ones
-    marked) and 0^(n-k) 1^k (walked with the zeros marked); exactly one
-    is a single flip away except for small-n ties, where the first form
-    wins.
+    The stage starts from whichever block string is one bit flip from
+    prev_end: 1^k 0^(n-k) (walked with the ones marked) or 0^(n-k) 1^k
+    (walked with the zeros marked). Exactly one is a single flip away
+    except for small-n ties, where the first form wins.
     """
     ones_form = BitString.initial(n, k)
     zeros_form = BitString("0" * (n - k) + "1" * k)
     for cand, rev in ((ones_form, False), (zeros_form, True)):
         if len(prev_end.differing_qubits(cand)) == 1:
-            return cand, rev
+            return rev
     raise EncodingError(
         f"no single-flip seed of weight {k} from {prev_end.bits}"
     )
 
 
-def _binary(n: int, x: np.ndarray, with_phases: bool) -> EncoderReport:
+def _binary(n: int, x, with_phases: bool) -> EncoderReport:
+    if n < 1:
+        raise EncodingError("need at least one qubit")
+    x = _as_vector(x, with_phases)
     d = len(x)
     if d != 2**n:
         raise EncodingError(f"need 2^{n} = {2**n} amplitudes, got {d}")
@@ -359,8 +372,7 @@ def _binary(n: int, x: np.ndarray, with_phases: bool) -> EncoderReport:
     # redundant, and full controls keep every loaded amplitude fixed
     walk = [BitString("0" * n)]
     for k in range(1, n + 1):
-        _, rev = _stage_seed(n, k, walk[-1])
-        walk.extend(ehrlich_sequence(n, k, reverse=rev))
+        walk.extend(ehrlich_sequence(n, k, reverse=_stage_seed(n, k, walk[-1])))
     if walk[-1].bits != "1" * n or len(walk) != d:
         raise EncodingError("stage chain failed to cover the basis")
     return _cascade(n, walk, _normalized(x), with_phases)
@@ -374,9 +386,7 @@ def encode_binary(n: int, x) -> EncoderReport:
     class is swept by fully controlled two-wire mixing gates. Parameter
     count is 2^n - 1.
     """
-    if n < 1:
-        raise EncodingError("need at least one qubit")
-    return _binary(n, _as_real_vector(x), with_phases=False)
+    return _binary(n, x, with_phases=False)
 
 
 def encode_binary_complex(n: int, x) -> EncoderReport:
@@ -386,9 +396,4 @@ def encode_binary_complex(n: int, x) -> EncoderReport:
     same controls, every gate carries a phase angle, and a final
     conditioned phase fixes the argument on the all-ones state.
     """
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 1:
-        raise EncodingError("input vector must be one-dimensional")
-    if n < 1:
-        raise EncodingError("need at least one qubit")
     return _binary(n, x, with_phases=True)

@@ -181,9 +181,6 @@ class Circuit:
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "CNOT")
 
-    def extended(self, gates) -> "Circuit":
-        return Circuit(self.n, self.gates + tuple(gates), self.level)
-
 
 # shorthand constructors; X and CNOT gates are frozen and fixed by their labels,
 # so each distinct one is built once and reused (typed, so a True or np.int64

@@ -16,10 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from hwenc.bitstrings import BitString
 from hwenc.compiler import axis_angle
 from hwenc.ir import Circuit, rw
-from hwenc.simulator import NoiseModel, dense_run, run_noisy
+from hwenc.simulator import NoiseModel, _basis_index, dense_run, run_noisy
 
 ROTATION_KINDS = frozenset({"Ry", "Rz", "Rw"})
 
@@ -120,14 +119,6 @@ class MitigationReport:
     bands: dict | None = None
 
 
-def _obs_index(obs) -> int:
-    if isinstance(obs, BitString):
-        return obs.to_index()
-    if isinstance(obs, str):
-        return BitString(obs).to_index()
-    return int(obs)
-
-
 def rotation_positions(circuit: Circuit) -> list[int]:
     """Gate indices eligible for Clifford replacement."""
     positions = []
@@ -175,14 +166,15 @@ def build_training_set(ensemble, noise: NoiseModel, shots: int,
 
     Noiseless values come from exact simulation, noisy ones from sampled
     trajectory runs with per-circuit seeds drawn from the noise model's
-    seed.  Returns {observable: array of shape (len(ensemble), 2)} with
+    seed.  Observables are basis states as ``simulator._basis_index`` reads
+    them.  Returns {observable: array of shape (len(ensemble), 2)} with
     columns (noisy, noiseless).
     """
     keys = list(observables)
-    indices = [_obs_index(k) for k in keys]
     rng = np.random.default_rng(noise.seed)
     pairs = {k: np.zeros((len(ensemble), 2)) for k in keys}
     for j, circ in enumerate(ensemble):
+        indices = [_basis_index(k, circ.n, "observable") for k in keys]
         exact = np.abs(dense_run(circ)) ** 2
         counts = run_noisy(circ, noise, shots, seed=int(rng.integers(2**63)))
         freq = {b.to_index(): c / shots for b, c in counts.items()}
@@ -232,7 +224,9 @@ def bootstrap_bands(counts: dict, resamples: int, seed: int,
     Resamples the empirical distribution with replacement ``resamples``
     times at the original shot total.  Mass on outcomes outside the
     tracked observables is kept in a spill bucket so the marginals stay
-    faithful.
+    faithful.  Counts are keyed by BitString or bitstring, and observables
+    are basis states of the same width as ``simulator._basis_index`` reads
+    them.
     """
     if resamples < 2:
         raise ValueError("need at least two bootstrap resamples")
@@ -241,10 +235,11 @@ def bootstrap_bands(counts: dict, resamples: int, seed: int,
         raise ValueError("need at least one shot")
     keys = (sorted(counts, key=str) if observables is None
             else list(observables))
-    tracked = {_obs_index(k): i for i, k in enumerate(keys)}
+    n = len(str(next(iter(counts))))
+    tracked = {_basis_index(k, n, "observable"): i for i, k in enumerate(keys)}
     p = np.zeros(len(keys) + 1)
     for b, c in counts.items():
-        i = tracked.get(_obs_index(b))
+        i = tracked.get(_basis_index(b, n, "outcome"))
         if i is None:
             p[-1] += c
         else:
@@ -266,7 +261,7 @@ def mitigate_circuit(circuit: Circuit, observables, noise: NoiseModel,
     derives from config.seed.
     """
     keys = list(observables)
-    indices = [_obs_index(k) for k in keys]
+    indices = [_basis_index(k, circuit.n, "observable") for k in keys]
     s_raw, s_ens, s_noise, s_boot = (
         int(s) for s in np.random.SeedSequence(config.seed).generate_state(4)
     )

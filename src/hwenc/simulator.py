@@ -58,21 +58,12 @@ class SparseState:
     def zero(cls, n: int) -> "SparseState":
         return cls(n, {0: 1.0 + 0j})
 
-    @classmethod
-    def basis(cls, b: BitString) -> "SparseState":
-        return cls(b.n, {b.to_index(): 1.0 + 0j})
-
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
 
     def amplitude(self, b) -> complex:
-        if isinstance(b, BitString):
-            idx = b.to_index()
-        elif isinstance(b, str):
-            idx = BitString(b).to_index()
-        else:
-            idx = int(b)
-        return self.amps.get(idx, 0j)
+        """Amplitude of one basis state, given as ``_basis_index`` reads it."""
+        return self.amps.get(_basis_index(b, self.n), 0j)
 
     def probabilities(self) -> dict[BitString, float]:
         return {
@@ -191,38 +182,46 @@ def apply_gate(amps: dict[int, complex], gate: Gate) -> dict[int, complex]:
     return dict(zip(idx.tolist(), amp.tolist()))
 
 
-def _basis_index(index, n: int) -> int:
-    """``index`` as a Python int; a bool, a non-integer or an index outside
-    [0, 2^n) raises ValueError."""
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-        raise ValueError(f"initial index {index!r} is not an integer")
-    index = int(index)
-    if not 0 <= index < 1 << n:
-        raise ValueError(f"initial index {index} outside [0, 2^{n})")
-    return index
+def _basis_index(ref, n: int, what: str = "basis state") -> int:
+    """The index in [0, 2^n) of one basis state of n qubits.
+
+    ``ref`` is a BitString or a bitstring of width n, or a Python or NumPy
+    integer in range.  A bool, a non-integer, another width or an index out
+    of range raises ValueError naming ``what``.
+    """
+    if isinstance(ref, str):
+        ref = BitString(ref)
+    if isinstance(ref, BitString):
+        if ref.n != n:
+            raise ValueError(f"{what} has {ref.n} qubits, expected {n}")
+        return ref.to_index()
+    if isinstance(ref, bool) or not isinstance(ref, (int, np.integer)):
+        raise ValueError(f"{what} {ref!r} is not an integer or a bitstring")
+    ref = int(ref)
+    if not 0 <= ref < 1 << n:
+        raise ValueError(f"{what} {ref} outside [0, 2^{n})")
+    return ref
 
 
 def _initial_amps(n: int, initial) -> dict:
     if initial is None:
         return {0: 1.0 + 0j}
-    if isinstance(initial, (SparseState, BitString)):
+    if isinstance(initial, SparseState):
         if initial.n != n:
-            raise ValueError(f"initial state has {initial.n} qubits, the"
-                             f" circuit {n}")
-        if isinstance(initial, BitString):
-            return {initial.to_index(): 1.0 + 0j}
-        return {_basis_index(i, n): a for i, a in initial.amps.items()}
-    return {_basis_index(initial, n): 1.0 + 0j}
+            raise ValueError(f"initial state has {initial.n} qubits, expected {n}")
+        return {_basis_index(i, n, "initial state"): a
+                for i, a in initial.amps.items()}
+    return {_basis_index(initial, n, "initial state"): 1.0 + 0j}
 
 
 def run(circuit: Circuit, initial=None) -> SparseState:
     """Run a circuit exactly on the sparse array engine.
 
     The state is a sorted index array and its complex amplitudes, one kernel
-    call a gate.  ``initial`` may be a SparseState or a BitString over the
-    circuit's qubits, a basis index in [0, 2^n) (a Python or NumPy integer),
-    or None for the all-zeros state; another width, a bool, a non-integer or
-    an index out of range raises ValueError.  The norm is checked after
+    call a gate.  ``initial`` may be a SparseState over the circuit's qubits,
+    one basis state as ``_basis_index`` reads it, or None for the all-zeros
+    state; another width, a bool, a non-integer or an index out of range
+    raises ValueError.  The norm is checked after
     every gate; its drift past 1e-9 raises ArithmeticError.  Amplitudes
     below 1e-12 are pruned at the end (mid-circuit cancellation residue),
     never during the run.
@@ -266,11 +265,11 @@ def _cnot_permutation(dim: int, ctrl: int, tgt: int) -> np.ndarray:
     return index ^ (((index >> (ctrl - 1)) & 1) << (tgt - 1))
 
 
-def dense_run(circuit: Circuit, initial: int = 0) -> np.ndarray:
+def dense_run(circuit: Circuit, initial=0) -> np.ndarray:
     """Full statevector run of any circuit up to 16 qubits.
 
-    ``initial`` is a basis index in [0, 2^n), a Python or NumPy integer;
-    a bool, a non-integer or an index out of range raises ValueError.
+    ``initial`` is one basis state as ``_basis_index`` reads it; a bool, a
+    non-integer, another width or an index out of range raises ValueError.
     CNOTs are an index permutation and plain one-qubit gates a 2x2 block
     on one axis; controlled and mixing gates run the sparse pair kernel
     over every index.
@@ -279,7 +278,7 @@ def dense_run(circuit: Circuit, initial: int = 0) -> np.ndarray:
     if n > 16:
         raise ValueError("dense run limited to 16 qubits")
     vec = np.zeros(2**n, dtype=complex)
-    vec[_basis_index(initial, n)] = 1.0
+    vec[_basis_index(initial, n, "initial state")] = 1.0
     for g in circuit.gates:
         vec = _apply_gate_dense(vec, g)
     return vec

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -278,6 +280,18 @@ class TestSimulate:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "/no/such/file.json")
         assert code == 1 and err.startswith("error:")
+        assert "/no/such/file.json" in err
+
+    def test_closed_output_pipe_is_quiet(self, capsys, monkeypatch, circuit_file):
+        circ, _, _ = circuit_file
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        # line-buffered, so the first printed line reaches the closed pipe
+        with open(write_end, "w", buffering=1) as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            code = main(["simulate", circ, "--shots", "20"])
+            assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        assert code == 1 and capsys.readouterr().err == ""
 
 
 class TestDemo:

@@ -4,7 +4,10 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hwenc.bitstrings import BitString
 from hwenc.compiler import compile_grbs, compile_mcry, compile_rbs, lower
 from hwenc.counting import (
     BudgetRow,
@@ -193,6 +196,38 @@ class TestSparseBudget:
             count_sparse(4, ["011"])
         with pytest.raises(ValueError, match="at least one"):
             count_sparse(4, [])
+
+
+@st.composite
+def sparse_inputs(draw):
+    """(n, weight-sorted addresses, values, complex?) with real positive
+    values, or values whose imaginary parts are all nonzero."""
+    n = draw(st.integers(2, 7))
+    picks = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=10,
+                          unique=True))
+    addresses = sorted((BitString.from_index(n, i) for i in picks),
+                       key=lambda b: b.weight)
+    size = st.floats(0.1, 10.0)
+    mags = draw(st.lists(size, min_size=len(picks), max_size=len(picks)))
+    complex_amplitudes = draw(st.booleans())
+    if complex_amplitudes:
+        turn = st.floats(0.1, 3.0)
+        args = draw(st.lists(turn, min_size=len(picks), max_size=len(picks)))
+        values = [m * np.exp(1j * a) for m, a in zip(mags, args)]
+    else:
+        values = mags
+    return n, addresses, values, complex_amplitudes
+
+
+class TestSparseBudgetPricesTheCircuit:
+    @given(sparse_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_sum_the_encoded_gate_bounds(self, case):
+        # budget and circuit read their wires off one walk
+        n, addresses, values, complex_amplitudes = case
+        rep = encode_sparse(n, list(zip(values, addresses)))
+        budget = count_sparse(n, addresses, complex_amplitudes)
+        assert budget.total == sum(gate_cnot_bound(g) for g in rep.circuit.gates)
 
 
 class TestBinaryBudget:

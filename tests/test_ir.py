@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hwenc.compiler import lower
 from hwenc.ir import (
+    GATE_KINDS,
     Circuit,
     Gate,
     SerializationError,
@@ -329,7 +330,54 @@ class TestMixingSemantics:
             gate_unitary(x_gate(1), 13)
 
 
+@st.composite
+def logical_gates(draw, n):
+    """One gate of any kind on n qubits, with random angles and wires."""
+    kind = draw(st.sampled_from(GATE_KINDS))
+    wires = draw(st.permutations(range(1, n + 1)))
+    if kind == "CNOT":
+        return cnot(wires[0], wires[1])
+    if kind == "X":
+        return x_gate(wires[0])
+    if kind in ("RBS", "ComplexRBS"):
+        m, mp = 1, 1
+    elif kind == "GRBS":
+        m = draw(st.integers(0, min(2, n - 1)))
+        mp = draw(st.integers(1, min(2, n - m)))
+    else:
+        m, mp = 1, 0
+    rest = wires[m + mp:]
+    c = draw(st.integers(0, len(rest)))
+    a = draw(st.integers(0, len(rest) - c))
+    angle = st.floats(-10.0, 10.0)
+    axis = None
+    if kind == "Rw":
+        v = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda v: math.hypot(*v) > 1e-3))
+        axis = tuple(x / math.hypot(*v) for x in v)
+    return Gate(
+        kind,
+        theta=draw(angle) if kind in ("Ry", "Rw", "RBS", "ComplexRBS", "GRBS") else None,
+        phi=draw(angle) if kind in ("Rz", "AntiPhase", "ComplexRBS", "GRBS") else None,
+        axis=axis,
+        ins=tuple(wires[:m]),
+        outs=tuple(wires[m:m + mp]),
+        ctrls=tuple(rest[:c]),
+        anti_ctrls=tuple(rest[c:c + a]),
+    )
+
+
+@st.composite
+def logical_circuits(draw):
+    n = draw(st.integers(2, 6))
+    return Circuit(n, tuple(draw(st.lists(logical_gates(n), max_size=8))))
+
+
 class TestSerialization:
+    @given(logical_circuits())
+    def test_random_logical_circuits_round_trip(self, circuit):
+        assert deserialize(serialize(circuit)) == circuit
+
     def round_trip(self, circuit):
         text = serialize(circuit)
         back = deserialize(text)

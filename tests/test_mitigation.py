@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hwenc.bitstrings import BitString
 from hwenc.compiler import lower
 from hwenc.encoders import encode_dense_real
 from hwenc.ir import Circuit, ry
@@ -185,6 +186,32 @@ class TestRegression:
         assert abs(mean_relative_error(values, target) - want) < 1e-12
         with pytest.raises(ValueError, match="mass"):
             mean_relative_error({"a": 1.0}, {"a": 0.0})
+
+
+class TestObservableReferences:
+    @pytest.fixture(scope="class")
+    def ensemble(self):
+        circuit, _ = small_lowered()
+        cfg = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=2,
+                        shots=100, seed=4)
+        return near_clifford_ensemble(circuit, cfg)
+
+    @pytest.mark.parametrize("obs", [1.9, True, "011", 16])
+    def test_non_basis_states_rejected(self, ensemble, obs):
+        with pytest.raises(ValueError, match="observable"):
+            build_training_set(ensemble, NoiseModel(0.01, seed=1), 100, [obs])
+        with pytest.raises(ValueError, match="observable"):
+            bootstrap_bands({"0011": 7, "0101": 3}, 10, 1, observables=[obs])
+
+    def test_every_reference_form_reads_the_same_state(self, ensemble):
+        b = BitString("0011")
+        refs = [b, "0011", 3, np.int64(3)]
+        pairs = build_training_set(ensemble, NoiseModel(0.01, seed=1), 100, refs)
+        counts = {"0011": 7, "0101": 3}
+        bands = bootstrap_bands(counts, 10, 1, observables=[b])[b]
+        for ref in refs:
+            np.testing.assert_array_equal(pairs[ref], pairs[b])
+            assert bootstrap_bands(counts, 10, 1, observables=[ref])[ref] == bands
 
 
 class TestTrainingSet:

@@ -184,6 +184,16 @@ class TestSparseState:
         s = SparseState(2, {0b01: 1j})
         np.testing.assert_allclose(s.as_vector(), [0, 1j, 0, 0])
 
+    @pytest.mark.parametrize("ref", [1.5, True, "0101", 4, -1])
+    def test_amplitude_rejects_what_is_not_a_basis_state(self, ref):
+        with pytest.raises(ValueError):
+            SparseState(2, {1: 1.0 + 0j}).amplitude(ref)
+
+    @pytest.mark.parametrize("ref", [BitString("01"), "01", 1, np.int64(1)])
+    def test_amplitude_reads_every_reference_form(self, ref):
+        s = SparseState(2, {1: 0.6 + 0j, 2: 0.8 + 0j})
+        assert s.amplitude(ref) == 0.6
+
 
 class TestRun:
     def test_empty_circuit(self):
