@@ -1,13 +1,21 @@
 """Lowering of logical gates to the {X, Ry, Rz, Rw, CNOT} gate set.
 
-Multi-controlled rotations become Gray-code multiplexors costing exactly
-2^(number of controls) CNOTs; a multiplexor's rotations take only two
-angles, so it builds two rotation gates and reuses them at every step.
+A multi-controlled rotation takes the cheaper of two constructions, priced
+by :func:`_rotation_cnots` before either is built (ties go to the
+multiplexor). A Gray-code multiplexor costs exactly 2^(number of controls)
+CNOTs; its rotations take only two angles, so it builds two rotation gates
+and reuses them at every step. From seven controls on, an ancilla-free
+linear construction is cheaper: 16 * controls - 24 CNOTs, the per-gate
+budget of ``counting.mcry_bound`` (Vale et al., arXiv:2302.06377). It
+splits the controls into two halves and interleaves four multi-controlled
+X gates, each borrowing the other half as dirty ancillas (Barenco et al.
+1995, Lemma 7.2), with two angle-dependent Ry gates on the target; a
+rotation about any other axis reaches it by an uncontrolled basis change.
 Two-wire mixing gates choose between an entangle-rotate-disentangle
 template ("top") and a parity-ladder plus one central multi-controlled
 rotation ("bottom"). Both templates are priced from their rotations'
 control counts before either is built, and only the one needing fewer
-CNOTs is built (ties go to "bottom"). Generalized mixing gates always
+CNOTs is built (ties go to "bottom"). Wider generalized mixing gates always
 take the ladder route. Conditional phase gates unroll into a stack of
 multi-controlled Rz gates with geometrically shrinking angles.
 
@@ -95,11 +103,13 @@ def _multiplexed(emit, tau: float, target: int, ctrls: tuple[int, ...]) -> list[
     """Gray-code rotation stack firing angle tau on the all-ones pattern.
 
     ``emit(angle, target)`` builds one plain rotation. The stack costs
-    exactly 2^len(ctrls) CNOTs and is the identity (not merely a phase)
-    on every other control pattern. Its rotations take only the angles
-    +-tau/2^len(ctrls), so ``emit`` builds those two gates once and every
-    step appends one of them; negation and division by a power of two are
-    sign-symmetric in IEEE arithmetic, so each equals sign * tau / size.
+    exactly 2^len(ctrls) CNOTs, so :func:`_mcry_core` builds it only where
+    that is no dearer than :func:`_linear_rotation`. It is the identity
+    (not merely a phase) on every other control pattern. Its rotations take
+    only the angles +-tau/2^len(ctrls), so ``emit`` builds those two gates
+    once and every step appends one of them; negation and division by a
+    power of two are sign-symmetric in IEEE arithmetic, so each equals
+    sign * tau / size.
     """
     size = 1 << len(ctrls)
     plus = emit(tau / size, target)
@@ -132,9 +142,117 @@ def _is_identity(lam: float) -> bool:
     return abs(math.sin(lam)) < AXIS_TOL and math.cos(lam) > 0
 
 
+def _mcx_cnots(k: int) -> int:
+    """CNOTs of :func:`_mcx` with k >= 1 controls."""
+    return (1, 6)[k - 1] if k < 3 else 8 * k - 6
+
+
+def _linear_cnots(ell: int) -> int:
+    """CNOTs of :func:`_linear_rotation` with ell >= 2 controls.
+
+    Four multi-controlled X gates, two on each half of the controls:
+    16 * ell - 24 once both halves hold three or more, which beats 2^ell
+    from seven on.
+    """
+    return 2 * _mcx_cnots(ell - ell // 2) + 2 * _mcx_cnots(ell // 2)
+
+
 def _rotation_cnots(lam: float, ell: int) -> int:
-    """CNOTs :func:`_mcry_core` spends on exp(i*lam * w.sigma) with ell controls."""
-    return 0 if ell == 0 or _is_identity(lam) else 1 << ell
+    """CNOTs :func:`_mcry_core` spends on exp(i*lam * w.sigma) with ell controls.
+
+    The one price of a multi-controlled rotation: the multiplexor's 2^ell or
+    the linear construction's, whichever is lower.
+    """
+    if ell == 0 or _is_identity(lam):
+        return 0
+    return min(1 << ell, _linear_cnots(ell))
+
+
+@functools.lru_cache(maxsize=4096)
+def _toffoli(a: int, b: int, t: int) -> tuple[Gate, ...]:
+    """Exact Toffoli on target t in six CNOTs, up to a global phase.
+
+    The Clifford+T circuit with H = Rw(pi/2, (x + z)/sqrt2) and T = Rz(pi/8),
+    each equal to the textbook gate up to a phase.
+    """
+    h = rw(np.pi / 2.0, _H_AXIS, t)
+    t_dg, t_t = rz(-np.pi / 8.0, t), rz(np.pi / 8.0, t)
+    return (
+        h, cnot(b, t), t_dg, cnot(a, t), t_t, cnot(b, t), t_dg, cnot(a, t),
+        rz(np.pi / 8.0, b), t_t, h,
+        cnot(a, b), rz(np.pi / 8.0, a), rz(-np.pi / 8.0, b), cnot(a, b),
+    )
+
+
+def _half_margolus(c: int, t: int, sign: float) -> tuple[Gate, ...]:
+    """One CNOT-half of a relative-phase Toffoli; sign -1 is the inverse.
+
+    ``half(+1), CNOT(a, t), half(-1)`` is a Toffoli on target t controlled by
+    a and c times a diagonal of signs (Margolus), in three CNOTs.
+    """
+    rot = ry(sign * np.pi / 8.0, t)
+    return (rot, cnot(c, t), rot)
+
+
+@functools.lru_cache(maxsize=4096)
+def _mcx(ctrls: tuple[int, ...], target: int, spare: tuple[int, ...]) -> tuple[Gate, ...]:
+    """Exact multi-controlled X on ``target``, up to a global phase.
+
+    From three controls on it borrows len(ctrls) - 2 wires of ``spare`` in
+    whatever state they hold and restores them: Barenco et al. Lemma 7.2,
+    ``top, chain, top, chain``. The two top Toffolis act on the target and
+    are exact; the chain computes the AND of the other controls into the
+    last borrowed wire with relative-phase Toffolis, whose phases cancel
+    because the chain is its own inverse and leaves the target alone. Each
+    chain Toffoli meets its mirror image across the lower chain, so its outer
+    halves cancel and two CNOTs remain per level: 8 * len(ctrls) - 6 CNOTs.
+    """
+    k = len(ctrls)
+    if k == 1:
+        return (cnot(ctrls[0], target),)
+    if k == 2:
+        return _toffoli(ctrls[0], ctrls[1], target)
+    c, a = ctrls, spare[: k - 2]
+    down: list[Gate] = []
+    up: list[Gate] = []
+    for i in range(k - 2, 1, -1):
+        # level i flips a[i-1] by c[i] AND a[i-2]
+        down += _half_margolus(c[i], a[i - 1], 1.0) + (cnot(a[i - 2], a[i - 1]),)
+        up = [cnot(a[i - 2], a[i - 1]), *_half_margolus(c[i], a[i - 1], -1.0)] + up
+    bottom = (*_half_margolus(c[1], a[0], 1.0), cnot(c[0], a[0]),
+              *_half_margolus(c[1], a[0], -1.0))
+    chain = (*down, *bottom, *up)
+    top = _toffoli(c[k - 1], a[k - 3], target)
+    return top + chain + top + chain
+
+
+def _linear_rotation(lam: float, axis, t: int, ctrls: tuple[int, ...]) -> list[Gate]:
+    """exp(i*lam * w.sigma) on t under all of ``ctrls`` in _linear_cnots CNOTs.
+
+    With the controls split into halves g1 and g2 and A = Ry(-lam/4), the
+    sequence A, X[g1], A^-1, X[g2], A, X[g1], A^-1, X[g2] is the identity
+    unless both halves fire, and then (X A^-1 X A)^2 = Ry(-lam) = exp(i*lam*Y).
+    Each multi-controlled X borrows the other half. Another axis w reaches Y
+    by the uncontrolled rotation V about w x y with V (w.sigma) V^-1 = Y.
+    """
+    ax, ay, az = axis
+    pre: list[Gate] = []
+    post: list[Gate] = []
+    # w x y = (-az, 0, ax), whose length is the sine of the angle from w to y
+    sin_b = math.hypot(ax, az)
+    if sin_b < AXIS_TOL:
+        lam = lam * math.copysign(1.0, ay)
+    else:
+        half = math.atan2(sin_b, ay) / 2.0
+        unit = (-az / sin_b, 0.0, ax / sin_b)
+        pre.append(rw(-half, unit, t))
+        post.append(rw(half, unit, t))
+    k1 = len(ctrls) - len(ctrls) // 2
+    g1, g2 = ctrls[:k1], ctrls[k1:]
+    first, second = _mcx(g1, t, g2), _mcx(g2, t, g1)
+    a, a_inv = ry(-lam / 4.0, t), ry(lam / 4.0, t)
+    core = [a, *first, a_inv, *second, a, *first, a_inv, *second]
+    return pre + core + post
 
 
 def _mcry_core(gate: Gate, ctrls: tuple[int, ...]) -> list[Gate]:
@@ -160,6 +278,8 @@ def _mcry_core(gate: Gate, ctrls: tuple[int, ...]) -> list[Gate]:
         # exp(i*pi*W) = -I regardless of axis; realize it on the y axis
         lam, axis = np.pi, (0.0, 1.0, 0.0)
 
+    if _rotation_cnots(lam, len(ctrls)) < 1 << len(ctrls):
+        return _linear_rotation(lam, axis, t, ctrls)
     ax, ay, az = axis
     if abs(ax) < AXIS_TOL and abs(az) < AXIS_TOL:
         # exp(i*lam*y*Y) = Ry(-lam*y)
@@ -184,30 +304,45 @@ def _mcry_core(gate: Gate, ctrls: tuple[int, ...]) -> list[Gate]:
 
 
 def compile_rbs(gate: Gate) -> list[Gate]:
-    """Lower a two-wire mixing gate, building only the cheaper of two templates.
+    """Lower a two-wire mixing gate, building only the cheaper of two templates."""
+    if gate.kind not in ("RBS", "ComplexRBS"):
+        raise ValueError(f"compile_rbs cannot lower {gate.kind}")
+    return _cheaper_template(gate)
+
+
+def compile_grbs(gate: Gate) -> list[Gate]:
+    """Lower a generalized mixing gate via the parity-ladder template.
+
+    A generalized gate on two wires is an RBS block (after one X if both
+    wires are out-wires), so it is priced against the "top" template too.
+    """
+    if gate.kind != "GRBS":
+        raise ValueError(f"compile_grbs cannot lower {gate.kind}")
+    if len(gate.ins) + len(gate.outs) == 2:
+        return _cheaper_template(gate)
+    return _mixing_bottom(gate)
+
+
+def _phased(gate: Gate) -> bool:
+    return gate.kind == "ComplexRBS" or bool(gate.phi)
+
+
+def _cheaper_template(gate: Gate) -> list[Gate]:
+    """Build the cheaper template of a mixing gate on two wires.
 
     Each template is priced by :func:`_rotation_cnots` over the rotations
     it would build: "top" is two frame CNOTs plus its Ry (and Rz) stacks,
     "bottom" a two-CNOT ladder plus one rotation with one extra control.
     """
-    if gate.kind not in ("RBS", "ComplexRBS"):
-        raise ValueError(f"compile_rbs cannot lower {gate.kind}")
     ell = len(gate.ctrls) + len(gate.anti_ctrls)
     half = gate.theta / 2.0
     top = 2 + 2 * _rotation_cnots(-half, ell)
-    if gate.kind == "ComplexRBS":
+    if _phased(gate):
         quarter = gate.phi / 2.0
         top += _rotation_cnots(-quarter, ell) + _rotation_cnots(quarter, ell)
     lam, _ = _mixing_central(gate)
     if top < 2 + _rotation_cnots(lam, ell + 1):
         return _rbs_top(gate)
-    return _mixing_bottom(gate)
-
-
-def compile_grbs(gate: Gate) -> list[Gate]:
-    """Lower a generalized mixing gate via the parity-ladder template."""
-    if gate.kind != "GRBS":
-        raise ValueError(f"compile_grbs cannot lower {gate.kind}")
     return _mixing_bottom(gate)
 
 
@@ -223,19 +358,23 @@ def _rbs_top(gate: Gate) -> list[Gate]:
     unconditioned and cancels to the identity when the rotations do not
     fire.
     """
-    src = gate.ins[0]
-    dst = gate.outs[0]
+    if gate.ins:
+        src, dst, flip = gate.ins[0], gate.outs[0], []
+    else:
+        # two out-wires: with the second one flipped it is the in-wire
+        dst, src = gate.outs
+        flip = [x_gate(src)]
     half = gate.theta / 2.0
     ctrls, antis = gate.ctrls, gate.anti_ctrls
-    gates = [rw(np.pi / 2.0, _H_AXIS, src), cnot(src, dst)]
+    gates = flip + [rw(np.pi / 2.0, _H_AXIS, src), cnot(src, dst)]
     gates += compile_mcry(ry(half, src, ctrls=ctrls, anti_ctrls=antis))
     gates += compile_mcry(ry(half, dst, ctrls=ctrls, anti_ctrls=antis))
     gates += [cnot(src, dst), rw(np.pi / 2.0, _H_AXIS, src)]
-    if gate.kind == "ComplexRBS":
+    if _phased(gate):
         quarter = gate.phi / 2.0
         gates += compile_mcry(rz(quarter, src, ctrls=ctrls, anti_ctrls=antis))
         gates += compile_mcry(rz(-quarter, dst, ctrls=ctrls, anti_ctrls=antis))
-    return gates
+    return gates + flip
 
 
 def _mixing_central(gate: Gate) -> tuple[float, tuple[float, float, float]]:
@@ -292,7 +431,8 @@ def compile_anti_phase(gate: Gate) -> list[Gate]:
     one, anti-controls zero) by exp(i*phi). Splitting off one pattern
     bit at a time yields an Rz whose sign tracks the wanted bit plus the
     same problem at half the angle, down to a plain Rz and a discarded
-    global phase: 2^(pattern size) - 2 CNOTs in total.
+    global phase: at most 2^(pattern size) - 2 CNOTs in total, fewer once
+    the widest Rz takes the linear construction.
     """
     if gate.kind != "AntiPhase":
         raise ValueError(f"compile_anti_phase cannot lower {gate.kind}")

@@ -3,10 +3,11 @@
 The per-gate bounds come from a fixed cost table: one column for
 multi-controlled Ry, one for two-wire mixing gates (real and complex
 variants), and a linear formula for generalized mixing gates on three
-or more wires. Budgets sum those columns over the gate census of each
-construction; they are estimates that the actual compiled counts stay
-under for moderate control counts, and the dense budgets additionally
-collapse to closed-form polynomials in n.
+or more wires. Each entry is a ceiling: ``compiler.lower`` never spends
+more CNOTs on a gate than ``gate_cnot_bound`` gives it, whatever its
+control count, so a budget, which sums those entries over the gate census
+of a construction, bounds the lowered circuit. The dense budgets
+additionally collapse to closed-form polynomials in n.
 
 The sparse budget defines none of its inputs itself: its addresses pass the
 encoder's rules (``encoders._check_addresses``), its wires come from the

@@ -160,6 +160,21 @@ def near_clifford_ensemble(circuit: Circuit, config: CdrConfig) -> list[Circuit]
     return ensemble
 
 
+def _observable_indices(keys, n: int) -> list[int]:
+    """The basis index of each observable, as ``simulator._basis_index`` reads it.
+
+    Two observables that read to one index would share one slot, so they
+    raise ValueError naming both.
+    """
+    named: dict[int, object] = {}
+    for k in keys:
+        i = _basis_index(k, n, "observable")
+        if i in named:
+            raise ValueError(f"observables {named[i]!r} and {k!r} are both basis state {i}")
+        named[i] = k
+    return list(named)
+
+
 def build_training_set(ensemble, noise: NoiseModel, shots: int,
                        observables) -> dict:
     """(noisy, noiseless) probability pairs per tracked basis state.
@@ -167,14 +182,14 @@ def build_training_set(ensemble, noise: NoiseModel, shots: int,
     Noiseless values come from exact simulation, noisy ones from sampled
     trajectory runs with per-circuit seeds drawn from the noise model's
     seed.  Observables are basis states as ``simulator._basis_index`` reads
-    them.  Returns {observable: array of shape (len(ensemble), 2)} with
-    columns (noisy, noiseless).
+    them, no two the same state.  Returns {observable: array of shape
+    (len(ensemble), 2)} with columns (noisy, noiseless).
     """
     keys = list(observables)
     rng = np.random.default_rng(noise.seed)
     pairs = {k: np.zeros((len(ensemble), 2)) for k in keys}
     for j, circ in enumerate(ensemble):
-        indices = [_basis_index(k, circ.n, "observable") for k in keys]
+        indices = _observable_indices(keys, circ.n)
         exact = np.abs(dense_run(circ)) ** 2
         counts = run_noisy(circ, noise, shots, seed=int(rng.integers(2**63)))
         freq = {b.to_index(): c / shots for b, c in counts.items()}
@@ -226,7 +241,7 @@ def bootstrap_bands(counts: dict, resamples: int, seed: int,
     tracked observables is kept in a spill bucket so the marginals stay
     faithful.  Counts are keyed by BitString or bitstring, and observables
     are basis states of the same width as ``simulator._basis_index`` reads
-    them.
+    them, no two the same state.
     """
     if resamples < 2:
         raise ValueError("need at least two bootstrap resamples")
@@ -236,7 +251,7 @@ def bootstrap_bands(counts: dict, resamples: int, seed: int,
     keys = (sorted(counts, key=str) if observables is None
             else list(observables))
     n = len(str(next(iter(counts))))
-    tracked = {_basis_index(k, n, "observable"): i for i, k in enumerate(keys)}
+    tracked = {idx: i for i, idx in enumerate(_observable_indices(keys, n))}
     p = np.zeros(len(keys) + 1)
     for b, c in counts.items():
         i = tracked.get(_basis_index(b, n, "outcome"))
@@ -261,7 +276,7 @@ def mitigate_circuit(circuit: Circuit, observables, noise: NoiseModel,
     derives from config.seed.
     """
     keys = list(observables)
-    indices = [_basis_index(k, circuit.n, "observable") for k in keys]
+    indices = _observable_indices(keys, circuit.n)
     s_raw, s_ens, s_noise, s_boot = (
         int(s) for s in np.random.SeedSequence(config.seed).generate_state(4)
     )

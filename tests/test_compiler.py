@@ -1,7 +1,11 @@
 """Compiler tests: unitary equivalence up to global phase, CNOT counts."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwenc import compiler
 from hwenc.compiler import (
@@ -17,9 +21,12 @@ from hwenc.compiler import (
     lower_gate,
     phase_distance,
 )
+from hwenc.counting import gate_cnot_bound
 from hwenc.encoders import encode_binary, encode_dense_complex, encode_dense_real, encode_sparse
 from hwenc.ir import (
     Circuit,
+    Gate,
+    _single_qubit_matrix,
     anti_phase,
     circuit_unitary,
     cnot,
@@ -191,9 +198,12 @@ class TestSharedStackRotations:
             want = lower(Circuit(n, (g,))).circuit
             assert circuit.gates == want.gates, g
             assert serialize(circuit) == serialize(want), g
+            ell = len(g.ctrls) + len(g.anti_ctrls)
+            if compiler._rotation_cnots(1.0, ell) < 1 << ell:
+                continue  # the linear construction, not a stack
             rotations = [x for x in circuit.gates if x.kind == stack]
-            if len(g.ctrls) + len(g.anti_ctrls) >= 2:
-                assert len(rotations) == 1 << (len(g.ctrls) + len(g.anti_ctrls)), g
+            if ell >= 2:
+                assert len(rotations) == 1 << ell, g
             # a regression to one object per step would hold 2^ell of them
             assert len({id(x) for x in rotations}) <= 2, g
 
@@ -207,6 +217,157 @@ class TestSharedStackRotations:
                     assert got == want
                     assert [repr(x) for x in got] == [repr(x) for x in want]
                     assert len({id(x) for x in got[::2]}) == 2
+
+
+def pushed_unitary(gates, n):
+    """Unitary of CNOT-level gates, all identity columns pushed through at once.
+
+    A CNOT permutes rows and a one-qubit gate is a 2x2 on one row axis, so
+    ten wires take a fraction of a second where circuit_unitary takes tens.
+    """
+    dim = 1 << n
+    u = np.eye(dim, dtype=complex)
+    rows = np.arange(dim)
+    for g in gates:
+        if g.kind == "CNOT":
+            c, t = g.ctrls[0], g.target
+            u = u[rows ^ (((rows >> (c - 1)) & 1) << (t - 1))]
+        else:
+            blocks = u.reshape(dim >> g.target, 2, -1)
+            u = np.matmul(_single_qubit_matrix(g), blocks).reshape(dim, dim)
+    return u
+
+
+def test_pushed_unitary_matches_circuit_unitary():
+    rng = np.random.default_rng(59)
+    gates = [cnot(1, 3), ry(0.3, 2), rz(-1.1, 1), rw(0.8, (0.6, 0.0, 0.8), 3),
+             x_gate(2), cnot(3, 2), ry(1.7, 3), cnot(2, 1)]
+    order = [gates[int(i)] for i in rng.integers(0, len(gates), size=40)]
+    want = circuit_unitary(Circuit(3, tuple(order), level="cnot"))
+    assert np.max(np.abs(pushed_unitary(order, 3) - want)) < 1e-12
+
+
+def linear_path_gate(kind, n, rng):
+    """A random gate of one kind using all n wires, controls and anti-controls mixed."""
+    wires = [int(q) for q in rng.permutation(np.arange(1, n + 1))]
+    m, mp = {"RBS": (1, 1), "ComplexRBS": (1, 1)}.get(kind, (1, 0))
+    if kind == "GRBS":
+        m = int(rng.integers(0, 4))
+        mp = int(rng.integers(max(1, 2 - m), 4))
+    ins, outs = tuple(sorted(wires[:m])), tuple(sorted(wires[m:m + mp]))
+    rest = wires[m + mp:]
+    cut = int(rng.integers(1, len(rest)))
+    wiring = dict(ctrls=tuple(sorted(rest[cut:])), anti_ctrls=tuple(sorted(rest[:cut])))
+    theta, phi = (float(v) for v in rng.uniform(-3, 3, size=2))
+    axis = rng.normal(size=3)
+    axis = tuple(float(v) for v in axis / np.linalg.norm(axis))
+    if kind == "Ry":
+        return ry(theta, ins[0], **wiring)
+    if kind == "Rz":
+        return rz(phi, ins[0], **wiring)
+    if kind == "Rw":
+        return rw(theta, axis, ins[0], **wiring)
+    if kind == "RBS":
+        return rbs(theta, ins[0], outs[0], **wiring)
+    if kind == "ComplexRBS":
+        return complex_rbs(theta, phi, ins[0], outs[0], **wiring)
+    return grbs(theta, phi, ins, outs, **wiring)
+
+
+class TestLinearRotations:
+    """From seven controls on, rotations take the 16 * ell - 24 CNOT construction."""
+
+    KINDS = ("Ry", "Rz", "Rw", "RBS", "ComplexRBS", "GRBS")
+
+    def test_exact_on_seven_to_ten_wires(self):
+        rng = np.random.default_rng(60)
+        cases = [(kind, n) for n in (7, 8, 9) for kind in self.KINDS]
+        cases += [("GRBS", 10)]
+        linear = 0
+        for kind, n in cases:
+            g = linear_path_gate(kind, n, rng)
+            lowered = lower_gate(g)
+            dist = phase_distance(gate_unitary(g, n), pushed_unitary(lowered, n))
+            assert dist < TOL, (g, dist)
+            # a stack would cost 2^(n-1) CNOTs for its widest rotation
+            linear += cnots(lowered) < 1 << (n - 1)
+        # eight wires or more give the widest rotation at least seven controls
+        assert linear == sum(n >= 8 for _, n in cases), linear
+
+    def test_half_turn_and_axes(self):
+        # -I under eight controls is a controlled phase; it and the pure
+        # y, -y and z axes take the same construction
+        ctrls, antis = (1, 3, 5, 7), (2, 4, 8, 9)
+        for lam, axis in ((np.pi, (0.48, -0.6, 0.64)), (0.9, (0.0, 1.0, 0.0)),
+                          (0.9, (0.0, -1.0, 0.0)), (0.9, (0.0, 0.0, 1.0))):
+            g = rw(lam, axis, 6, ctrls=ctrls, anti_ctrls=antis)
+            lowered = compile_mcry(g)
+            assert cnots(lowered) == 16 * 8 - 24
+            assert phase_distance(gate_unitary(g, 9), pushed_unitary(lowered, 9)) < TOL
+
+    def test_fixed_gates_built_once(self):
+        ctrls = tuple(range(2, 10))
+        first = compile_mcry(ry(0.4, 1, ctrls=ctrls))
+        second = compile_mcry(ry(-1.3, 1, ctrls=ctrls))
+        assert len(first) == len(second)
+        # only the two target rotations depend on the angle
+        differ = [i for i, (a, b) in enumerate(zip(first, second)) if a is not b]
+        assert [first[i].kind for i in differ] == ["Ry"] * 4
+        assert len({id(first[i]) for i in differ}) == 2
+        assert {first[i].theta for i in differ} == {-0.4 / 4, 0.4 / 4}
+
+    def test_lowered_binary_emits_its_cnots(self):
+        rep = encode_binary(8, np.random.default_rng(61).normal(size=256))
+        result = lower(rep.circuit)
+        cx = sum(line.startswith("cx ") for line in emit_qasm(result.circuit).splitlines())
+        assert cx == result.cnot_total == cnots(result.circuit.gates)
+
+
+@st.composite
+def any_gate(draw):
+    """A gate of a random rotating kind on up to nine wires, with its width."""
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(("Ry", "Rz", "Rw", "AntiPhase", "RBS", "ComplexRBS",
+                                 "GRBS")))
+    wires = draw(st.permutations(range(1, n + 1)))
+    if kind in ("RBS", "ComplexRBS"):
+        m, mp = 1, 1
+    elif kind == "GRBS":
+        m = draw(st.integers(0, min(3, n - 1)))
+        mp = draw(st.integers(1, min(3, n - m)))
+    else:
+        m, mp = 1, 0
+    rest = wires[m + mp:]
+    # at most two wires left idle, so wide gates come up often
+    used = len(rest) - draw(st.integers(0, min(2, len(rest))))
+    c = draw(st.integers(0, used))
+    a = used - c
+    angle = st.floats(-10.0, 10.0)
+    axis = None
+    if kind == "Rw":
+        v = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 1e-3))
+        axis = tuple(x / math.hypot(*v) for x in v)
+    gate = Gate(
+        kind,
+        theta=draw(angle) if kind in ("Ry", "Rw", "RBS", "ComplexRBS", "GRBS") else None,
+        phi=draw(angle) if kind in ("Rz", "AntiPhase", "ComplexRBS", "GRBS") else None,
+        axis=axis,
+        ins=tuple(wires[:m]),
+        outs=tuple(wires[m:m + mp]),
+        ctrls=tuple(rest[:c]),
+        anti_ctrls=tuple(rest[c:c + a]),
+    )
+    return n, gate
+
+
+class TestLoweringProperty:
+    @given(any_gate())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_and_within_bound(self, case):
+        n, g = case
+        lowered = lower_gate(g)
+        assert phase_distance(gate_unitary(g, n), pushed_unitary(lowered, n)) < TOL
+        assert cnots(lowered) <= gate_cnot_bound(g)
 
 
 class TestMixingGates:
@@ -277,6 +438,8 @@ class TestMixingGates:
             ctrls = tuple(range(m + mp + 1, m + mp + ell + 1))
             g = grbs(0.7, 0.4, ins, outs, ctrls=ctrls)
             want = 2 * (m + mp - 1) + 2 ** (ell + m + mp - 1)
+            if m + mp == 2 and ell == 0:
+                want = 2  # the "top" template, as for an RBS
             assert cnots(compile_grbs(g)) == want, (m, mp, ell)
 
     def test_grbs_raising_no_ins(self):
@@ -288,6 +451,8 @@ class TestMixingGates:
             n = mp + ell
             assert_equivalent(g, lowered, n)
             want = 2 * (mp - 1) + 2 ** (ell + mp - 1)
+            if mp == 2 and ell == 0:
+                want = 2  # one X makes it an RBS block on the "top" template
             assert cnots(lowered) == want
 
     def test_rejects_wrong_kinds(self):

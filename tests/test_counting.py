@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hwenc import compiler
 from hwenc.bitstrings import BitString
 from hwenc.compiler import compile_grbs, compile_mcry, compile_rbs, lower
 from hwenc.counting import (
@@ -20,8 +21,8 @@ from hwenc.counting import (
     mcry_bound,
     rbs_bound,
 )
-from hwenc.encoders import encode_binary, encode_dense_real, encode_sparse
-from hwenc.ir import complex_rbs, grbs, rbs, ry
+from hwenc.encoders import encode_binary, encode_binary_complex, encode_dense_real, encode_sparse
+from hwenc.ir import complex_rbs, grbs, rbs, rw, ry, rz
 
 SPARSE_ADDRESSES = [
     "000111", "001011", "001110", "010011", "011010", "100101", "111010",
@@ -61,39 +62,56 @@ class TestColumns:
 
 
 class TestActualUnderBound:
-    def test_rotations_dominated_through_seven(self):
-        for ell in range(8):
-            g = ry(0.7, ell + 1, ctrls=tuple(range(1, ell + 1)))
-            actual = cnots(compile_mcry(g))
-            if ell + 1 <= 7:
-                assert actual <= mcry_bound(ell), ell
-        # the table stops dominating at eight wires involved
-        g = ry(0.7, 8, ctrls=tuple(range(1, 8)))
-        assert cnots(compile_mcry(g)) > mcry_bound(7)
+    """The table is a ceiling: no gate lowers to more CNOTs than its bound."""
 
-    def test_mixing_dominated_through_seven(self):
-        for ell in range(6):
-            g = rbs(0.7, ell + 1, ell + 2, ctrls=tuple(range(1, ell + 1)))
-            actual = cnots(compile_rbs(g))
-            if ell + 2 <= 7:
-                assert actual <= rbs_bound(ell), ell
-            g = complex_rbs(0.7, 0.4, ell + 1, ell + 2, ctrls=tuple(range(1, ell + 1)))
-            actual = cnots(compile_rbs(g))
-            if ell + 2 <= 7:
-                assert actual <= rbs_bound(ell, True), ell
-        assert cnots(compile_rbs(rbs(0.7, 7, 8, ctrls=tuple(range(1, 7))))) > rbs_bound(6)
+    @staticmethod
+    def wiring(first, ell):
+        # controls and anti-controls alternate, so both kinds reach every width
+        wires = tuple(range(first, first + ell))
+        return dict(ctrls=wires[::2], anti_ctrls=wires[1::2])
 
-    def test_generalized_dominated_through_seven(self):
-        for m in range(1, 4):
-            for mp in range(max(1, 3 - m), 4):
-                for ell in range(0, 8 - m - mp):
-                    ins = tuple(range(1, m + 1))
-                    outs = tuple(range(m + 1, m + mp + 1))
-                    ctrls = tuple(range(m + mp + 1, m + mp + ell + 1))
-                    g = grbs(0.7, 0.0, ins, outs, ctrls=ctrls)
-                    assert cnots(compile_grbs(g)) <= grbs_bound(m, mp, ell), (m, mp, ell)
-                    g = grbs(0.7, 0.4, ins, outs, ctrls=ctrls)
-                    assert cnots(compile_grbs(g)) <= grbs_bound(m, mp, ell, True)
+    def test_rotations_dominated_through_twelve(self):
+        ax = (0.48, -0.6, 0.64)
+        for ell in range(13):
+            wires = self.wiring(2, ell)
+            for g in (ry(0.7, 1, **wires), rz(0.7, 1, **wires), rw(0.7, ax, 1, **wires),
+                      rw(np.pi, ax, 1, **wires)):
+                assert cnots(compile_mcry(g)) <= gate_cnot_bound(g) == mcry_bound(ell), (
+                    g.kind, ell)
+
+    def test_mixing_dominated_through_twelve(self):
+        for ell in range(13):
+            wires = self.wiring(3, ell)
+            g = rbs(0.7, 1, 2, **wires)
+            assert cnots(compile_rbs(g)) <= gate_cnot_bound(g) == rbs_bound(ell), ell
+            g = complex_rbs(0.7, 0.4, 2, 1, **wires)
+            assert cnots(compile_rbs(g)) <= gate_cnot_bound(g) == rbs_bound(ell, True), ell
+
+    def test_generalized_dominated_through_twelve(self):
+        # every split of one to six mixed wires, the two-wire ones included
+        for m in range(4):
+            for mp in range(1, 4):
+                ins = tuple(range(1, m + 1))
+                outs = tuple(range(m + 1, m + mp + 1))
+                for ell in range(13):
+                    wires = self.wiring(m + mp + 1, ell)
+                    for phi in (0.0, 0.4):
+                        g = grbs(0.7, phi, ins, outs, **wires)
+                        assert cnots(compile_grbs(g)) <= gate_cnot_bound(g), (m, mp, ell, phi)
+
+    def test_priced_cnots_are_emitted(self):
+        # _rotation_cnots prices the construction _mcry_core then builds
+        for ell in range(13):
+            for lam in (0.0, 0.7, -2.1, np.pi):
+                for axis in ((0.0, 1.0, 0.0), (0.0, 0.0, -1.0), (0.48, -0.6, 0.64)):
+                    g = rw(lam, axis, 1, ctrls=tuple(range(2, ell + 2)))
+                    assert cnots(compile_mcry(g)) == compiler._rotation_cnots(lam, ell), (
+                        ell, lam, axis)
+        for ell in range(2, 13):
+            built = compiler._linear_rotation(0.7, (0.0, 1.0, 0.0), 1, tuple(range(2, ell + 2)))
+            assert cnots(built) == compiler._linear_cnots(ell), ell
+            if ell >= 6:
+                assert compiler._linear_cnots(ell) == mcry_bound(ell), ell
 
     def test_exact_at_small_controls(self):
         # the real column is met exactly up to two controls, the complex
@@ -269,6 +287,19 @@ class TestBinaryBudget:
         for n in range(2, 7):
             rep = encode_binary(n, rng.normal(size=2**n))
             assert lower(rep.circuit).cnot_total <= count_binary(n).total, n
+
+    def test_lowered_within_budget_through_twelve(self):
+        rng = np.random.default_rng(64)
+        for n in range(1, 13):
+            x = rng.normal(size=2**n)
+            real = lower(encode_binary(n, x).circuit).cnot_total
+            assert real <= count_binary(n).total, n
+            if n == 10:
+                assert real == 44_472  # 60,032 when every rotation was a stack
+            # count_binary prices the real gates; phased ones have their own columns
+            phased = encode_binary_complex(n, x + 1j * rng.normal(size=2**n)).circuit
+            bound = sum(gate_cnot_bound(g) for g in phased.gates)
+            assert lower(phased).cnot_total <= bound, n
 
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError, match="at least one"):

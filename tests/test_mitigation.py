@@ -1,6 +1,7 @@
 """Mitigation tests: Clifford pool, ensembles, regression, bootstrap."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,13 +206,26 @@ class TestObservableReferences:
 
     def test_every_reference_form_reads_the_same_state(self, ensemble):
         b = BitString("0011")
-        refs = [b, "0011", 3, np.int64(3)]
-        pairs = build_training_set(ensemble, NoiseModel(0.01, seed=1), 100, refs)
+        noise = NoiseModel(0.01, seed=1)
+        pairs = build_training_set(ensemble, noise, 100, [b])[b]
         counts = {"0011": 7, "0101": 3}
         bands = bootstrap_bands(counts, 10, 1, observables=[b])[b]
-        for ref in refs:
-            np.testing.assert_array_equal(pairs[ref], pairs[b])
+        for ref in [b, "0011", 3, np.int64(3)]:
+            got = build_training_set(ensemble, noise, 100, [ref])[ref]
+            np.testing.assert_array_equal(got, pairs)
             assert bootstrap_bands(counts, 10, 1, observables=[ref])[ref] == bands
+
+    def test_one_state_named_twice_rejected(self, ensemble):
+        # one slot per basis state would leave all but the last name at zero
+        twice = [BitString("0011"), "0011", 3]
+        with pytest.raises(ValueError, match=re.escape("BitString(bits='0011') and '0011'")):
+            bootstrap_bands({"0011": 7, "0101": 3}, 10, 1, observables=twice)
+        with pytest.raises(ValueError, match="'0011' and 3 are both basis state 3"):
+            build_training_set(ensemble, NoiseModel(0.01, seed=1), 100, twice[1:])
+        circuit, _ = small_lowered()
+        cfg = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=2, shots=100, seed=4)
+        with pytest.raises(ValueError, match=re.escape("5 and '0101'")):
+            mitigate_circuit(circuit, [5, "0101"], NoiseModel(0.01, seed=1), cfg)
 
 
 class TestTrainingSet:
