@@ -151,6 +151,11 @@ def _cmd_count(args) -> int:
         print(json.dumps({"check_8n2n": checks, "ok": True}, indent=2))
         return 0
     if args.binary:
+        # the full-basis budget is real and analytic only
+        if args.complex_amplitudes:
+            raise ValueError("count --binary has no --complex budget")
+        if args.mode != "analytic":
+            raise ValueError(f"count --binary has no --mode {args.mode}")
         payload = _budget_payload(count_binary(args.n))
         payload["n"] = args.n
         print(json.dumps(payload, indent=2))

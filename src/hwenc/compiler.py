@@ -1,16 +1,18 @@
 """Lowering of logical gates to the {X, Ry, Rz, Rw, CNOT} gate set.
 
-A multi-controlled rotation takes the cheaper of two constructions, priced
-by :func:`_rotation_cnots` before either is built (ties go to the
-multiplexor). A Gray-code multiplexor costs exactly 2^(number of controls)
-CNOTs; its rotations take only two angles, so it builds two rotation gates
-and reuses them at every step. From seven controls on, an ancilla-free
-linear construction is cheaper: 16 * controls - 24 CNOTs, the per-gate
-budget of ``counting.mcry_bound`` (Vale et al., arXiv:2302.06377). It
-splits the controls into two halves and interleaves four multi-controlled
-X gates, each borrowing the other half as dirty ancillas (Barenco et al.
-1995, Lemma 7.2), with two angle-dependent Ry gates on the target; a
-rotation about any other axis reaches it by an uncontrolled basis change.
+A multi-controlled rotation about an axis w becomes one about Y: one
+uncontrolled rotation about w x y turns the axis before it, and its inverse
+turns it back after. The controlled Y rotation takes the cheaper of two
+constructions, priced by :func:`_rotation_cnots` before either is built
+(ties go to the multiplexor). A Gray-code Ry multiplexor costs exactly
+2^(number of controls) CNOTs; its rotations take only two angles, so it
+builds two Ry gates and reuses them at every step. From seven controls on,
+an ancilla-free linear construction is cheaper: 16 * controls - 24 CNOTs,
+the per-gate budget of ``counting.mcry_bound`` (Vale et al.,
+arXiv:2302.06377). It splits the controls into two halves and interleaves
+four multi-controlled X gates, each borrowing the other half as dirty
+ancillas (Barenco et al. 1995, Lemma 7.2), with two angle-dependent Ry
+gates on the target.
 Two-wire mixing gates choose between an entangle-rotate-disentangle
 template ("top") and a parity-ladder plus one central multi-controlled
 rotation ("bottom"). Both templates are priced from their rotations'
@@ -99,21 +101,20 @@ def _gray_steps(ell: int) -> tuple[tuple[float, int], ...]:
     return tuple(steps)
 
 
-def _multiplexed(emit, tau: float, target: int, ctrls: tuple[int, ...]) -> list[Gate]:
-    """Gray-code rotation stack firing angle tau on the all-ones pattern.
+def _multiplexed(tau: float, target: int, ctrls: tuple[int, ...]) -> list[Gate]:
+    """Gray-code Ry stack firing Ry(tau) on the all-ones pattern.
 
-    ``emit(angle, target)`` builds one plain rotation. The stack costs
-    exactly 2^len(ctrls) CNOTs, so :func:`_mcry_core` builds it only where
-    that is no dearer than :func:`_linear_rotation`. It is the identity
-    (not merely a phase) on every other control pattern. Its rotations take
-    only the angles +-tau/2^len(ctrls), so ``emit`` builds those two gates
-    once and every step appends one of them; negation and division by a
-    power of two are sign-symmetric in IEEE arithmetic, so each equals
+    The stack costs exactly 2^len(ctrls) CNOTs, so :func:`_mcry_core` builds
+    it only where that is no dearer than :func:`_linear_rotation`. It is the
+    identity (not merely a phase) on every other control pattern. Its
+    rotations take only the angles +-tau/2^len(ctrls), so it builds those two
+    gates once and every step appends one of them; negation and division by
+    a power of two are sign-symmetric in IEEE arithmetic, so each equals
     sign * tau / size.
     """
     size = 1 << len(ctrls)
-    plus = emit(tau / size, target)
-    minus = emit(-tau / size, target)
+    plus = ry(tau / size, target)
+    minus = ry(-tau / size, target)
     gates: list[Gate] = []
     for sign, wire in _gray_steps(len(ctrls)):
         gates.append(plus if sign > 0 else minus)
@@ -121,20 +122,16 @@ def _multiplexed(emit, tau: float, target: int, ctrls: tuple[int, ...]) -> list[
     return gates
 
 
-def _with_anti_conjugation(gate: Gate, core) -> list[Gate]:
-    """Turn anti-controls into controls by sandwiching with X gates."""
-    if not gate.anti_ctrls:
-        return core(gate, gate.ctrls)
-    flips = [x_gate(q) for q in gate.anti_ctrls]
-    merged = tuple(sorted(gate.ctrls + gate.anti_ctrls))
-    return flips + core(gate, merged) + list(reversed(flips))
-
-
 def compile_mcry(gate: Gate) -> list[Gate]:
-    """Lower a (multi-)controlled Ry, Rz, or Rw to the CNOT-level set."""
+    """Lower a (multi-)controlled Ry, Rz, or Rw to the CNOT-level set.
+
+    Anti-controls become controls between X flips.
+    """
     if gate.kind not in ("Ry", "Rz", "Rw"):
         raise ValueError(f"compile_mcry cannot lower {gate.kind}")
-    return _with_anti_conjugation(gate, _mcry_core)
+    flips = [x_gate(q) for q in gate.anti_ctrls]
+    merged = tuple(sorted(gate.ctrls + gate.anti_ctrls))
+    return flips + _mcry_core(gate, merged) + flips[::-1]
 
 
 def _is_identity(lam: float) -> bool:
@@ -226,18 +223,46 @@ def _mcx(ctrls: tuple[int, ...], target: int, spare: tuple[int, ...]) -> tuple[G
     return top + chain + top + chain
 
 
-def _linear_rotation(lam: float, axis, t: int, ctrls: tuple[int, ...]) -> list[Gate]:
-    """exp(i*lam * w.sigma) on t under all of ``ctrls`` in _linear_cnots CNOTs.
+def _linear_rotation(lam: float, t: int, ctrls: tuple[int, ...]) -> list[Gate]:
+    """exp(i*lam*Y) on t under all of ``ctrls`` in _linear_cnots CNOTs.
 
     With the controls split into halves g1 and g2 and A = Ry(-lam/4), the
     sequence A, X[g1], A^-1, X[g2], A, X[g1], A^-1, X[g2] is the identity
     unless both halves fire, and then (X A^-1 X A)^2 = Ry(-lam) = exp(i*lam*Y).
-    Each multi-controlled X borrows the other half. Another axis w reaches Y
-    by the uncontrolled rotation V about w x y with V (w.sigma) V^-1 = Y.
+    Each multi-controlled X borrows the other half.
     """
-    ax, ay, az = axis
-    pre: list[Gate] = []
-    post: list[Gate] = []
+    k1 = len(ctrls) - len(ctrls) // 2
+    g1, g2 = ctrls[:k1], ctrls[k1:]
+    first, second = _mcx(g1, t, g2), _mcx(g2, t, g1)
+    a, a_inv = ry(-lam / 4.0, t), ry(lam / 4.0, t)
+    return [a, *first, a_inv, *second, a, *first, a_inv, *second]
+
+
+def _mcry_core(gate: Gate, ctrls: tuple[int, ...]) -> list[Gate]:
+    """The rotation of ``gate`` on its target under all of ``ctrls``.
+
+    It is written as exp(i*lam * w.sigma), and the uncontrolled rotation V
+    about w x y with V (w.sigma) V^-1 = Y turns the axis into Y before and
+    back after. The controlled exp(i*lam*Y) in between takes the multiplexor
+    or the linear construction, whichever :func:`_rotation_cnots` prices
+    lower.
+    """
+    if not ctrls:
+        return [gate]
+    if gate.kind == "Ry":
+        lam, (ax, ay, az) = -gate.theta, (0.0, 1.0, 0.0)
+    elif gate.kind == "Rz":
+        lam, (ax, ay, az) = -gate.phi, (0.0, 0.0, 1.0)
+    else:
+        lam, (ax, ay, az) = gate.theta, gate.axis
+    if _is_identity(lam):
+        return []
+    if abs(math.sin(lam)) < AXIS_TOL:
+        # exp(i*pi*W) = -I regardless of axis; realize it on the y axis
+        lam, (ax, ay, az) = np.pi, (0.0, 1.0, 0.0)
+
+    t = gate.target
+    pre, post = [], []
     # w x y = (-az, 0, ax), whose length is the sine of the angle from w to y
     sin_b = math.hypot(ax, az)
     if sin_b < AXIS_TOL:
@@ -247,60 +272,10 @@ def _linear_rotation(lam: float, axis, t: int, ctrls: tuple[int, ...]) -> list[G
         unit = (-az / sin_b, 0.0, ax / sin_b)
         pre.append(rw(-half, unit, t))
         post.append(rw(half, unit, t))
-    k1 = len(ctrls) - len(ctrls) // 2
-    g1, g2 = ctrls[:k1], ctrls[k1:]
-    first, second = _mcx(g1, t, g2), _mcx(g2, t, g1)
-    a, a_inv = ry(-lam / 4.0, t), ry(lam / 4.0, t)
-    core = [a, *first, a_inv, *second, a, *first, a_inv, *second]
-    return pre + core + post
-
-
-def _mcry_core(gate: Gate, ctrls: tuple[int, ...]) -> list[Gate]:
-    t = gate.target
-    if not ctrls:
-        if gate.kind == "Ry":
-            return [ry(gate.theta, t)]
-        if gate.kind == "Rz":
-            return [rz(gate.phi, t)]
-        return [rw(gate.theta, gate.axis, t)]
-
-    # normalize to exp(i*lam * w.sigma)
-    if gate.kind == "Ry":
-        lam, axis = -gate.theta, (0.0, 1.0, 0.0)
-    elif gate.kind == "Rz":
-        lam, axis = -gate.phi, (0.0, 0.0, 1.0)
-    else:
-        lam, axis = gate.theta, gate.axis
-
-    if _is_identity(lam):
-        return []
-    if abs(math.sin(lam)) < AXIS_TOL:
-        # exp(i*pi*W) = -I regardless of axis; realize it on the y axis
-        lam, axis = np.pi, (0.0, 1.0, 0.0)
-
     if _rotation_cnots(lam, len(ctrls)) < 1 << len(ctrls):
-        return _linear_rotation(lam, axis, t, ctrls)
-    ax, ay, az = axis
-    if abs(ax) < AXIS_TOL and abs(az) < AXIS_TOL:
-        # exp(i*lam*y*Y) = Ry(-lam*y)
-        return _multiplexed(lambda a, q: ry(a, q), -lam * np.sign(ay), t, ctrls)
-    if abs(ax) < AXIS_TOL and abs(ay) < AXIS_TOL:
-        return _multiplexed(lambda a, q: rz(a, q), -lam * np.sign(az), t, ctrls)
-
-    # generic axis: diagonalize w.sigma = Q Z Qdag and rotate about Z
-    w = np.array(
-        [[az, ax - 1j * ay], [ax + 1j * ay, -az]], dtype=complex
-    )
-    vals, vecs = np.linalg.eigh(w)
-    order = np.argsort(vals)[::-1]
-    q_mat = vecs[:, order]
-    lam_qd, ax_qd = axis_angle(q_mat.conj().T)
-    lam_q, ax_q = axis_angle(q_mat)
-    gates = [rw(lam_qd, ax_qd, t)] if lam_qd != 0.0 else []
-    gates += _multiplexed(lambda a, q: rz(a, q), -lam, t, ctrls)
-    if lam_q != 0.0:
-        gates.append(rw(lam_q, ax_q, t))
-    return gates
+        return pre + _linear_rotation(lam, t, ctrls) + post
+    # exp(i*lam*Y) = Ry(-lam)
+    return pre + _multiplexed(-lam, t, ctrls) + post
 
 
 def compile_rbs(gate: Gate) -> list[Gate]:
@@ -470,9 +445,7 @@ class LoweringResult:
 
 def lower_gate(gate: Gate) -> list[Gate]:
     """CNOT-level realization of one logical gate."""
-    if gate.kind == "X":
-        return [gate]
-    if gate.kind == "CNOT":
+    if gate.kind in ("X", "CNOT"):
         return [gate]
     if gate.kind in ("Ry", "Rz", "Rw"):
         return compile_mcry(gate)

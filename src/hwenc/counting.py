@@ -71,7 +71,9 @@ def gate_cnot_bound(gate: Gate) -> int:
     if gate.kind == "CNOT":
         return 1
     if gate.kind == "AntiPhase":
-        return 2 ** (ell + 1) - 2
+        # one Rz per pattern wire, with ell, ell - 1, ..., 0 controls, each
+        # taking the multiplexor or the linear construction
+        return sum(min(2**j, mcry_bound(j)) for j in range(1, ell + 1))
     if gate.kind in ("RBS", "ComplexRBS"):
         return rbs_bound(ell, complex_amplitudes=gate.kind == "ComplexRBS")
     if gate.kind == "GRBS":

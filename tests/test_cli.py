@@ -190,6 +190,13 @@ class TestCount:
         assert payload["total"] == 1048
         assert payload["analytic_total"] == 1120
 
+    @pytest.mark.parametrize("flags", [("--complex",), ("--mode", "actual"),
+                                       ("--mode", "closed-form")])
+    def test_binary_budget_rejects_ignored_flags(self, capsys, flags):
+        code, out, err = run_cli(capsys, "count", "--n", "3", "--binary", *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and all(f in err for f in flags)
+
     def test_size_bound_check(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--n", "2", "--check-8n2n", "10")
         payload = json.loads(out)

@@ -1,5 +1,7 @@
 """Compiler tests: unitary equivalence up to global phase, CNOT counts."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -41,6 +43,7 @@ from hwenc.ir import (
     serialize,
     x_gate,
 )
+from test_encoders import GOLDEN_FAMILIES, rounded
 
 TOL = 1e-9
 
@@ -152,15 +155,15 @@ class TestMultiplexedRotations:
             compile_mcry(rbs(0.3, 1, 2))
 
 
-def oracle_multiplexed(emit, tau, target, ctrls):
-    """The Gray-code stack with every step built fresh as emit(sign * tau / size)."""
+def oracle_multiplexed(tau, target, ctrls):
+    """The Gray-code stack with every step built fresh as ry(sign * tau / size)."""
     size = 1 << len(ctrls)
     gates = []
     for j in range(size):
         gray = j ^ (j >> 1)
         sign = -1.0 if bin(gray).count("1") % 2 else 1.0
         wire = len(ctrls) - 1 if j == size - 1 else ((j + 1) & -(j + 1)).bit_length() - 1
-        gates.append(emit(sign * tau / size, target))
+        gates.append(ry(sign * tau / size, target))
         gates.append(cnot(ctrls[wire], target))
     return gates
 
@@ -180,28 +183,27 @@ class TestSharedStackRotations:
         cut = int(rng.integers(0, ell + 1))
         ctrls, antis = tuple(sorted(rest[cut:ell])), tuple(sorted(rest[:cut]))
         ax = rng.normal(size=3)
-        # (axis, kind of the stack it lowers to); a generic axis stacks Rz
-        axes = (((0.0, -1.0, 0.0), "Ry"), ((0.0, 0.0, 1.0), "Rz"),
-                (tuple(ax / np.linalg.norm(ax)), "Rz"))
+        # every axis is turned into Y, so every stack is an Ry stack
+        axes = ((0.0, -1.0, 0.0), (0.0, 0.0, 1.0), tuple(ax / np.linalg.norm(ax)))
         for tau in (0.1, -np.pi / 3, 2.5, 1e3 + 0.1, 5e-12, float(rng.uniform(-7, 7))):
-            yield n, ry(tau, t, ctrls=ctrls, anti_ctrls=antis), "Ry"
-            yield n, rz(tau, t, ctrls=ctrls, anti_ctrls=antis), "Rz"
-            for axis, stack in axes:
-                yield n, rw(tau, axis, t, ctrls=ctrls, anti_ctrls=antis), stack
+            yield n, ry(tau, t, ctrls=ctrls, anti_ctrls=antis)
+            yield n, rz(tau, t, ctrls=ctrls, anti_ctrls=antis)
+            for axis in axes:
+                yield n, rw(tau, axis, t, ctrls=ctrls, anti_ctrls=antis)
 
     def test_lower_matches_fresh_oracle(self, monkeypatch):
         rng = np.random.default_rng(58)
-        cases = [(n, g, stack) for ell in range(9) for n, g, stack in self.gates(rng, ell)]
-        got = [lower(Circuit(n, (g,))).circuit for n, g, _ in cases]
+        cases = [(n, g) for ell in range(9) for n, g in self.gates(rng, ell)]
+        got = [lower(Circuit(n, (g,))).circuit for n, g in cases]
         monkeypatch.setattr(compiler, "_multiplexed", oracle_multiplexed)
-        for (n, g, stack), circuit in zip(cases, got):
+        for (n, g), circuit in zip(cases, got):
             want = lower(Circuit(n, (g,))).circuit
             assert circuit.gates == want.gates, g
             assert serialize(circuit) == serialize(want), g
             ell = len(g.ctrls) + len(g.anti_ctrls)
             if compiler._rotation_cnots(1.0, ell) < 1 << ell:
                 continue  # the linear construction, not a stack
-            rotations = [x for x in circuit.gates if x.kind == stack]
+            rotations = [x for x in circuit.gates if x.kind == "Ry"]
             if ell >= 2:
                 assert len(rotations) == 1 << ell, g
             # a regression to one object per step would hold 2^ell of them
@@ -211,12 +213,11 @@ class TestSharedStackRotations:
         for ell in range(1, 9):
             ctrls = tuple(range(1, ell + 1))
             for tau in self.SUBNORMAL + (0.0, -0.0, 0.3):
-                for emit in (ry, rz):
-                    got = compiler._multiplexed(emit, tau, ell + 1, ctrls)
-                    want = oracle_multiplexed(emit, tau, ell + 1, ctrls)
-                    assert got == want
-                    assert [repr(x) for x in got] == [repr(x) for x in want]
-                    assert len({id(x) for x in got[::2]}) == 2
+                got = compiler._multiplexed(tau, ell + 1, ctrls)
+                want = oracle_multiplexed(tau, ell + 1, ctrls)
+                assert got == want
+                assert [repr(x) for x in got] == [repr(x) for x in want]
+                assert len({id(x) for x in got[::2]}) == 2
 
 
 def pushed_unitary(gates, n):
@@ -625,3 +626,40 @@ class TestLower:
         phase = lowered[idx] / logical[idx]
         assert abs(abs(phase) - 1) < 1e-9
         assert np.max(np.abs(lowered - phase * logical)) < TOL
+
+
+def lowered_digest(reports, full: bool) -> str:
+    """SHA-256 of each report's per-gate CNOTs and, if ``full``, lowered circuit."""
+    h = hashlib.sha256()
+    for rep in reports:
+        low = lower(rep.circuit)
+        h.update(json.dumps([rounded(low.circuit) if full else None, low.gate_cnots]).encode())
+    return h.hexdigest()
+
+
+# Taken before the compiler turned every rotation axis into Y in one place.
+# That change kept the real dense and full-basis circuits bit for bit and the
+# per-gate CNOTs of every family; the phase gates of the complex and sparse
+# families now lower through a basis change, so those pin only the CNOTs.
+GOLDEN_LOWERED_CIRCUITS = {
+    "binary_real": "54761bdd316d0c5c6615d76a3e674448283d24b9941566ab8d906a2785c6eb3a",
+    "dense_real": "b06573ffc96c83b742681d3215113d8acc06694c2cd6ec1d738ef7d1b22e205c",
+}
+GOLDEN_LOWERED_CNOTS = {
+    "dense_complex": "2b92b4bc14ed518b75c76a09422652cdbb1eddc714a2ca018a043da4d37297c8",
+    "dense_complex_mirrored": "1f3cc3296afde9c604880e5215bc17ca5ff2b3c0ac38eb7be76e2e2c651cf3b7",
+    "sparse_complex": "eb902afdaf35d331b0797634bd9675dbe09cf467643f69de9b17f0bd2fe83b7b",
+    "sparse_real": "03892543cd3d922f44af9b1dd3f47405a4deb452ea12967fee671f556578a032",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_LOWERED_CIRCUITS))
+def test_golden_lowered_circuits(family):
+    digest = lowered_digest(GOLDEN_FAMILIES[family](), full=True)
+    assert digest == GOLDEN_LOWERED_CIRCUITS[family]
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_LOWERED_CNOTS))
+def test_golden_lowered_cnots(family):
+    digest = lowered_digest(GOLDEN_FAMILIES[family](), full=False)
+    assert digest == GOLDEN_LOWERED_CNOTS[family]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hwenc import compiler
 from hwenc.bitstrings import BitString
-from hwenc.compiler import compile_grbs, compile_mcry, compile_rbs, lower
+from hwenc.compiler import compile_anti_phase, compile_grbs, compile_mcry, compile_rbs, lower
 from hwenc.counting import (
     BudgetRow,
     closed_form_dense,
@@ -22,7 +22,7 @@ from hwenc.counting import (
     rbs_bound,
 )
 from hwenc.encoders import encode_binary, encode_binary_complex, encode_dense_real, encode_sparse
-from hwenc.ir import complex_rbs, grbs, rbs, rw, ry, rz
+from hwenc.ir import anti_phase, complex_rbs, grbs, rbs, rw, ry, rz
 
 SPARSE_ADDRESSES = [
     "000111", "001011", "001110", "010011", "011010", "100101", "111010",
@@ -99,6 +99,12 @@ class TestActualUnderBound:
                         g = grbs(0.7, phi, ins, outs, **wires)
                         assert cnots(compile_grbs(g)) <= gate_cnot_bound(g), (m, mp, ell, phi)
 
+    def test_anti_phase_meets_bound_through_twelve(self):
+        # the bound sums the cheaper construction of each Rz of the cascade
+        for ell in range(13):
+            g = anti_phase(1.1, 1, **self.wiring(2, ell))
+            assert cnots(compile_anti_phase(g)) == gate_cnot_bound(g), ell
+
     def test_priced_cnots_are_emitted(self):
         # _rotation_cnots prices the construction _mcry_core then builds
         for ell in range(13):
@@ -108,7 +114,7 @@ class TestActualUnderBound:
                     assert cnots(compile_mcry(g)) == compiler._rotation_cnots(lam, ell), (
                         ell, lam, axis)
         for ell in range(2, 13):
-            built = compiler._linear_rotation(0.7, (0.0, 1.0, 0.0), 1, tuple(range(2, ell + 2)))
+            built = compiler._linear_rotation(0.7, 1, tuple(range(2, ell + 2)))
             assert cnots(built) == compiler._linear_cnots(ell), ell
             if ell >= 6:
                 assert compiler._linear_cnots(ell) == mcry_bound(ell), ell

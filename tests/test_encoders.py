@@ -486,21 +486,26 @@ class TestBinary:
             encode_binary(0, [1.0])
 
 
-def _digest(reports) -> str:
-    """SHA-256 over each report's serialized circuit, ordering and param_count.
+def rounded(circuit) -> dict:
+    """A circuit's serialized form with angles rounded to ten significant digits.
 
-    Angles enter rounded to ten significant digits, so that a last-bit
-    difference in a platform's arctan2 or BLAS does not read as drift.
+    A last-bit difference in a platform's arctan2 or BLAS then does not read
+    as drift.
     """
+    payload = json.loads(serialize(circuit))
+    for g in payload["gates"]:
+        for key in ("theta", "phi"):
+            if key in g:
+                g[key] = float(f"{g[key]:.10g}") + 0.0
+    return payload
+
+
+def _digest(reports) -> str:
+    """SHA-256 over each report's rounded circuit, ordering and param_count."""
     h = hashlib.sha256()
     for rep in reports:
-        circuit = json.loads(serialize(rep.circuit))
-        for g in circuit["gates"]:
-            for key in ("theta", "phi"):
-                if key in g:
-                    g[key] = float(f"{g[key]:.10g}") + 0.0
         ordering = [b.bits for b in rep.ordering]
-        h.update(json.dumps([circuit, ordering, rep.param_count]).encode())
+        h.update(json.dumps([rounded(rep.circuit), ordering, rep.param_count]).encode())
     return h.hexdigest()
 
 
