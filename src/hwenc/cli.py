@@ -150,12 +150,16 @@ def _cmd_count(args) -> int:
             checks.append({"n": n, "analytic_total": total, "bound": bound})
         print(json.dumps({"check_8n2n": checks, "ok": True}, indent=2))
         return 0
+    if args.n is None:
+        raise ValueError("count needs --n unless --check-8n2n")
     if args.binary:
-        # the full-basis budget is real and analytic only
+        # the full-basis budget is real, analytic and weight-free
         if args.complex_amplitudes:
             raise ValueError("count --binary has no --complex budget")
         if args.mode != "analytic":
             raise ValueError(f"count --binary has no --mode {args.mode}")
+        if args.k is not None:
+            raise ValueError(f"count --binary has no --k {args.k}")
         payload = _budget_payload(count_binary(args.n))
         payload["n"] = args.n
         print(json.dumps(payload, indent=2))
@@ -316,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_binary)
 
     p = sub.add_parser("count", help="CNOT budgets and closed forms")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, help="required unless --check-8n2n")
     p.add_argument("--k", type=int)
     p.add_argument("--complex", dest="complex_amplitudes",
                    action="store_true")

@@ -1,14 +1,13 @@
 """Angles on the unit sphere from data vectors, and the inverse cascade.
 
 A real vector of dimension d maps to d-1 polar angles; a complex vector
-additionally carries d accumulated phase angles.  The encoders consume these
+additionally carries d phase angles, a global phase and one per mixing
+gate, solved from the last component backwards.  The encoders consume these
 angles one mixing gate at a time, so the i-th angle only ever needs the
 norm of the tail x_{i+1}..x_d.  Degenerate tails resolve to angle 0 (both
 arguments of the two-argument arctangent zero means the angle is free; zero
 is the frozen choice, likewise the argument of a zero complex entry).
 """
-
-import math
 
 import numpy as np
 
@@ -50,15 +49,14 @@ def real_from_angles(thetas, norm: float = 1.0) -> np.ndarray:
 
 
 def angles_from_complex(x) -> tuple[np.ndarray, np.ndarray]:
-    """Polar angles (length d-1) and accumulated phases (length d).
+    """Polar angles (length d-1) and phases (length d).
 
-    The polar angles are those of the magnitude vector.  Phases accumulate:
-    the i-th one is the raw argument of x_i plus the sum of all earlier
-    phases, so that consuming them gate by gate telescopes back to the raw
-    arguments.  The raw recursion doubles the running sum at every step,
-    which overflows double precision near a hundred components, so both the
-    phase and the running sum are reduced mod 2*pi into [-pi, pi]; the
-    reduction is exact and leaves every e^(i*phi) unchanged.
+    The polar angles are those of the magnitude vector.  The phases are
+    solved backwards: psi_{d-1} = arg x_{d-1}, then psi_j = (psi_{j+1} +
+    arg x_j) / 2 and phi_j = arg x_j - psi_j, where psi_j is the argument
+    the cascade carries into slot j and phi_j the phase of the gate that
+    leaves it.  ``phis[0]`` is the global phase psi_0 and ``phis[j + 1]``
+    is phi_j.  Halving keeps every psi and phi in [-pi, pi].
     """
     x = np.asarray(x, dtype=complex)
     if x.ndim != 1:
@@ -66,22 +64,23 @@ def angles_from_complex(x) -> tuple[np.ndarray, np.ndarray]:
     thetas = angles_from_real(np.abs(x))
     raw = np.where(x == 0, 0.0, np.angle(x))
     phis = np.zeros(x.size)
-    acc = 0.0
-    for i in range(x.size):
-        phis[i] = math.remainder(raw[i] + acc, math.tau)
-        acc = math.remainder(acc + phis[i], math.tau)
+    psi = raw[-1] if x.size else 0.0
+    for j in range(x.size - 2, -1, -1):
+        psi = (psi + raw[j]) / 2.0
+        phis[j + 1] = raw[j] - psi
+    phis[:1] = psi
     return thetas, phis
 
 
 def complex_from_angles(thetas, phis, norm: float = 1.0) -> np.ndarray:
-    """Vector with the given polar angles, accumulated phases, and norm."""
+    """Vector with the given polar angles, phases, and norm.
+
+    Slot j gets the argument psi_j + phi_j (phi_{d-1} = 0), where psi_0 =
+    phis[0] and psi_{j+1} = psi_j - phi_j.
+    """
     phis = np.asarray(phis, dtype=float)
     mags = real_from_angles(thetas, norm)
     if phis.size != mags.size:
         raise ValueError("need one phase per component")
-    raw = np.zeros(mags.size)
-    acc = 0.0
-    for i in range(mags.size):
-        raw[i] = math.remainder(phis[i] - acc, math.tau)
-        acc = math.remainder(acc + phis[i], math.tau)
-    return mags * np.exp(1j * raw)
+    psi = phis[0] - np.concatenate(([0.0], np.cumsum(phis[1:])))
+    return mags * np.exp(1j * (psi + np.append(phis[1:], 0.0)))

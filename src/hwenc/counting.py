@@ -10,9 +10,10 @@ of a construction, bounds the lowered circuit. The dense budgets
 additionally collapse to closed-form polynomials in n.
 
 The sparse budget defines none of its inputs itself: its addresses pass the
-encoder's rules (``encoders._check_addresses``), its wires come from the
-encoder's walk (``bitstrings.walk_wires``), and its phase-fix row prices the
-encoder's own phase-fix gates (``encoders._phase_on_state``).
+encoder's rules (``encoders._check_addresses``) and its wires come from the
+encoder's walk (``bitstrings.walk_wires``). No budget has a row for the
+global phase a complex encoder puts first: it acts on |0^n> with no
+controls and lowers to no CNOT.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .bitstrings import walk_wires
-from .encoders import _check_addresses, _phase_on_state
+from .encoders import _check_addresses
 from .ir import Gate
 
 _MCRY_SMALL = (0, 2, 4, 12, 36)
@@ -192,23 +193,19 @@ def count_sparse(
 ) -> CnotBudget:
     """Budget for a sparse address list, one row per mixing gate.
 
-    The addresses, the wires of each gate and the final phase fix are the
-    encoder's own, so the rows price the gates ``encode_sparse`` emits.
-    With complex amplitudes a final phase-fix row is added.
+    The addresses and the wires of each gate are the encoder's own, so the
+    rows price the gates ``encode_sparse`` emits. With complex amplitudes
+    every row is priced complex, so the total bounds any phases.
     """
     walk = _check_addresses(addresses, n)
-    rows = [
+    rows = tuple(
         BudgetRow(
             label=f"{walk[j].bits} -> {walk[j + 1].bits}",
             gates=1,
             per_gate=_mixing_bound(len(ins), len(outs), len(ctrls), complex_amplitudes),
         )
         for j, (ins, outs, ctrls) in enumerate(walk_wires(walk))
-    ]
-    if complex_amplitudes:
-        fix = sum(gate_cnot_bound(g) for g in _phase_on_state(0.0, walk[-1]))
-        rows.append(BudgetRow(label="final phase", gates=1, per_gate=fix))
-    rows = tuple(rows)
+    )
     return CnotBudget(rows=rows, total=sum(r.subtotal for r in rows))
 
 

@@ -16,10 +16,11 @@ gate per consecutive pair. The five encoders differ only in their walk:
 Every encoder returns an :class:`EncoderReport` whose ``ordering`` maps
 vector slot i to the basis state that receives amplitude ``x[i] / |x|``.
 
-Each gate's wires come from ``bitstrings.walk_wires``. The sparse address
-rules are :func:`_check_addresses` and the closing phase fix is
-:func:`_phase_on_state`; ``counting.count_sparse`` uses both, so a budget
-prices the very gates the encoder emits.
+Each gate's wires come from ``bitstrings.walk_wires`` and the sparse
+address rules are :func:`_check_addresses`; ``counting.count_sparse`` uses
+both, so a budget prices the very gates the encoder emits. A complex
+encoder adds one gate in front, the global phase on |0^n>, which costs no
+CNOT and so has no row in any budget.
 """
 
 from __future__ import annotations
@@ -162,21 +163,6 @@ def _x_layer(labels) -> list[Gate]:
     return [x_gate(q) for q in sorted(labels, reverse=True)]
 
 
-def _phase_on_state(phi: float, b: BitString) -> list[Gate]:
-    """Gates applying exp(i*phi) to |b> and identity to every other state.
-
-    A phase gate conditioned on the ones of b and firing on a zero of b
-    does the job directly; the all-ones state needs an X conjugation to
-    manufacture a zero first. ``count_sparse`` prices these same gates.
-    """
-    zeros = sorted(b.zeros)
-    ones = tuple(sorted(b.ones))
-    if zeros:
-        return [anti_phase(phi, zeros[0], ctrls=ones)]
-    rest = tuple(range(2, b.n + 1))
-    return [x_gate(1), anti_phase(phi, 1, ctrls=rest), x_gate(1)]
-
-
 # ---------------------------------------------------------------------------
 # the cascade
 
@@ -192,8 +178,8 @@ def _cascade(
     out-wires. A single raise is a controlled Ry, a
     one-in/one-out move an RBS, anything else a GRBS. ``mirrored`` loads
     the complement of every walk string instead. With phases every gate
-    carries a phase angle, and a final conditioned phase fixes the
-    argument of the last amplitude.
+    carries a phase angle, and the global phase comes first, as an
+    uncontrolled AntiPhase on |0^n>, which lowers to no CNOT.
     """
     d = len(walk)
     if with_phases:
@@ -202,7 +188,8 @@ def _cascade(
         thetas, phis = angles_from_real(x.real), np.zeros(d)
     ordering = tuple(b.complement() for b in walk) if mirrored else tuple(walk)
 
-    gates = _x_layer(ordering[0].ones)
+    gates = [anti_phase(phis[0], 1)] if with_phases else []
+    gates += _x_layer(ordering[0].ones)
     for j, (ins, outs, ctrls) in enumerate(walk_wires(walk)):
         if mirrored:
             # complemented wires swap roles and shared ones become shared zeros
@@ -214,13 +201,11 @@ def _cascade(
             # plain single-bit raise: a controlled Ry is the same rotation
             gates.append(ry(thetas[j], outs[0], **wires))
         elif len(ins) == len(outs) == 1 and with_phases:
-            gates.append(complex_rbs(thetas[j], phis[j], ins[0], outs[0], **wires))
+            gates.append(complex_rbs(thetas[j], phis[j + 1], ins[0], outs[0], **wires))
         elif len(ins) == len(outs) == 1:
             gates.append(rbs(thetas[j], ins[0], outs[0], **wires))
         else:
-            gates.append(grbs(thetas[j], phis[j], ins, outs, **wires))
-    if with_phases:
-        gates.extend(_phase_on_state(phis[d - 1], ordering[-1]))
+            gates.append(grbs(thetas[j], phis[j + 1], ins, outs, **wires))
 
     return EncoderReport(
         circuit=Circuit(n=n, gates=tuple(gates)),
@@ -266,8 +251,9 @@ def encode_dense_complex(n: int, k: int, x) -> EncoderReport:
     """Complex-amplitude variant of :func:`encode_dense_real`.
 
     Each mixing gate carries an inclination and a phase angle, and one
-    trailing phase gate fixes the final amplitude's argument, so the
-    loaded state matches x / |x| exactly rather than up to phase.
+    leading uncontrolled phase gate sets the global phase, so the loaded
+    state matches x / |x| exactly rather than up to phase. The leading
+    gate acts on |0^n> and lowers to no CNOT.
     """
     return _dense(n, k, x, with_phases=True)
 
@@ -326,13 +312,13 @@ def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderRepor
     indices = [address.to_index() for address in ordering]
     wants = [complex(t) for t in target]
     gates = report.circuit.gates
-    mixing = len(ordering[0].ones)  # index of the first gate after the X layer
-    amps: dict[int, complex] = {indices[0]: 1.0 + 0j}
+    mixing = len(gates) - (s - 1)  # index of the first mixing gate
+    amps: dict[int, complex] = {0: 1.0 + 0j}
+    for gate in gates[:mixing]:
+        amps = apply_gate(amps, gate)
     for j in range(1, s):
         amps = apply_gate(amps, gates[mixing + j - 1])
         _verify_loaded(amps, ordering, indices, wants, j, f"gate {j}")
-    for gate in gates[mixing + s - 1:]:
-        amps = apply_gate(amps, gate)
     label = f"gate {s - 1}" if s > 1 else "phase layer"
     _verify_loaded(amps, ordering, indices, wants, s, label)
     return report
@@ -393,7 +379,7 @@ def encode_binary_complex(n: int, x) -> EncoderReport:
     """Complex variant of :func:`encode_binary`; 2^(n+1) - 1 parameters.
 
     Bridges become raising GRBS gates (no in-wire, one out-wire) under the
-    same controls, every gate carries a phase angle, and a final
-    conditioned phase fixes the argument on the all-ones state.
+    same controls, every gate carries a phase angle, and one leading
+    uncontrolled phase gate sets the global phase at no CNOT cost.
     """
     return _binary(n, x, with_phases=True)

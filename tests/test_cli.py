@@ -191,7 +191,7 @@ class TestCount:
         assert payload["analytic_total"] == 1120
 
     @pytest.mark.parametrize("flags", [("--complex",), ("--mode", "actual"),
-                                       ("--mode", "closed-form")])
+                                       ("--mode", "closed-form"), ("--k", "2")])
     def test_binary_budget_rejects_ignored_flags(self, capsys, flags):
         code, out, err = run_cli(capsys, "count", "--n", "3", "--binary", *flags)
         assert code == 1 and out == ""
@@ -201,6 +201,16 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "--n", "2", "--check-8n2n", "10")
         payload = json.loads(out)
         assert payload["ok"] and len(payload["check_8n2n"]) == 10
+
+    def test_size_bound_check_as_in_readme(self, capsys):
+        # the README's line, which gives no --n
+        code, out, _ = run_cli(capsys, "count", "--check-8n2n", "24")
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] and len(payload["check_8n2n"]) == 24
+
+    def test_missing_n(self, capsys):
+        code, _, err = run_cli(capsys, "count", "--k", "2")
+        assert code == 1 and "--n" in err
 
     def test_missing_k(self, capsys):
         code, _, err = run_cli(capsys, "count", "--n", "6")

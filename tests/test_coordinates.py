@@ -1,7 +1,5 @@
 """Angle extraction against hand-computed values and round trips."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -58,14 +56,15 @@ class TestComplexAngles:
     def test_phase_accumulation(self):
         x = np.array([1.0, 1j, -1.0])
         thetas, phis = angles_from_complex(x)
-        raw = np.array([0.0, np.pi / 2, np.pi])
-        # each accumulated phase is the raw argument plus all earlier
-        # phases, mod 2*pi since the recursion is reduced at every step
-        acc = 0.0
-        for i in range(3):
-            gap = math.remainder(phis[i] - raw[i] - acc, math.tau)
-            assert gap == pytest.approx(0.0, abs=1e-12)
-            acc = math.remainder(acc + phis[i], math.tau)
+        # backwards from psi_2 = arg x_2 = pi: psi_1 = (pi + pi/2) / 2,
+        # phi_1 = pi/2 - psi_1, psi_0 = psi_1 / 2 and phi_0 = -psi_0
+        assert phis == pytest.approx([3 * np.pi / 8, -3 * np.pi / 8, -np.pi / 4])
+        # forwards, each slot keeps psi_j + phi_j and passes psi_j - phi_j on
+        psi = phis[0]
+        for j, raw in enumerate([0.0, np.pi / 2]):
+            assert psi + phis[j + 1] == pytest.approx(raw, abs=1e-12)
+            psi -= phis[j + 1]
+        assert psi == pytest.approx(np.pi, abs=1e-12)
         assert thetas == pytest.approx(angles_from_real([1.0, 1.0, 1.0]))
 
     def test_phases_stay_bounded(self):
@@ -79,8 +78,11 @@ class TestComplexAngles:
         np.testing.assert_allclose(back, x, atol=1e-12)
 
     def test_zero_entry_has_zero_argument(self):
+        # a zero entry's argument is 0, as for any positive real entry
         _, phis = angles_from_complex([1.0, 0.0, 1j])
-        assert phis[1] == pytest.approx(phis[0])  # raw arg 0 adds nothing new
+        _, positive = angles_from_complex([1.0, 0.5, 1j])
+        np.testing.assert_array_equal(phis, positive)
+        assert phis == pytest.approx([np.pi / 8, -np.pi / 8, -np.pi / 4])
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)

@@ -21,7 +21,13 @@ from hwenc.counting import (
     mcry_bound,
     rbs_bound,
 )
-from hwenc.encoders import encode_binary, encode_binary_complex, encode_dense_real, encode_sparse
+from hwenc.encoders import (
+    encode_binary,
+    encode_binary_complex,
+    encode_dense_complex,
+    encode_dense_real,
+    encode_sparse,
+)
 from hwenc.ir import anti_phase, complex_rbs, grbs, rbs, rw, ry, rz
 
 SPARSE_ADDRESSES = [
@@ -182,6 +188,13 @@ class TestDenseBudget:
             rep = encode_dense_real(n, k, rng.normal(size=comb(n, k)))
             assert lower(rep.circuit).cnot_total <= count_dense(n, k).total
 
+    @pytest.mark.parametrize("n, k", [(6, 2), (6, 5), (11, 9)])
+    def test_complex_lowered_meets_dense_budget(self, n, k):
+        rng = np.random.default_rng(63)
+        z = rng.normal(size=comb(n, k)) + 1j * rng.normal(size=comb(n, k))
+        rep = encode_dense_complex(n, k, z)
+        assert lower(rep.circuit).cnot_total == count_dense(n, k, True).total
+
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError, match="out of range"):
             count_dense(4, 5)
@@ -201,11 +214,25 @@ class TestSparseBudget:
         assert lower(rep.circuit).cnot_total == 110
         assert 110 <= 174
 
-    def test_complex_adds_phase_row(self):
+    def test_complex_prices_the_same_rows(self):
+        # one row per mixing gate, priced complex; the leading global phase
+        # costs no CNOT and has no row
+        real = count_sparse(6, SPARSE_ADDRESSES)
         budget = count_sparse(6, SPARSE_ADDRESSES, complex_amplitudes=True)
-        assert budget.rows[-1].label == "final phase"
-        # final address has weight four: a five-bit pattern
-        assert budget.rows[-1].per_gate == 2**5 - 2
+        assert [r.label for r in budget.rows] == [r.label for r in real.rows]
+        assert [r.per_gate for r in budget.rows] == [2, 6, 68, 6, 112, 110]
+        assert budget.total == 304
+
+    def test_phase_zero_gate_is_priced_real(self):
+        # [1, 1j]: the one GRBS carries phase -pi/4, so the complex budget
+        # is its bound; equal arguments leave it phase 0, priced real
+        rep = encode_sparse(3, [(1.0, "000"), (1j, "111")])
+        budget = count_sparse(3, ["000", "111"], complex_amplitudes=True)
+        assert budget.total == sum(gate_cnot_bound(g) for g in rep.circuit.gates) == 46
+        assert lower(rep.circuit).cnot_total == 8
+        rep = encode_sparse(3, [(np.exp(1j), "000"), (np.exp(1j), "111")])
+        assert rep.circuit.gates[-1].phi == 0.0
+        assert sum(gate_cnot_bound(g) for g in rep.circuit.gates) == 12 < budget.total
 
     def test_single_address(self):
         budget = count_sparse(4, ["0110"])
@@ -225,7 +252,8 @@ class TestSparseBudget:
 @st.composite
 def sparse_inputs(draw):
     """(n, weight-sorted addresses, values, complex?) with real positive
-    values, or values whose imaginary parts are all nonzero."""
+    values, or values with arguments across (-pi, pi], 0 and repeats
+    included."""
     n = draw(st.integers(2, 7))
     picks = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=10,
                           unique=True))
@@ -235,7 +263,8 @@ def sparse_inputs(draw):
     mags = draw(st.lists(size, min_size=len(picks), max_size=len(picks)))
     complex_amplitudes = draw(st.booleans())
     if complex_amplitudes:
-        turn = st.floats(0.1, 3.0)
+        turn = st.one_of(st.sampled_from([0.0, 1.0, np.pi / 2, np.pi]),
+                         st.floats(-np.pi, np.pi, exclude_min=True))
         args = draw(st.lists(turn, min_size=len(picks), max_size=len(picks)))
         values = [m * np.exp(1j * a) for m, a in zip(mags, args)]
     else:
@@ -247,11 +276,18 @@ class TestSparseBudgetPricesTheCircuit:
     @given(sparse_inputs())
     @settings(max_examples=200, deadline=None)
     def test_rows_sum_the_encoded_gate_bounds(self, case):
-        # budget and circuit read their wires off one walk
+        # budget and circuit read their wires off one walk; a gate bound
+        # prices an RBS, or a GRBS with phase 0, as real, and the complex
+        # budget prices every row complex
         n, addresses, values, complex_amplitudes = case
         rep = encode_sparse(n, list(zip(values, addresses)))
-        budget = count_sparse(n, addresses, complex_amplitudes)
-        assert budget.total == sum(gate_cnot_bound(g) for g in rep.circuit.gates)
+        bounds = sum(gate_cnot_bound(g) for g in rep.circuit.gates)
+        phases = [g.phi for g in rep.circuit.gates if g.kind in ("RBS", "ComplexRBS", "GRBS")]
+        if not complex_amplitudes or all(phases):
+            assert count_sparse(n, addresses, complex_amplitudes).total == bounds
+        else:
+            assert count_sparse(n, addresses).total <= bounds
+            assert bounds <= count_sparse(n, addresses, True).total
 
 
 class TestBinaryBudget:

@@ -6,6 +6,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwenc.bitstrings import BitString
 from hwenc.encoders import (
@@ -20,6 +22,7 @@ from hwenc.encoders import (
     encode_dense_real,
     encode_sparse,
 )
+from hwenc.counting import gate_cnot_bound
 from hwenc.ir import serialize
 from hwenc.simulator import SparseState, apply_gate, run
 from test_acceptance import (
@@ -252,10 +255,12 @@ class TestDenseComplex:
         x = np.arange(1.0, 16.0)
         creal = encode_dense_real(6, 2, x).circuit
         ccplx = encode_dense_complex(6, 2, x).circuit
-        # same wires and inclinations, all phases zero, one trailing
-        # phase gate carrying angle zero
+        # a leading global phase of zero, then the same wires and
+        # inclinations with all phases zero
         assert len(ccplx.gates) == len(creal.gates) + 1
-        for gr, gc in zip(creal.gates, ccplx.gates):
+        head = ccplx.gates[0]
+        assert head.kind == "AntiPhase" and head.phi == 0.0
+        for gr, gc in zip(creal.gates, ccplx.gates[1:]):
             if gr.kind == "X":
                 assert gc.kind == "X" and gc.ins == gr.ins
                 continue
@@ -263,18 +268,17 @@ class TestDenseComplex:
             assert (gc.ins, gc.outs, gc.ctrls) == (gr.ins, gr.outs, gr.ctrls)
             assert gc.theta == pytest.approx(gr.theta, abs=1e-15)
             assert gc.phi == 0.0
-        tail = ccplx.gates[-1]
-        assert tail.kind == "AntiPhase" and tail.phi == 0.0
 
-    def test_final_phase_gate_fires_on_last_string(self):
+    def test_global_phase_gate_leads(self):
         rng = np.random.default_rng(23)
         z = rng.normal(size=15) + 1j * rng.normal(size=15)
         rep = encode_dense_complex(6, 2, z)
-        tail = rep.circuit.gates[-1]
-        last = rep.ordering[-1]
-        assert tail.kind == "AntiPhase"
-        assert set(tail.ctrls) == last.ones
-        assert tail.target in last.zeros
+        head, rest = rep.circuit.gates[0], rep.circuit.gates[1:]
+        # the state is |0^n> there, so the gate is a pure global phase
+        assert head.kind == "AntiPhase" and head.target == 1
+        assert head.ctrls == head.anti_ctrls == ()
+        assert gate_cnot_bound(head) == 0
+        assert all(g.kind != "AntiPhase" for g in rest)
 
 
 class TestSparse:
@@ -314,7 +318,7 @@ class TestSparse:
     def test_all_ones_address_phase(self):
         vals = [0.6, 0.8j]
         rep = encode_sparse(3, [(vals[0], "011"), (vals[1], "111")])
-        # the all-ones final address forces an X-conjugated phase gate
+        # the all-ones final address needs no gate beyond the global phase
         kinds = [g.kind for g in rep.circuit.gates]
         assert kinds.count("AntiPhase") == 1
         assert_loads(rep, vals)
@@ -462,10 +466,11 @@ class TestBinary:
 
     def test_complex_bridge_pairs(self):
         # a complex bridge is one raising GRBS: no in-wire, one out-wire,
-        # at the same slot and under the same controls as the real Ry bridge
+        # under the same controls as the real Ry bridge, and one gate later,
+        # behind the leading global phase
         rep = encode_binary_complex(6, np.arange(1.0, 65.0) * (1 + 1j))
         bridges = [
-            (i + 1, g) for i, g in enumerate(rep.circuit.gates) if g.kind == "GRBS"
+            (i, g) for i, g in enumerate(rep.circuit.gates) if g.kind == "GRBS"
         ]
         assert len(bridges) == 6
         assert all(g.ins == () and len(g.outs) == 1 for _, g in bridges)
@@ -484,6 +489,50 @@ class TestBinary:
     def test_n_zero_rejected(self):
         with pytest.raises(EncodingError, match="at least one qubit"):
             encode_binary(0, [1.0])
+
+
+@st.composite
+def complex_vectors(draw, d: int) -> tuple[np.ndarray, float]:
+    """A nonzero d-vector of magnitudes at most one (zeros included) and
+    arguments across (-pi, pi], with a scale from 1e-300 to 1e300."""
+    mags = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                         min_size=d, max_size=d).filter(any))
+    turn = st.one_of(st.sampled_from([0.0, np.pi / 2, np.pi]),
+                     st.floats(-np.pi, np.pi, exclude_min=True))
+    args = draw(st.lists(turn, min_size=d, max_size=d))
+    z = np.array(mags) * np.exp(1j * np.array(args))
+    return z, 10.0 ** draw(st.integers(-300, 300))
+
+
+class TestComplexRoundTripProperties:
+    """Every complex encoder loads x / |x| within 1e-10, at any scale."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_complex(self, data):
+        n = data.draw(st.integers(2, 7))
+        k = data.draw(st.integers(1, n - 1))
+        d = data.draw(st.integers(2, comb(n, k)))
+        z, scale = data.draw(complex_vectors(d))
+        assert_loads(encode_dense_complex(n, k, z * scale), z, tol=1e-10)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_binary_complex(self, data):
+        n = data.draw(st.integers(1, 6))
+        z, scale = data.draw(complex_vectors(2**n))
+        assert_loads(encode_binary_complex(n, z * scale), z, tol=1e-10)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_complex(self, data):
+        n = data.draw(st.integers(1, 6))
+        picks = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1,
+                                   max_size=min(2**n, 12), unique=True))
+        addresses = sorted((BitString.from_index(n, i) for i in picks),
+                           key=lambda b: b.weight)
+        z, scale = data.draw(complex_vectors(len(picks)))
+        assert_loads(encode_sparse(n, list(zip(z * scale, addresses))), z, tol=1e-10)
 
 
 def rounded(circuit) -> dict:
@@ -553,13 +602,15 @@ GOLDEN_FAMILIES = {
 }
 
 # Taken before the encoders shared one cascade; that change kept them all.
+# The complex and sparse ones were taken again when the global phase moved
+# to the front; sparse_real holds a lone negative value, loaded as a phase.
 GOLDEN_DIGESTS = {
     "binary_real": "0c2a114f3ada319de4eff677ec9c8ceca14836112ab63dbfbfa8e2d09421e779",
-    "dense_complex": "78cbbda6a4b6054cc627daaa2dc533080e3ffabcf6ffd01448ca4e7dc7fe7baf",
-    "dense_complex_mirrored": "238db1f671f106a47b001a63f3f6babbc171b77b96dc0da52e3f76daf5e20a61",
+    "dense_complex": "1e8c5cee6f3c9e309bdd37035263d0555b936efccab31ca110469ff22cc53abf",
+    "dense_complex_mirrored": "0cc7dda5923a7de6ff931ab4aa5956983bf81a7c8c6aa913de6b7457d334b4f8",
     "dense_real": "a70fe91b3eada93afd86468f37307ea72481832420bb2f79a9e4a15eccbf3752",
-    "sparse_complex": "5be3354729e2ac41ec24fab612a68e49e5f1a15831ffa14141b6c40d60857dd8",
-    "sparse_real": "3b111de9018b2011238172c09ead87d58ed92e7061c0ed9543dfd9a3bd271f85",
+    "sparse_complex": "6bba9e29d94745307178bb4a839176ed77db6b076ea1c93a7143a68b530e0aa5",
+    "sparse_real": "5372e8f0b11ea76dcf9ae0475ee80074ec87c975a2033be062521c58100ba742",
 }
 
 
