@@ -141,6 +141,8 @@ def _is_identity(lam: float) -> bool:
 
 def _mcx_cnots(k: int) -> int:
     """CNOTs of :func:`_mcx` with k >= 1 controls."""
+    if k < 1:
+        raise ValueError(f"a multi-controlled X needs a control, got {k}")
     return (1, 6)[k - 1] if k < 3 else 8 * k - 6
 
 
@@ -157,11 +159,13 @@ def _linear_cnots(ell: int) -> int:
 def _rotation_cnots(lam: float, ell: int) -> int:
     """CNOTs :func:`_mcry_core` spends on exp(i*lam * w.sigma) with ell controls.
 
-    The one price of a multi-controlled rotation: the multiplexor's 2^ell or
-    the linear construction's, whichever is lower.
+    The one price of a multi-controlled rotation: the multiplexor's 2^ell or,
+    from two controls on, the linear construction's, whichever is lower.
     """
     if ell == 0 or _is_identity(lam):
         return 0
+    if ell == 1:
+        return 2
     return min(1 << ell, _linear_cnots(ell))
 
 

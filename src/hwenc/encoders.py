@@ -8,7 +8,9 @@ gate per consecutive pair. The five encoders differ only in their walk:
   slice of a) fixed-weight basis in minimal-change order, walked at the
   complementary weight and mirrored when k > n/2.
 - ``encode_sparse``: an arbitrary list of (value, address) pairs with
-  non-decreasing address weight.
+  non-decreasing address weight. It checks its circuit with one
+  ``simulator.run`` and replays the gates through ``simulator.apply_gate``
+  only to name the gate of a failed load.
 - ``encode_binary`` / ``encode_binary_complex``: the complete n-qubit
   basis, 0^n and then each weight class in turn, so that every class
   boundary is a single-flip raising gate.
@@ -48,7 +50,7 @@ from .ir import (
     ry,
     x_gate,
 )
-from .simulator import apply_gate
+from .simulator import _to_arrays, apply_gate, run
 
 
 class EncodingError(ValueError):
@@ -57,40 +59,6 @@ class EncodingError(ValueError):
 
 class EncodingVerificationError(EncodingError):
     """Raised when a constructed circuit fails its own simulation check."""
-
-
-@dataclass(frozen=True)
-class SparseTuple:
-    """Ordered (value, address) pairs describing a sparse vector.
-
-    Addresses follow :func:`_check_addresses` except for weight order,
-    which the encoder checks, so a tuple can be built first and sorted at
-    encode time. Values may be real or complex.
-    """
-
-    pairs: tuple[tuple[complex, BitString], ...]
-
-    def __post_init__(self) -> None:
-        values, addresses = [], []
-        for i, item in enumerate(self.pairs):
-            try:
-                value, address = item
-            except (TypeError, ValueError):
-                raise EncodingError(f"pair {i}: expected (value, address)") from None
-            values.append(complex(value))
-            addresses.append(address)
-        addresses = _check_addresses(addresses, ordered=False)
-        object.__setattr__(self, "pairs", tuple(zip(values, addresses)))
-
-    @property
-    def n(self) -> int:
-        return self.pairs[0][1].n
-
-    def sorted_by_weight(self) -> "SparseTuple":
-        """Stable sort of the pairs by address weight."""
-        return SparseTuple(
-            tuple(sorted(self.pairs, key=lambda p: p[1].weight))
-        )
 
 
 @dataclass(frozen=True)
@@ -126,8 +94,10 @@ def _check_addresses(addresses, n: int | None = None, *,
                 f"duplicate address {b.bits} at pairs {seen[b.bits]} and {i}"
             )
         seen[b.bits] = i
-        if ordered and i and parsed[i - 1].weight > b.weight:
-            a = parsed[i - 1]
+    # every address is checked on its own before any pair's order
+    for i in range(1, len(parsed)):
+        a, b = parsed[i - 1], parsed[i]
+        if ordered and a.weight > b.weight:
             raise EncodingError(
                 f"addresses out of order at pairs {i - 1} and {i}:"
                 f" weight({a.bits}) = {a.weight} > weight({b.bits}) = {b.weight}"
@@ -262,66 +232,73 @@ def encode_dense_complex(n: int, k: int, x) -> EncoderReport:
 # sparse encoder
 
 
-def _verify_loaded(
-    amps: dict[int, complex],
-    ordering: tuple[BitString, ...],
-    indices: list[int],
-    wants: list[complex],
-    upto: int,
-    label: str,
-) -> None:
-    """Check the first ``upto`` addresses' amplitudes against ``wants``.
-
-    ``indices`` and ``wants`` are the addresses' ``to_index()`` and target
-    amplitudes, taken once per encoder call.
-    """
-    for j in range(upto):
-        got = amps.get(indices[j], 0j)
-        want = wants[j]
-        if abs(got - want) > 1e-9:
-            raise EncodingVerificationError(
-                f"{label} disturbed amplitude of {ordering[j].bits}:"
-                f" got {got:.12g}, want {want:.12g}"
-            )
-
-
 def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderReport:
     """Load (value, address) pairs, one generalized mixing gate per pair.
 
     Addresses must appear in non-decreasing weight order (pass
     ``sort_by_weight=True`` for a stable pre-sort; nothing is reordered
     silently). Complex mode switches on automatically when any value has
-    a nonzero imaginary part. The gates are then replayed and the partial
-    state checked against the target amplitudes after every one, so a
-    wire pattern that disturbs an already-loaded address fails loudly and
-    names the gate.
+    a nonzero imaginary part. The circuit is then run once and every
+    loaded amplitude compared with its target; on a mismatch the gates are
+    replayed to name the first one that disturbs an already-loaded
+    address, and :class:`EncodingVerificationError` is raised.
     """
-    tup = data if isinstance(data, SparseTuple) else SparseTuple(tuple(data))
+    values, addresses = [], []
+    for i, item in enumerate(data):
+        try:
+            value, address = item
+        except (TypeError, ValueError):
+            raise EncodingError(f"pair {i}: expected (value, address)") from None
+        values.append(complex(value))
+        addresses.append(address)
+    addresses = _check_addresses(addresses, n, ordered=not sort_by_weight)
     if sort_by_weight:
-        tup = tup.sorted_by_weight()
-    addresses = _check_addresses([address for _, address in tup.pairs], n)
+        order = sorted(range(len(addresses)), key=lambda i: addresses[i].weight)
+        values = [values[i] for i in order]
+        addresses = [addresses[i] for i in order]
 
-    values = _as_vector([v for v, _ in tup.pairs], with_phases=True)
+    values = _as_vector(values, with_phases=True)
     s = len(values)
     # a lone negative value needs its argument fixed like a complex one
     with_phases = bool(np.any(values.imag != 0.0) or (s == 1 and values[0].real < 0))
     target = _normalized(values)
     report = _cascade(n, addresses, target, with_phases)
 
-    ordering = report.ordering
-    indices = [address.to_index() for address in ordering]
-    wants = [complex(t) for t in target]
-    gates = report.circuit.gates
-    mixing = len(gates) - (s - 1)  # index of the first mixing gate
-    amps: dict[int, complex] = {0: 1.0 + 0j}
-    for gate in gates[:mixing]:
-        amps = apply_gate(amps, gate)
-    for j in range(1, s):
-        amps = apply_gate(amps, gates[mixing + j - 1])
-        _verify_loaded(amps, ordering, indices, wants, j, f"gate {j}")
-    label = f"gate {s - 1}" if s > 1 else "phase layer"
-    _verify_loaded(amps, ordering, indices, wants, s, label)
+    amps = run(report.circuit).amps
+    got = np.array([amps.get(b.to_index(), 0j) for b in report.ordering])
+    if np.any(np.abs(got - target) > 1e-9):
+        _raise_at_disturbing_gate(report, target)
     return report
+
+
+def _raise_at_disturbing_gate(report: EncoderReport, target: np.ndarray) -> None:
+    """Replay a sparse load gate by gate and raise at the first gate that
+    leaves an already-loaded amplitude off its target.
+
+    After mixing gate j the first j addresses must hold their targets, and
+    after the last one all of them; only a load that has failed its one-run
+    check comes here, so the per-gate checks cost nothing on a good circuit.
+    """
+    ordering, gates = report.ordering, report.circuit.gates
+    s = len(ordering)
+    mixing = len(gates) - (s - 1)  # index of the first mixing gate
+    idx, amp = _to_arrays({0: 1.0 + 0j}, report.circuit.n)
+
+    def check(upto: int, label: str) -> None:
+        amps = dict(zip(idx.tolist(), amp.tolist()))
+        for b, want in zip(ordering[:upto], target[:upto]):
+            got, want = amps.get(b.to_index(), 0j), complex(want)
+            if abs(got - want) > 1e-9:
+                raise EncodingVerificationError(
+                    f"{label} disturbed amplitude of {b.bits}:"
+                    f" got {got:.12g}, want {want:.12g}"
+                )
+
+    for i, gate in enumerate(gates):
+        idx, amp = apply_gate(idx, amp, gate)
+        if i >= mixing:
+            check(i - mixing + 1, f"gate {i - mixing + 1}")
+    check(s, f"gate {s - 1}" if s > 1 else "phase layer")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ beyond).  X and CNOT flip an index bit on the entries whose controls hold and
 re-sort; every other gate is a 2x2 block on pairs of indices that differ by a
 fixed bit flip, found with ``searchsorted``, with a partner inserted only when
 it is new and nonzero.  A gate thus costs a few array passes over the support,
-which for encoder circuits is d << 2^n, so this is the default.  The per-state
-action of ``ir.apply_to_basis_state`` is the reference it is tested against.
+which for encoder circuits is d << 2^n, so this is the default.  That step is
+:func:`apply_gate`, the engine's only one-gate entry: :func:`run` loops it over
+a circuit and the dense engine runs its controlled and mixing gates through
+it.  The per-state action of ``ir.apply_to_basis_state`` is the reference it
+is tested against.
 
 A dense engine (plain numpy vectors, up to 16 qubits) backs exact runs of
 CNOT-level circuits, where mid-circuit superpositions fill out and index
@@ -151,12 +154,14 @@ def _scatter(values: np.ndarray, new: np.ndarray, at: np.ndarray,
     return out
 
 
-def _apply_arrays(idx: np.ndarray, amp: np.ndarray,
-                  gate: Gate) -> tuple[np.ndarray, np.ndarray]:
-    """One gate on a sorted index array and its amplitudes.
+def apply_gate(idx: np.ndarray, amp: np.ndarray,
+               gate: Gate) -> tuple[np.ndarray, np.ndarray]:
+    """One gate on a sorted index array and its amplitudes: the step that
+    :func:`run` and the dense engine loop over.
 
-    Matches ``apply_to_basis_state`` summed over the support, to rounding.
-    ``amp`` may be updated in place, so callers pass arrays they own.
+    Matches ``apply_to_basis_state`` summed over the support, to rounding;
+    amplitudes that cancel exactly are dropped.  ``amp`` may be updated in
+    place, so callers pass arrays they own.
     """
     ctrl = _mask(gate.ctrls)
     care = ctrl | _mask(gate.anti_ctrls)
@@ -169,17 +174,6 @@ def _apply_arrays(idx: np.ndarray, amp: np.ndarray,
         lo, hi = 0, 1 << (gate.ins[0] - 1)
         u = _single_qubit_matrix(gate)
     return _apply_pair(idx, amp, care, ctrl, lo, hi, u)
-
-
-def apply_gate(amps: dict[int, complex], gate: Gate) -> dict[int, complex]:
-    """One gate on a sparse index -> amplitude map, through the array engine.
-
-    Matches the basis-state action of ``apply_to_basis_state`` to rounding;
-    amplitudes that cancel exactly are dropped.
-    """
-    width = max(int(max(amps, default=0)).bit_length(), max(gate.qubits, default=0))
-    idx, amp = _apply_arrays(*_to_arrays(amps, width), gate)
-    return dict(zip(idx.tolist(), amp.tolist()))
 
 
 def _basis_index(ref, n: int, what: str = "basis state") -> int:
@@ -229,7 +223,7 @@ def run(circuit: Circuit, initial=None) -> SparseState:
     n = circuit.n
     idx, amp = _to_arrays(_initial_amps(n, initial), n)
     for i, gate in enumerate(circuit.gates):
-        idx, amp = _apply_arrays(idx, amp, gate)
+        idx, amp = apply_gate(idx, amp, gate)
         norm = float(np.vdot(amp, amp).real)
         if abs(norm - 1.0) > 1e-9:
             raise ArithmeticError(f"norm drifted to {norm} after gate {i}")
@@ -288,7 +282,7 @@ def _apply_gate_dense(vec: np.ndarray, g: Gate) -> np.ndarray:
     if g.kind == "CNOT":
         return vec[_cnot_permutation(vec.size, g.ctrls[0], g.ins[0])]
     if g.kind in MIXING_KINDS or g.ctrls or g.anti_ctrls:
-        idx, amp = _apply_arrays(np.arange(vec.size), vec.copy(), g)
+        idx, amp = apply_gate(np.arange(vec.size), vec.copy(), g)
         out = np.zeros_like(vec)
         out[idx] = amp
         return out

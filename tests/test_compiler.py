@@ -306,6 +306,17 @@ class TestLinearRotations:
             assert cnots(lowered) == 16 * 8 - 24
             assert phase_distance(gate_unitary(g, 9), pushed_unitary(lowered, 9)) < TOL
 
+    def test_priced_only_where_defined(self):
+        # a multi-controlled X needs a control, so one control prices the
+        # multiplexor's two CNOTs without asking the linear construction
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="needs a control"):
+                compiler._mcx_cnots(k)
+        with pytest.raises(ValueError, match="needs a control"):
+            compiler._linear_cnots(1)
+        for lam in (0.7, -2.1, np.pi):
+            assert compiler._rotation_cnots(lam, 1) == 2
+
     def test_fixed_gates_built_once(self):
         ctrls = tuple(range(2, 10))
         first = compile_mcry(ry(0.4, 1, ctrls=ctrls))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from math import comb
 
 import numpy as np
@@ -9,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwenc.bitstrings import BitString
+from hwenc import encoders
+from hwenc.bitstrings import BitString, walk_wires
+from hwenc.coordinates import angles_from_complex, angles_from_real
 from hwenc.encoders import (
     EncoderReport,
     EncodingError,
     EncodingVerificationError,
-    SparseTuple,
-    _verify_loaded,
     encode_binary,
     encode_binary_complex,
     encode_dense_complex,
@@ -24,12 +25,13 @@ from hwenc.encoders import (
 )
 from hwenc.counting import gate_cnot_bound
 from hwenc.ir import serialize
-from hwenc.simulator import SparseState, apply_gate, run
+from hwenc.simulator import SparseState, run
 from test_acceptance import (
     GOLDEN_BINARY_BRIDGE_CTRLS,
     GOLDEN_BINARY_BRIDGE_SLOTS,
     GOLDEN_BINARY_BRIDGE_TARGETS,
 )
+from test_simulator import apply_to_amps
 
 # Frozen layout for the weight-2 walk on six qubits: (ins, outs, ctrls)
 # per mixing gate, after redundant controls on never-touched wires are
@@ -158,7 +160,7 @@ class TestDenseReal:
         rep = encode_dense_real(5, 2, x)
         amps = {0: 1.0 + 0j}
         for gate in rep.circuit.gates:
-            amps = apply_gate(amps, gate)
+            amps = apply_to_amps(amps, gate)
             if gate.kind == "X":
                 continue
             for index in amps:
@@ -373,17 +375,88 @@ class TestSparse:
         with pytest.raises(EncodingError, match="zero vector"):
             encode_sparse(4, [(0.0, "0011"), (0.0, "0101")])
 
-    def test_tuple_type_roundtrip(self):
-        tup = SparseTuple(((0.6, BitString("0011")), (0.8, BitString("0101"))))
-        rep = encode_sparse(4, tup)
-        assert_loads(rep, [0.6, 0.8])
+    def test_verification_error_names_gate(self, monkeypatch):
+        # angles of the reversed vector: gate 1 loads 0.8 where 0.6 belongs
+        monkeypatch.setattr(encoders, "angles_from_real", lambda x: angles_from_real(x[::-1]))
+        with pytest.raises(EncodingVerificationError) as err:
+            encode_sparse(4, [(0.6, "0011"), (0.8, "0101")])
+        assert str(err.value) == "gate 1 disturbed amplitude of 0011: got 0.8+0j, want 0.6+0j"
 
-    def test_verification_error_names_gate(self):
-        ordering = (BitString("01"), BitString("10"))
-        indices = [b.to_index() for b in ordering]
-        poisoned = {indices[0]: 0.1 + 0j}
-        with pytest.raises(EncodingVerificationError, match="gate 1 disturbed.*01"):
-            _verify_loaded(poisoned, ordering, indices, [0.6 + 0j, 0.8 + 0j], 1, "gate 1")
+    def test_verification_error_names_a_later_gate(self, monkeypatch):
+        # the last two components swapped: gate 1 is right, gate 2 is not
+        monkeypatch.setattr(encoders, "angles_from_real",
+                            lambda x: angles_from_real(x[[0, 2, 1]]))
+        with pytest.raises(EncodingVerificationError) as err:
+            encode_sparse(4, [(0.48, "0011"), (0.6, "0101"), (0.64, "1100")])
+        assert str(err.value) == "gate 2 disturbed amplitude of 0101: got 0.64+0j, want 0.6+0j"
+
+    def test_verification_error_names_phase_layer(self, monkeypatch):
+        # a lone negative value without its global phase
+        def no_global_phase(x):
+            thetas, phis = angles_from_complex(x)
+            return thetas, np.concatenate([[0.0], phis[1:]])
+
+        monkeypatch.setattr(encoders, "angles_from_complex", no_global_phase)
+        with pytest.raises(EncodingVerificationError) as err:
+            encode_sparse(4, [(-2.5, "0110")])
+        assert str(err.value) == "phase layer disturbed amplitude of 0110: got 1+0j, want -1+0j"
+
+    def test_verification_error_names_uncontrolled_gate(self, monkeypatch):
+        # without their controls the mixing gates reach loaded addresses;
+        # gate 4 is the first to move one
+        monkeypatch.setattr(encoders, "walk_wires", lambda walk: [
+            (ins, outs, ()) for ins, outs, _ in walk_wires(walk)])
+        vals = np.arange(1, 8) / 10.0
+        with pytest.raises(EncodingVerificationError) as err:
+            encode_sparse(6, list(zip(vals, SPARSE_ADDRESSES)))
+        got, want = re.fullmatch(
+            r"gate 4 disturbed amplitude of 000111: got (\S+), want (\S+)",
+            str(err.value)).groups()
+        assert complex(got) == pytest.approx(-0.206784840643, abs=1e-11)
+        assert complex(want) == pytest.approx(vals[0] / np.linalg.norm(vals), abs=1e-11)
+
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_non_pair_item_names_pair(self, sort):
+        with pytest.raises(EncodingError, match=r"^pair 1: expected \(value, address\)$"):
+            encode_sparse(4, [(0.5, "0011"), 0.5, (0.5, "0101")], sort_by_weight=sort)
+
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_non_bitstring_address_names_pair(self, sort):
+        with pytest.raises(EncodingError, match=r"^pair 1: address must be a bitstring$"):
+            encode_sparse(4, [(0.5, "0011"), (0.5, 3)], sort_by_weight=sort)
+
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_wrong_length_names_pair(self, sort):
+        # a bad address is named before pairs 0 and 1 are out of order
+        with pytest.raises(EncodingError, match=r"^pair 2: address length 3 != 4$"):
+            encode_sparse(4, [(0.5, "0111"), (0.5, "0011"), (0.5, "001")],
+                          sort_by_weight=sort)
+
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_duplicate_names_both_pairs(self, sort):
+        # with the sort the pairs keep the numbers the caller gave them
+        pairs = [(0.5, "0011"), (0.5, "0101"), (0.5, "0011"), (0.5, "1111")]
+        if sort:
+            pairs = pairs[::-1]
+        want = "pairs 1 and 3" if sort else "pairs 0 and 2"
+        with pytest.raises(EncodingError, match=rf"^duplicate address 0011 at {want}$"):
+            encode_sparse(4, pairs, sort_by_weight=sort)
+
+    def test_sort_matches_presorted_input(self):
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            s = int(rng.integers(1, min(2**n, 12)))
+            picks = rng.choice(2**n, size=s, replace=False)
+            vals = rng.normal(size=s)
+            if rng.random() < 0.5:
+                vals = vals + 1j * rng.normal(size=s)
+            pairs = [(v, BitString.from_index(n, int(i))) for v, i in zip(vals, picks)]
+            presorted = sorted(pairs, key=lambda p: p[1].weight)
+            got = encode_sparse(n, pairs, sort_by_weight=True)
+            want = encode_sparse(n, presorted)
+            assert serialize(got.circuit) == serialize(want.circuit)
+            assert got.ordering == want.ordering
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(33)

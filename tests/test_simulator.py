@@ -36,12 +36,21 @@ from hwenc.simulator import (
     SparseState,
     _noisy_probabilities,
     _replay,
+    _to_arrays,
     apply_gate,
     dense_run,
     run,
     run_noisy,
     sample,
 )
+
+
+def apply_to_amps(amps: dict, gate: Gate) -> dict:
+    """``apply_gate`` on an index -> amplitude map, through sorted arrays wide
+    enough for the largest index and wire."""
+    width = max(int(max(amps, default=0)).bit_length(), max(gate.qubits, default=0))
+    idx, amp = apply_gate(*_to_arrays(amps, width), gate)
+    return dict(zip(idx.tolist(), amp.tolist()))
 
 
 def random_logical_circuit(rng, n, n_gates):
@@ -214,7 +223,7 @@ class TestRun:
         c = random_logical_circuit(rng, 5, 40)
         amps = {0: 1.0 + 0j}
         for g in c.gates:
-            amps = apply_gate(amps, g)
+            amps = apply_to_amps(amps, g)
             assert sum(abs(a) ** 2 for a in amps.values()) == pytest.approx(
                 1.0, abs=1e-12
             )
@@ -232,7 +241,7 @@ class TestRun:
         start = BitString("110100")
         amps = {start.to_index(): 1.0 + 0j}
         for g in gates:
-            amps = apply_gate(amps, g)
+            amps = apply_to_amps(amps, g)
             for idx in amps:
                 assert bin(idx).count("1") == 3
 
@@ -285,9 +294,10 @@ class TestRun:
             assert type(amps) is dict
             assert all(type(k) is int for k in amps)
             assert all(type(v) is complex for v in amps.values())
-        amps = apply_gate({0: 1.0 + 0j}, ry(0.3, 1))
-        assert [type(k) for k in amps] == [int, int]
-        assert [type(v) for v in amps.values()] == [complex, complex]
+        # the one-gate step keeps sorted arrays; only run makes the dict
+        idx, amp = apply_gate(*_to_arrays({0: 1.0 + 0j}, 1), ry(0.3, 1))
+        assert idx.tolist() == [0, 1]
+        assert idx.dtype == np.int64 and amp.dtype == complex
 
     def test_wide_circuit_round_trips(self):
         # 70 qubits: indices past int64, held as Python ints by the same kernel
@@ -339,7 +349,7 @@ class TestKernel:
                 gate = dataclasses.replace(gate, **{
                     role: tuple(q + offset for q in getattr(gate, role))
                     for role in ("ins", "outs", "ctrls", "anti_ctrls")})
-            got, want = apply_gate(amps, gate), dict_loop_apply(amps, gate)
+            got, want = apply_to_amps(amps, gate), dict_loop_apply(amps, gate)
             assert set(got) == set(want), gate
             assert max((abs(got[s] - want[s]) for s in want), default=0.0) <= 1e-15, gate
         assert seen == {"both", "lo", "hi", "neither"}
@@ -351,7 +361,7 @@ class TestKernel:
         lo, hi = (0, 1) if gate.kind == "Ry" else (1, 2)
         amps = {lo: s + 0j, hi: c + 0j}
         assert dict_loop_apply(amps, gate).keys() == {hi}
-        assert apply_gate(amps, gate).keys() == {hi}
+        assert apply_to_amps(amps, gate).keys() == {hi}
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
