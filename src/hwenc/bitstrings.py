@@ -58,12 +58,6 @@ class BitString:
         n = self.n
         return frozenset(n - i for i, c in enumerate(self.bits) if c == "0")
 
-    def qubit(self, q: int) -> int:
-        """Bit value on qubit label q (1-based, rightmost character)."""
-        if not 1 <= q <= self.n:
-            raise ValueError(f"qubit label {q} out of range 1..{self.n}")
-        return int(self.bits[self.n - q])
-
     def to_index(self) -> int:
         return int(self.bits, 2)
 

@@ -3,23 +3,26 @@
 A multi-controlled rotation about an axis w becomes one about Y: one
 uncontrolled rotation about w x y turns the axis before it, and its inverse
 turns it back after. The controlled Y rotation takes the cheaper of two
-constructions, priced by :func:`_rotation_cnots` before either is built
-(ties go to the multiplexor). A Gray-code Ry multiplexor costs exactly
-2^(number of controls) CNOTs; its rotations take only two angles, so it
-builds two Ry gates and reuses them at every step. From seven controls on,
-an ancilla-free linear construction is cheaper: 16 * controls - 24 CNOTs,
-the per-gate budget of ``counting.mcry_bound`` (Vale et al.,
-arXiv:2302.06377). It splits the controls into two halves and interleaves
-four multi-controlled X gates, each borrowing the other half as dirty
-ancillas (Barenco et al. 1995, Lemma 7.2), with two angle-dependent Ry
-gates on the target.
-Two-wire mixing gates choose between an entangle-rotate-disentangle
-template ("top") and a parity-ladder plus one central multi-controlled
-rotation ("bottom"). Both templates are priced from their rotations'
-control counts before either is built, and only the one needing fewer
-CNOTs is built (ties go to "bottom"). Wider generalized mixing gates always
-take the ladder route. Conditional phase gates unroll into a stack of
-multi-controlled Rz gates with geometrically shrinking angles.
+constructions, chosen from the control count alone. A Gray-code Ry
+multiplexor costs exactly 2^(number of controls) CNOTs; its rotations take
+only two angles, so it builds two Ry gates and reuses them at every step.
+From seven controls on, an ancilla-free linear construction is cheaper:
+16 * controls - 24 CNOTs, the per-gate budget of ``counting.mcry_bound``
+(Vale et al., arXiv:2302.06377). It splits the controls into two halves and
+interleaves four multi-controlled X gates, each borrowing the other half as
+dirty ancillas (Barenco et al. 1995, Lemma 7.2), with two angle-dependent
+Ry gates on the target.
+A mixing gate on two wires with no controls takes an entangle-rotate-
+disentangle template ("top"): two frame CNOTs around uncontrolled
+rotations. Every other mixing gate takes a parity ladder plus one central
+multi-controlled rotation ("bottom"). Under l >= 1 controls "top" would
+need two rotations under l controls where "bottom" needs one under l + 1,
+and with c(l) the CNOTs of a rotation under l controls, c(l + 1) <= 2 c(l):
+2^(l+1) = 2 * 2^l for the multiplexor, 88 <= 128 where seven controls first
+take the linear construction, and 16 l - 8 <= 32 l - 48 beyond. Without
+controls "top" costs 2 CNOTs and "bottom" 2 or 4. Conditional phase gates
+unroll into a stack of multi-controlled Rz gates with geometrically
+shrinking angles.
 
 Everything here preserves the logical unitary up to a global phase;
 :func:`phase_distance` measures exactly that and backs the tests.
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ir import (
+    MIXING_KINDS,
     Circuit,
     Gate,
     _mixing_matrix,
@@ -156,19 +160,6 @@ def _linear_cnots(ell: int) -> int:
     return 2 * _mcx_cnots(ell - ell // 2) + 2 * _mcx_cnots(ell // 2)
 
 
-def _rotation_cnots(lam: float, ell: int) -> int:
-    """CNOTs :func:`_mcry_core` spends on exp(i*lam * w.sigma) with ell controls.
-
-    The one price of a multi-controlled rotation: the multiplexor's 2^ell or,
-    from two controls on, the linear construction's, whichever is lower.
-    """
-    if ell == 0 or _is_identity(lam):
-        return 0
-    if ell == 1:
-        return 2
-    return min(1 << ell, _linear_cnots(ell))
-
-
 @functools.lru_cache(maxsize=4096)
 def _toffoli(a: int, b: int, t: int) -> tuple[Gate, ...]:
     """Exact Toffoli on target t in six CNOTs, up to a global phase.
@@ -247,9 +238,9 @@ def _mcry_core(gate: Gate, ctrls: tuple[int, ...]) -> list[Gate]:
 
     It is written as exp(i*lam * w.sigma), and the uncontrolled rotation V
     about w x y with V (w.sigma) V^-1 = Y turns the axis into Y before and
-    back after. The controlled exp(i*lam*Y) in between takes the multiplexor
-    or the linear construction, whichever :func:`_rotation_cnots` prices
-    lower.
+    back after. The controlled exp(i*lam*Y) in between takes the linear
+    construction where its count for this many controls is below the
+    multiplexor's 2^len(ctrls), and the multiplexor otherwise.
     """
     if not ctrls:
         return [gate]
@@ -276,53 +267,14 @@ def _mcry_core(gate: Gate, ctrls: tuple[int, ...]) -> list[Gate]:
         unit = (-az / sin_b, 0.0, ax / sin_b)
         pre.append(rw(-half, unit, t))
         post.append(rw(half, unit, t))
-    if _rotation_cnots(lam, len(ctrls)) < 1 << len(ctrls):
+    if len(ctrls) > 1 and _linear_cnots(len(ctrls)) < 1 << len(ctrls):
         return pre + _linear_rotation(lam, t, ctrls) + post
     # exp(i*lam*Y) = Ry(-lam)
     return pre + _multiplexed(-lam, t, ctrls) + post
 
 
-def compile_rbs(gate: Gate) -> list[Gate]:
-    """Lower a two-wire mixing gate, building only the cheaper of two templates."""
-    if gate.kind not in ("RBS", "ComplexRBS"):
-        raise ValueError(f"compile_rbs cannot lower {gate.kind}")
-    return _cheaper_template(gate)
-
-
-def compile_grbs(gate: Gate) -> list[Gate]:
-    """Lower a generalized mixing gate via the parity-ladder template.
-
-    A generalized gate on two wires is an RBS block (after one X if both
-    wires are out-wires), so it is priced against the "top" template too.
-    """
-    if gate.kind != "GRBS":
-        raise ValueError(f"compile_grbs cannot lower {gate.kind}")
-    if len(gate.ins) + len(gate.outs) == 2:
-        return _cheaper_template(gate)
-    return _mixing_bottom(gate)
-
-
 def _phased(gate: Gate) -> bool:
     return gate.kind == "ComplexRBS" or bool(gate.phi)
-
-
-def _cheaper_template(gate: Gate) -> list[Gate]:
-    """Build the cheaper template of a mixing gate on two wires.
-
-    Each template is priced by :func:`_rotation_cnots` over the rotations
-    it would build: "top" is two frame CNOTs plus its Ry (and Rz) stacks,
-    "bottom" a two-CNOT ladder plus one rotation with one extra control.
-    """
-    ell = len(gate.ctrls) + len(gate.anti_ctrls)
-    half = gate.theta / 2.0
-    top = 2 + 2 * _rotation_cnots(-half, ell)
-    if _phased(gate):
-        quarter = gate.phi / 2.0
-        top += _rotation_cnots(-quarter, ell) + _rotation_cnots(quarter, ell)
-    lam, _ = _mixing_central(gate)
-    if top < 2 + _rotation_cnots(lam, ell + 1):
-        return _rbs_top(gate)
-    return _mixing_bottom(gate)
 
 
 def _cnots(gates) -> int:
@@ -335,7 +287,8 @@ def _rbs_top(gate: Gate) -> list[Gate]:
     The two half-angle Ry stacks (and, with phases, a trailing pair of
     quarter-turn Rz stacks) carry all the controls; the H/CNOT frame is
     unconditioned and cancels to the identity when the rotations do not
-    fire.
+    fire. :func:`lower_gate` takes it only without controls; the controlled
+    form is what shows the ladder no dearer under controls.
     """
     if gate.ins:
         src, dst, flip = gate.ins[0], gate.outs[0], []
@@ -455,10 +408,10 @@ def lower_gate(gate: Gate) -> list[Gate]:
         return compile_mcry(gate)
     if gate.kind == "AntiPhase":
         return compile_anti_phase(gate)
-    if gate.kind in ("RBS", "ComplexRBS"):
-        return compile_rbs(gate)
-    if gate.kind == "GRBS":
-        return compile_grbs(gate)
+    if gate.kind in MIXING_KINDS:
+        if len(gate.ins) + len(gate.outs) == 2 and not (gate.ctrls or gate.anti_ctrls):
+            return _rbs_top(gate)
+        return _mixing_bottom(gate)
     raise ValueError(f"no lowering for gate kind {gate.kind}")
 
 

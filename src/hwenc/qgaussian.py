@@ -131,8 +131,13 @@ def run_demo(spec: QGaussianSpec = QGaussianSpec(), *, n: int = 6, k: int = 2,
     under a depolarizing-style noise of strength p2 (exact sampling when
     p2 = 0).  With ``mitigate`` the regression pipeline supplies the
     mitigated column and, with ``bootstrap`` > 0, percentile bands on the
-    raw frequencies.  Deterministic given ``seed``.
+    raw frequencies.  Deterministic given ``seed``.  The report states
+    ``shots`` and ``seed``, so a given ``config`` must run with both.
     """
+    if config is not None and (config.shots, config.seed) != (shots, seed):
+        raise ValueError(
+            f"config runs {config.shots} shots under seed {config.seed}, "
+            f"but the demo reports shots={shots} and seed={seed}")
     target = discretize_qgaussian(spec)
     report = encode_dense_real(n, k, target.amplitudes)
     compiled = lower(report.circuit).circuit

@@ -77,7 +77,6 @@ class TestBitString:
         b = BitString("100101")
         assert b.ones == {6, 3, 1}
         assert b.zeros == {5, 4, 2}
-        assert b.qubit(6) == 1 and b.qubit(5) == 0 and b.qubit(1) == 1
         assert b.to_index() == 0b100101
 
     def test_weight_and_complement(self):

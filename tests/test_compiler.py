@@ -16,9 +16,7 @@ from hwenc.compiler import (
     _rbs_top,
     axis_angle,
     compile_anti_phase,
-    compile_grbs,
     compile_mcry,
-    compile_rbs,
     lower,
     lower_gate,
     phase_distance,
@@ -26,6 +24,8 @@ from hwenc.compiler import (
 from hwenc.counting import gate_cnot_bound
 from hwenc.encoders import encode_binary, encode_dense_complex, encode_dense_real, encode_sparse
 from hwenc.ir import (
+    CNOT_LEVEL_KINDS,
+    GATE_KINDS,
     Circuit,
     Gate,
     _single_qubit_matrix,
@@ -201,7 +201,7 @@ class TestSharedStackRotations:
             assert circuit.gates == want.gates, g
             assert serialize(circuit) == serialize(want), g
             ell = len(g.ctrls) + len(g.anti_ctrls)
-            if compiler._rotation_cnots(1.0, ell) < 1 << ell:
+            if ell > 1 and compiler._linear_cnots(ell) < 1 << ell:
                 continue  # the linear construction, not a stack
             rotations = [x for x in circuit.gates if x.kind == "Ry"]
             if ell >= 2:
@@ -307,15 +307,13 @@ class TestLinearRotations:
             assert phase_distance(gate_unitary(g, 9), pushed_unitary(lowered, 9)) < TOL
 
     def test_priced_only_where_defined(self):
-        # a multi-controlled X needs a control, so one control prices the
-        # multiplexor's two CNOTs without asking the linear construction
+        # a multi-controlled X needs a control, so the linear construction
+        # has no count below two controls
         for k in (0, -1):
             with pytest.raises(ValueError, match="needs a control"):
                 compiler._mcx_cnots(k)
         with pytest.raises(ValueError, match="needs a control"):
             compiler._linear_cnots(1)
-        for lam in (0.7, -2.1, np.pi):
-            assert compiler._rotation_cnots(lam, 1) == 2
 
     def test_fixed_gates_built_once(self):
         ctrls = tuple(range(2, 10))
@@ -398,22 +396,22 @@ class TestMixingGates:
                         theta, float(rng.uniform(-3, 3)),
                         int(src), int(dst), ctrls=ctrls, anti_ctrls=antis,
                     )
-                assert_equivalent(g, compile_rbs(g), n)
+                assert_equivalent(g, lower_gate(g), n)
 
     def test_real_cnot_counts(self):
         for ell, want in [(0, 2), (1, 6), (2, 10), (3, 18)]:
             g = rbs(0.8, 5, 6, ctrls=tuple(range(1, ell + 1)))
-            assert cnots(compile_rbs(g)) == want
+            assert cnots(lower_gate(g)) == want
 
     def test_complex_cnot_counts(self):
         for ell, want in [(0, 2), (1, 6), (2, 10), (3, 18)]:
             g = complex_rbs(0.8, 0.5, 5, 6, ctrls=tuple(range(1, ell + 1)))
-            assert cnots(compile_rbs(g)) == want
+            assert cnots(lower_gate(g)) == want
 
     def test_uncontrolled_uses_rotate_between_cnots(self):
         # the 2-CNOT template: conjugating frame, two half-angle
         # rotations inside, no multi-controlled machinery
-        lowered = compile_rbs(rbs(0.8, 1, 2))
+        lowered = lower_gate(rbs(0.8, 1, 2))
         assert cnots(lowered) == 2
         half = [g for g in lowered if g.kind == "Ry"]
         assert [g.theta for g in half] == [0.4, 0.4]
@@ -421,7 +419,7 @@ class TestMixingGates:
     def test_controlled_uses_ladder(self):
         # one control makes the central-rotation route cheaper;
         # its signature is a CNOT between the mixed wires at both ends
-        lowered = compile_rbs(rbs(0.8, 1, 2, ctrls=(3,)))
+        lowered = lower_gate(rbs(0.8, 1, 2, ctrls=(3,)))
         assert lowered[0] == cnot(1, 2)
         assert lowered[-1] == cnot(1, 2)
 
@@ -440,7 +438,7 @@ class TestMixingGates:
                 float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)),
                 ins, outs, ctrls=ctrls, anti_ctrls=antis,
             )
-            assert_equivalent(g, compile_grbs(g), n)
+            assert_equivalent(g, lower_gate(g), n)
             done += 1
 
     def test_grbs_cnot_formula(self):
@@ -452,14 +450,14 @@ class TestMixingGates:
             want = 2 * (m + mp - 1) + 2 ** (ell + m + mp - 1)
             if m + mp == 2 and ell == 0:
                 want = 2  # the "top" template, as for an RBS
-            assert cnots(compile_grbs(g)) == want, (m, mp, ell)
+            assert cnots(lower_gate(g)) == want, (m, mp, ell)
 
     def test_grbs_raising_no_ins(self):
         for mp, ell in [(1, 1), (2, 0), (3, 1)]:
             outs = tuple(range(1, mp + 1))
             ctrls = tuple(range(mp + 1, mp + ell + 1))
             g = grbs(0.7, 0.4, (), outs, ctrls=ctrls)
-            lowered = compile_grbs(g)
+            lowered = lower_gate(g)
             n = mp + ell
             assert_equivalent(g, lowered, n)
             want = 2 * (mp - 1) + 2 ** (ell + mp - 1)
@@ -467,22 +465,12 @@ class TestMixingGates:
                 want = 2  # one X makes it an RBS block on the "top" template
             assert cnots(lowered) == want
 
-    def test_rejects_wrong_kinds(self):
-        with pytest.raises(ValueError, match="compile_rbs"):
-            compile_rbs(ry(0.3, 1))
-        with pytest.raises(ValueError, match="compile_grbs"):
-            compile_grbs(rbs(0.3, 1, 2))
-
 
 class TestTemplateChoice:
-    """compile_rbs prices the templates; building both must agree with it."""
+    """A two-wire mixing gate takes "top" only without controls; building
+    both templates shows that the pick never needs more CNOTs."""
 
-    @staticmethod
-    def build_both(gate):
-        top, bottom = _rbs_top(gate), _mixing_bottom(gate)
-        return "top" if cnots(top) < cnots(bottom) else "bottom", top, bottom
-
-    def test_priced_choice_matches_building_both(self):
+    def test_rule_never_dearer_than_other_template(self):
         rng = np.random.default_rng(54)
         seen = {"top": 0, "bottom": 0, "tie": 0}
         for ell in range(7):
@@ -491,25 +479,33 @@ class TestTemplateChoice:
             phis = (0.0, np.pi, float(rng.uniform(-np.pi, np.pi)))
             for cut in range(ell + 1):
                 src, dst, *rest = (int(q) for q in rng.permutation(np.arange(1, ell + 3)))
-                ctrls, antis = tuple(sorted(rest[:cut])), tuple(sorted(rest[cut:]))
+                wires = dict(ctrls=tuple(sorted(rest[:cut])),
+                             anti_ctrls=tuple(sorted(rest[cut:])))
                 for theta in thetas:
-                    gates = [rbs(theta, src, dst, ctrls=ctrls, anti_ctrls=antis)]
-                    gates += [complex_rbs(theta, phi, src, dst, ctrls=ctrls,
-                                          anti_ctrls=antis) for phi in phis]
+                    gates = [rbs(theta, src, dst, **wires)]
+                    for phi in phis:
+                        gates += [complex_rbs(theta, phi, src, dst, **wires),
+                                  grbs(theta, phi, (src,), (dst,), **wires),
+                                  grbs(theta, phi, (), tuple(sorted((src, dst))), **wires)]
                     for g in gates:
-                        winner, top, bottom = self.build_both(g)
-                        lowered = compile_rbs(g)
-                        assert lowered == (top if winner == "top" else bottom), (
-                            g, winner)
-                        seen["tie" if cnots(top) == cnots(bottom) else winner] += 1
-        # every branch of the rule was exercised, ties included
+                        top, bottom = _rbs_top(g), _mixing_bottom(g)
+                        picked, other = (top, bottom) if ell == 0 else (bottom, top)
+                        assert lower_gate(g) == picked, g
+                        assert cnots(picked) <= cnots(other), g
+                        if cnots(top) == cnots(bottom):
+                            seen["tie"] += 1
+                        else:
+                            seen["top" if cnots(top) < cnots(bottom) else "bottom"] += 1
+        # each template is strictly cheaper somewhere, and ties occur
         assert min(seen.values()) > 0, seen
 
-    def test_tie_goes_to_bottom(self):
-        # theta = 0 with no controls: both templates cost 2 CNOTs
+    def test_uncontrolled_identity_takes_top(self):
+        # theta = 0 with no controls: both templates cost 2 CNOTs, and the
+        # gate takes the frame
         g = rbs(0.0, 1, 2)
         assert cnots(_rbs_top(g)) == cnots(_mixing_bottom(g)) == 2
-        assert compile_rbs(g) == _mixing_bottom(g)
+        assert lower_gate(g) == _rbs_top(g)
+        assert cnots(lower_gate(g)) == 2
 
 
 class TestAntiPhase:
@@ -540,6 +536,21 @@ class TestLower:
     def test_passthrough_gates(self):
         assert lower_gate(x_gate(3)) == [x_gate(3)]
         assert lower_gate(cnot(1, 2)) == [cnot(1, 2)]
+
+    def test_lower_gate_lowers_every_kind(self):
+        ctl = dict(ctrls=(3,), anti_ctrls=(4,))
+        examples = [
+            x_gate(1), cnot(1, 2), ry(0.3, 1, **ctl), rz(0.3, 1, **ctl),
+            rw(0.3, (0.48, -0.6, 0.64), 1, **ctl), anti_phase(0.3, 1, **ctl),
+            rbs(0.3, 1, 2, **ctl), complex_rbs(0.3, 0.5, 1, 2, **ctl),
+            grbs(0.3, 0.5, (1,), (2, 5), **ctl),
+        ]
+        assert {g.kind for g in examples} == set(GATE_KINDS)
+        for g in examples:
+            lowered = lower_gate(g)
+            assert {x.kind for x in lowered} <= CNOT_LEVEL_KINDS, g.kind
+            assert_equivalent(g, lowered, 5)
+
 
     def test_random_logical_circuits(self):
         rng = np.random.default_rng(55)

@@ -577,6 +577,35 @@ def complex_vectors(draw, d: int) -> tuple[np.ndarray, float]:
     return z, 10.0 ** draw(st.integers(-300, 300))
 
 
+@st.composite
+def real_vectors(draw, d: int) -> tuple[np.ndarray, float]:
+    """A nonzero d-vector of entries in [-1, 1] (zeros included), with a
+    scale from 1e-300 to 1e300."""
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(-1.0, -0.01))
+    x = draw(st.lists(entry, min_size=d, max_size=d).filter(any))
+    return np.array(x), 10.0 ** draw(st.integers(-300, 300))
+
+
+class TestRealRoundTripProperties:
+    """Every real encoder loads x / |x| within 1e-10, at any scale."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_real(self, data):
+        n = data.draw(st.integers(2, 8))
+        k = data.draw(st.integers(1, n - 1))
+        d = data.draw(st.integers(2, comb(n, k)))
+        x, scale = data.draw(real_vectors(d))
+        assert_loads(encode_dense_real(n, k, x * scale), x, tol=1e-10)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_binary(self, data):
+        n = data.draw(st.integers(1, 6))
+        x, scale = data.draw(real_vectors(2**n))
+        assert_loads(encode_binary(n, x * scale), x, tol=1e-10)
+
+
 class TestComplexRoundTripProperties:
     """Every complex encoder loads x / |x| within 1e-10, at any scale."""
 

@@ -113,6 +113,16 @@ class TestRunDemo:
             assert row.band_low is not None
             assert row.rel_err_mitigated is not None
 
+    def test_config_must_match_reported_shots_and_seed(self):
+        # the report states shots and seed; a config that ran others would
+        # label its raw column with values that never ran
+        config = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=2,
+                           shots=5000, seed=9)
+        for shots, seed in ((100, 9), (5000, 4)):
+            with pytest.raises(ValueError, match=f"5000 shots under seed 9.*"
+                                                 f"shots={shots} and seed={seed}"):
+                run_demo(shots=shots, seed=seed, mitigate=True, config=config)
+
     def test_smaller_space_demo(self):
         spec = QGaussianSpec(points=6)
         report = run_demo(spec, n=4, k=2, shots=50_000, seed=1)
