@@ -153,9 +153,8 @@ def _cmd_count(args) -> int:
     if args.n is None:
         raise ValueError("count needs --n unless --check-8n2n")
     if args.binary:
-        # the full-basis budget is real, analytic and weight-free
-        if args.complex_amplitudes:
-            raise ValueError("count --binary has no --complex budget")
+        # the full-basis budget is analytic and weight-free; the real one
+        # also bounds the complex encoder, whose phased gates never cost more
         if args.mode != "analytic":
             raise ValueError(f"count --binary has no --mode {args.mode}")
         if args.k is not None:
@@ -213,7 +212,7 @@ def _cmd_simulate(args) -> int:
         if args.shots is None:
             raise ValueError("--noise needs --shots")
         p2 = _parse_noise(args.noise)
-        counts = run_noisy(circuit, NoiseModel(p2, seed), args.shots)
+        counts = run_noisy(circuit, NoiseModel(p2), args.shots, seed)
         print(json.dumps({
             "seed": seed, "shots": args.shots, "p2": p2,
             "counts": {b.bits: c for b, c in sorted(
@@ -252,17 +251,14 @@ def _cmd_demo(args) -> int:
                          interval=(args.interval[0], args.interval[1]),
                          points=args.points)
     config = None
-    mitigate = args.mitigate is not None
-    if mitigate:
+    if args.mitigate is not None:
         config = CdrConfig(replacement_rates=_parse_rates(args.rates),
-                           circuits_per_rate=args.circuits_per_rate,
-                           shots=args.shots, seed=seed)
+                           circuits_per_rate=args.circuits_per_rate)
     report = run_demo(spec, n=args.n, k=args.k, shots=args.shots, p2=p2,
-                      seed=seed, mitigate=mitigate, config=config,
-                      bootstrap=args.bootstrap)
+                      seed=seed, config=config, bootstrap=args.bootstrap)
     out = sys.stdout
     out.write(f"# seed={seed} shots={args.shots} p2={p2} "
-              f"mitigated={str(mitigate).lower()}\n")
+              f"mitigated={str(report.mitigated).lower()}\n")
     writer = csv.writer(out)
     writer.writerow([
         "bitstring", "target", "raw", "mitigated", "band_low", "band_high",
@@ -275,7 +271,7 @@ def _cmd_demo(args) -> int:
             _csv_cell(r.band_high), _csv_cell(r.rel_err_raw),
             _csv_cell(r.rel_err_mitigated),
         ])
-    if mitigate:
+    if report.mitigated:
         out.write(f"# mean_rel_err_raw={report.mean_rel_err_raw():.6g} "
                   f"mean_rel_err_mitigated="
                   f"{report.mean_rel_err_mitigated():.6g}\n")

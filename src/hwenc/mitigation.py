@@ -7,9 +7,12 @@ model, fit one line per tracked basis state through the resulting
 (noisy, noiseless) point cloud, and apply that line to the noisy
 measurement of the original circuit.  Bootstrap resampling of the raw
 counts provides uncertainty bands for reports.
+
+The noise model is the channel and ``CdrConfig`` the ensemble's shape;
+each call takes its shot count and seed, and ``mitigate_circuit`` derives
+all of its random streams from its one seed.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,12 +77,10 @@ def _clifford_rotations() -> tuple[tuple[float, tuple[float, float, float]], ...
 
 @dataclass(frozen=True)
 class CdrConfig:
-    """Ensemble shape for the regression: rates, draws per rate, shots."""
+    """Ensemble shape for the regression: replacement rates, draws per rate."""
 
     replacement_rates: tuple[float, ...] = (0.79, 0.83, 0.90, 0.95, 1.00)
     circuits_per_rate: int = 50
-    shots: int = 10_000
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(
@@ -90,8 +91,6 @@ class CdrConfig:
                 raise ValueError(f"replacement rate {r} outside (0, 1]")
         if self.circuits_per_rate < 1:
             raise ValueError("need at least one circuit per rate")
-        if self.shots < 1:
-            raise ValueError("need at least one shot")
 
 
 @dataclass(frozen=True)
@@ -132,20 +131,20 @@ def rotation_positions(circuit: Circuit) -> list[int]:
     return positions
 
 
-def near_clifford_ensemble(circuit: Circuit, config: CdrConfig) -> list[Circuit]:
+def near_clifford_ensemble(circuit: Circuit, config: CdrConfig,
+                           seed: int) -> list[Circuit]:
     """Proxy circuits with rotations swapped for random Cliffords.
 
     For each rate r the ensemble holds circuits_per_rate draws; each draw
     picks ceil(r * #rotations) rotation positions uniformly without
     replacement and puts an independent uniform Clifford (as a rotation
-    about its own axis) on each chosen wire.  Deterministic given the
-    config seed.
+    about its own axis) on each chosen wire.  Deterministic given ``seed``.
     """
     positions = rotation_positions(circuit)
     if not positions:
         raise ValueError("circuit has no rotation gates to replace")
     pool = _clifford_rotations()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     ensemble = []
     for rate in config.replacement_rates:
         count = math.ceil(rate * len(positions))
@@ -176,17 +175,17 @@ def _observable_indices(keys, n: int) -> list[int]:
 
 
 def build_training_set(ensemble, noise: NoiseModel, shots: int,
-                       observables) -> dict:
+                       observables, seed: int) -> dict:
     """(noisy, noiseless) probability pairs per tracked basis state.
 
     Noiseless values come from exact simulation, noisy ones from sampled
-    trajectory runs with per-circuit seeds drawn from the noise model's
-    seed.  Observables are basis states as ``simulator._basis_index`` reads
+    runs of ``shots`` shots each, with per-circuit seeds drawn from
+    ``seed``.  Observables are basis states as ``simulator._basis_index`` reads
     them, no two the same state.  Returns {observable: array of shape
     (len(ensemble), 2)} with columns (noisy, noiseless).
     """
     keys = list(observables)
-    rng = np.random.default_rng(noise.seed)
+    rng = np.random.default_rng(seed)
     pairs = {k: np.zeros((len(ensemble), 2)) for k in keys}
     for j, circ in enumerate(ensemble):
         indices = _observable_indices(keys, circ.n)
@@ -267,32 +266,29 @@ def bootstrap_bands(counts: dict, resamples: int, seed: int,
 
 
 def mitigate_circuit(circuit: Circuit, observables, noise: NoiseModel,
-                     config: CdrConfig, bootstrap: int = 0) -> MitigationReport:
+                     config: CdrConfig, *, shots: int, seed: int,
+                     bootstrap: int = 0) -> MitigationReport:
     """Full regression-mitigation pass over one compiled circuit.
 
     Measures the circuit under noise, trains on a fresh proxy ensemble,
     and reports target/raw/mitigated probabilities per observable, with
-    optional bootstrap bands on the raw frequencies.  All randomness
-    derives from config.seed.
+    optional bootstrap bands on the raw frequencies.  The circuit and every
+    proxy run ``shots`` shots, and all randomness derives from ``seed``.
     """
     keys = list(observables)
     indices = _observable_indices(keys, circuit.n)
     s_raw, s_ens, s_noise, s_boot = (
-        int(s) for s in np.random.SeedSequence(config.seed).generate_state(4)
+        int(s) for s in np.random.SeedSequence(seed).generate_state(4)
     )
     exact = np.abs(dense_run(circuit)) ** 2
     target = {k: float(exact[i]) for k, i in zip(keys, indices)}
 
-    counts = run_noisy(circuit, noise, config.shots, seed=s_raw)
-    freq = {b.to_index(): c / config.shots for b, c in counts.items()}
+    counts = run_noisy(circuit, noise, shots, seed=s_raw)
+    freq = {b.to_index(): c / shots for b, c in counts.items()}
     raw = {k: freq.get(i, 0.0) for k, i in zip(keys, indices)}
 
-    ensemble = near_clifford_ensemble(
-        circuit, dataclasses.replace(config, seed=s_ens)
-    )
-    training = build_training_set(
-        ensemble, dataclasses.replace(noise, seed=s_noise), config.shots, keys
-    )
+    ensemble = near_clifford_ensemble(circuit, config, s_ens)
+    training = build_training_set(ensemble, noise, shots, keys, s_noise)
     mitigated, fits = fit_and_mitigate(training, raw)
     bands = (bootstrap_bands(counts, bootstrap, s_boot, keys)
              if bootstrap else None)

@@ -7,8 +7,8 @@ target for amplitude loading.  The default parameters (q = 3/2, beta = 2)
 reduce to density proportional to (1 + x^2)^-2 on the grid.
 
 run_demo wires the whole pipeline: discretize, encode at fixed weight,
-compile, measure under optional noise, optionally regress the errors
-away, and emit one report row per grid point.
+compile, measure under optional noise, regress the errors away when given
+an ensemble shape, and emit one report row per grid point.
 """
 
 import math
@@ -123,34 +123,29 @@ def discretize_qgaussian(spec: QGaussianSpec = QGaussianSpec()) -> DiscretizedTa
 
 def run_demo(spec: QGaussianSpec = QGaussianSpec(), *, n: int = 6, k: int = 2,
              shots: int = 10_000, p2: float = 0.0, seed: int = 0,
-             mitigate: bool = False, config: CdrConfig | None = None,
+             config: CdrConfig | None = None,
              bootstrap: int = 0) -> DemoReport:
-    """Encode the discretized density, measure it, optionally mitigate.
+    """Encode the discretized density, measure it, mitigate given a config.
 
     The raw column holds measured frequencies of the compiled circuit
     under a depolarizing-style noise of strength p2 (exact sampling when
-    p2 = 0).  With ``mitigate`` the regression pipeline supplies the
-    mitigated column and, with ``bootstrap`` > 0, percentile bands on the
-    raw frequencies.  Deterministic given ``seed``.  The report states
-    ``shots`` and ``seed``, so a given ``config`` must run with both.
+    p2 = 0).  Given a ``config``, the regression pipeline trains on that
+    ensemble shape and supplies the mitigated column; ``None`` runs no
+    mitigation.  With ``bootstrap`` > 0 the raw frequencies get
+    percentile bands.  Every run takes ``shots`` shots, and the whole
+    report is deterministic given ``seed``.
     """
-    if config is not None and (config.shots, config.seed) != (shots, seed):
-        raise ValueError(
-            f"config runs {config.shots} shots under seed {config.seed}, "
-            f"but the demo reports shots={shots} and seed={seed}")
     target = discretize_qgaussian(spec)
     report = encode_dense_real(n, k, target.amplitudes)
     compiled = lower(report.circuit).circuit
     ordering = list(report.ordering)
-    noise = NoiseModel(p2, seed)
+    noise = NoiseModel(p2)
 
     bands = None
     mitigated = None
-    if mitigate:
-        if config is None:
-            config = CdrConfig(shots=shots, seed=seed)
+    if config is not None:
         outcome = mitigate_circuit(compiled, ordering, noise, config,
-                                   bootstrap=bootstrap)
+                                   shots=shots, seed=seed, bootstrap=bootstrap)
         raw = outcome.raw
         mitigated = outcome.mitigated
         bands = outcome.bands
@@ -178,4 +173,4 @@ def run_demo(spec: QGaussianSpec = QGaussianSpec(), *, n: int = 6, k: int = 2,
                                else None),
         ))
     return DemoReport(rows=tuple(rows), seed=seed, shots=shots, p2=p2,
-                      mitigated=mitigate)
+                      mitigated=config is not None)

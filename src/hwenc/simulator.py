@@ -28,7 +28,8 @@ trajectory: shots sharing an insertion pattern see the same final state, so
 each distinct pattern is simulated once and its counts are a multinomial
 draw.  The patterns are replayed in sorted order off one noiseless pass, so
 one vector per pattern in flight is kept, not one per CNOT.  Either way the
-run is deterministic given the seed.
+run is deterministic given its seed, which, like its shot count, is an
+argument of the run: the noise model is the channel alone.
 """
 
 import math
@@ -304,10 +305,10 @@ _DENSITY_QUBITS = 9
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Depolarizing-style two-qubit Pauli noise after every CNOT."""
+    """Depolarizing-style two-qubit Pauli noise after every CNOT: the
+    channel only; each run takes its own shot count and seed."""
 
     p2: float
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.p2 < 1.0:
@@ -420,7 +421,7 @@ def _trajectory_counts(circuit: Circuit, p2: float, shots: int,
 
 
 def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int,
-              seed: int | None = None) -> dict[BitString, int]:
+              seed: int) -> dict[BitString, int]:
     """Measurement counts under per-CNOT two-qubit depolarizing noise.
 
     Up to 9 qubits the counts are one multinomial draw from the exact
@@ -428,8 +429,8 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int,
     qubits each shot is its own Pauli trajectory: first the fire and
     which-Pauli tables for all shots and sites are drawn, then one
     multinomial per distinct insertion pattern in sorted pattern order.
-    Either way the counts are deterministic given the seed, which falls
-    back to the noise model's own.
+    Either way the counts are deterministic given ``seed``, as in
+    :func:`sample`.
     """
     if circuit.level != "cnot":
         raise ValueError("noisy runs need a cnot-level circuit")
@@ -438,7 +439,7 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int,
     n = circuit.n
     if n > 16:
         raise ValueError("noisy simulation limited to 16 qubits")
-    rng = np.random.default_rng(noise.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     if n <= _DENSITY_QUBITS:
         totals = rng.multinomial(shots, _noisy_probabilities(circuit, noise.p2))
     else:

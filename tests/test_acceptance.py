@@ -462,18 +462,14 @@ def test_criterion_8_error_mitigation():
     t0 = time.perf_counter()
     wins = 0
     for seed in range(10):
-        config = CdrConfig(shots=10_000, seed=seed)
-        report = run_demo(
-            shots=10_000, p2=0.01, seed=seed, mitigate=True, config=config
-        )
+        report = run_demo(shots=10_000, p2=0.01, seed=seed, config=CdrConfig())
         wins += report.mean_rel_err_mitigated() < report.mean_rel_err_raw()
 
     clean = run_demo(
         shots=10_000,
         p2=0.0,
         seed=0,
-        mitigate=True,
-        config=CdrConfig(shots=10_000, seed=0),
+        config=CdrConfig(),
     )
     target = discretize_qgaussian(QGaussianSpec()).probabilities
     # two mean per-point relative standard errors at 10^4 shots

@@ -1,5 +1,6 @@
 """Command-line tests, run in-process through main()."""
 
+import hashlib
 import json
 import math
 import os
@@ -190,7 +191,16 @@ class TestCount:
         assert payload["total"] == 1048
         assert payload["analytic_total"] == 1120
 
-    @pytest.mark.parametrize("flags", [("--complex",), ("--mode", "actual"),
+    def test_binary_budget_bounds_complex(self, capsys):
+        # phased gates never cost more than the real ones count_binary prices
+        code, out, _ = run_cli(capsys, "count", "--n", "6", "--binary")
+        code_c, out_c, err = run_cli(capsys, "count", "--n", "6", "--binary",
+                                     "--complex")
+        assert code == code_c == 0 and err == ""
+        assert out_c == out and json.loads(out_c)["total"] == 1048
+
+    # --k 0 is falsy, so the check must test for presence, not truth
+    @pytest.mark.parametrize("flags", [("--k", "0"), ("--mode", "actual"),
                                        ("--mode", "closed-form"), ("--k", "2")])
     def test_binary_budget_rejects_ignored_flags(self, capsys, flags):
         code, out, err = run_cli(capsys, "count", "--n", "3", "--binary", *flags)
@@ -367,6 +377,52 @@ class TestDemo:
         )
         lines = out.strip().splitlines()
         assert len(lines) == 2 + 6 + 1
+
+
+# the noisy commands' stdout, pinned so that moving where a seed or a shot
+# count is set cannot move a single count; the simulate cases encode 1..15
+# (density path) and 1..45 (trajectory path) first
+GOLDEN_STDOUT = {
+    "demo-mitigated": (
+        ("demo", "qgaussian", "--noise", "depol:0.01", "--mitigate", "cdr",
+         "--circuits-per-rate", "2", "--shots", "2000", "--seed", "3",
+         "--bootstrap", "20"),
+        "38851a259efd30c53f61c0a348328ad5b2f5a5dac7e989e7d537f3d5ee270157"),
+    "demo-raw": (
+        ("demo", "qgaussian", "--noise", "depol:0.01",
+         "--circuits-per-rate", "2", "--shots", "2000", "--seed", "3",
+         "--bootstrap", "20"),
+        "b1fce5395bbe7c186f21e6673c7da2eecc1d59cd9f210bcc2f5f000c438f6ced"),
+    "demo-benchmark": (
+        ("demo", "qgaussian", "--noise", "depol:0.01", "--mitigate", "cdr",
+         "--shots", "10000", "--circuits-per-rate", "10", "--seed", "5"),
+        "4279d84cda65617ce26f9d88e9cb7e0669ddf2eb7c125c6d17a91c08519081a8"),
+    "simulate-density": (
+        (6, 15),
+        "1d24704a99f48bef34ff21dadfd702dee377adee29f8f65082725c86b23eacf9"),
+    "simulate-trajectory": (
+        (10, 45),
+        "16875de0174722ba8fae22d8d5139aa5a5bb35d46fd80078b98b01c3984446f0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, tmp_path, case):
+    args, digest = GOLDEN_STDOUT[case]
+    if case.startswith("simulate"):
+        n, d = args
+        values = tmp_path / "values.csv"
+        values.write_text("".join(f"{i}\n" for i in range(1, d + 1)))
+        code, out, _ = run_cli(capsys, "encode", "--n", str(n), "--k", "2",
+                               "--input", str(values), "--level", "cnot")
+        assert code == 0
+        circuit = tmp_path / "circuit.json"
+        circuit.write_text(out)
+        args = ("simulate", str(circuit), "--noise", "depol:0.01",
+                "--shots", "500", "--seed", "1")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestParser:

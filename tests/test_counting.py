@@ -1,5 +1,6 @@
 """Counting tests: table columns, budgets, closed forms, actual-vs-bound."""
 
+import itertools
 from math import comb
 
 import numpy as np
@@ -92,6 +93,20 @@ class TestActualUnderBound:
             assert cnots(lower_gate(g)) <= gate_cnot_bound(g) == rbs_bound(ell), ell
             g = complex_rbs(0.7, 0.4, 2, 1, **wires)
             assert cnots(lower_gate(g)) <= gate_cnot_bound(g) == rbs_bound(ell, True), ell
+
+    def test_phased_binary_gates_meet_real_columns_through_twelve(self):
+        # the complex full-basis encoder's phased sweep gates and raising
+        # bridges cost no more than the real gates count_binary prices,
+        # so its real budget bounds the complex encoder too
+        for ell in range(13):
+            wires = tuple(range(3, 3 + ell))
+            for w in (dict(ctrls=wires), self.wiring(3, ell)):
+                for theta, phi in itertools.product((0.7, -2.1, 3.0, 1e-3),
+                                                    (0.4, -1.3, 3.1)):
+                    g = complex_rbs(theta, phi, 2, 1, **w)
+                    assert cnots(lower_gate(g)) <= rbs_bound(ell), (ell, theta, phi)
+                    g = grbs(theta, phi, (), (1,), **w)
+                    assert cnots(lower_gate(g)) <= mcry_bound(ell), (ell, theta, phi)
 
     def test_generalized_dominated_through_twelve(self):
         # every split of one to six mixed wires, the two-wire ones included
@@ -340,10 +355,10 @@ class TestBinaryBudget:
             assert real <= count_binary(n).total, n
             if n == 10:
                 assert real == 44_472  # 60,032 when every rotation was a stack
-            # count_binary prices the real gates; phased ones have their own columns
+            # count_binary prices the real gates, and bounds the phased ones too
             phased = encode_binary_complex(n, x + 1j * rng.normal(size=2**n)).circuit
             bound = sum(gate_cnot_bound(g) for g in phased.gates)
-            assert lower(phased).cnot_total <= bound, n
+            assert lower(phased).cnot_total <= min(bound, count_binary(n).total), n
 
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError, match="at least one"):

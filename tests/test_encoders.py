@@ -605,6 +605,17 @@ class TestRealRoundTripProperties:
         x, scale = data.draw(real_vectors(2**n))
         assert_loads(encode_binary(n, x * scale), x, tol=1e-10)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_real(self, data):
+        n = data.draw(st.integers(1, 6))
+        picks = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1,
+                                   max_size=min(2**n, 12), unique=True))
+        addresses = sorted((BitString.from_index(n, i) for i in picks),
+                           key=lambda b: b.weight)
+        x, scale = data.draw(real_vectors(len(picks)))
+        assert_loads(encode_sparse(n, list(zip(x * scale, addresses))), x, tol=1e-10)
+
 
 class TestComplexRoundTripProperties:
     """Every complex encoder loads x / |x| within 1e-10, at any scale."""

@@ -74,19 +74,17 @@ class TestCliffordPool:
 class TestEnsemble:
     def test_shape_and_determinism(self):
         circuit, _ = small_lowered()
-        cfg = CdrConfig(replacement_rates=(0.5, 1.0), circuits_per_rate=3,
-                        shots=100, seed=9)
-        ens = near_clifford_ensemble(circuit, cfg)
+        cfg = CdrConfig(replacement_rates=(0.5, 1.0), circuits_per_rate=3)
+        ens = near_clifford_ensemble(circuit, cfg, seed=9)
         assert len(ens) == 6
-        again = near_clifford_ensemble(circuit, cfg)
+        again = near_clifford_ensemble(circuit, cfg, seed=9)
         assert all(a.gates == b.gates for a, b in zip(ens, again))
 
     def test_replacement_counts_follow_ceiling(self):
         circuit, _ = small_lowered()
         total = len(rotation_positions(circuit))
-        cfg = CdrConfig(replacement_rates=(0.5, 1.0), circuits_per_rate=4,
-                        shots=100, seed=9)
-        for i, proxy in enumerate(near_clifford_ensemble(circuit, cfg)):
+        cfg = CdrConfig(replacement_rates=(0.5, 1.0), circuits_per_rate=4)
+        for i, proxy in enumerate(near_clifford_ensemble(circuit, cfg, seed=9)):
             swapped = sum(
                 1 for a, b in zip(circuit.gates, proxy.gates) if a != b
             )
@@ -100,16 +98,14 @@ class TestEnsemble:
 
     def test_ceiling_floor_is_one(self):
         circuit = lower(Circuit(1, [ry(0.3, 1)])).circuit
-        cfg = CdrConfig(replacement_rates=(0.01,), circuits_per_rate=2,
-                        shots=10, seed=1)
-        for proxy in near_clifford_ensemble(circuit, cfg):
+        cfg = CdrConfig(replacement_rates=(0.01,), circuits_per_rate=2)
+        for proxy in near_clifford_ensemble(circuit, cfg, seed=1):
             assert proxy.gates != circuit.gates
 
     def test_full_rate_circuits_are_stabilizer_flat(self):
         circuit, _ = small_lowered()
-        cfg = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=10,
-                        shots=10, seed=4)
-        for proxy in near_clifford_ensemble(circuit, cfg):
+        cfg = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=10)
+        for proxy in near_clifford_ensemble(circuit, cfg, seed=4):
             p = np.abs(dense_run(proxy)) ** 2
             support = p[p > 1e-9]
             assert len(support) & (len(support) - 1) == 0
@@ -117,9 +113,8 @@ class TestEnsemble:
 
     def test_rejects_rotation_free_circuit(self):
         bare = Circuit(2, [], level="cnot")
-        cfg = CdrConfig(shots=10, seed=0)
         with pytest.raises(ValueError, match="no rotation gates"):
-            near_clifford_ensemble(bare, cfg)
+            near_clifford_ensemble(bare, CdrConfig(), seed=0)
 
     def test_rejects_controlled_rotations(self):
         logical = Circuit(2, [ry(0.3, 1, ctrls=(2,))])
@@ -133,8 +128,10 @@ class TestEnsemble:
             CdrConfig(replacement_rates=(1.2,))
         with pytest.raises(ValueError, match="per rate"):
             CdrConfig(circuits_per_rate=0)
-        with pytest.raises(ValueError, match="shot"):
-            CdrConfig(shots=0)
+        circuit, ordering = small_lowered()
+        with pytest.raises(ValueError, match="need at least one shot"):
+            mitigate_circuit(circuit, ordering, NoiseModel(0.01), CdrConfig(),
+                             shots=0, seed=0)
 
 
 class TestRegression:
@@ -193,25 +190,24 @@ class TestObservableReferences:
     @pytest.fixture(scope="class")
     def ensemble(self):
         circuit, _ = small_lowered()
-        cfg = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=2,
-                        shots=100, seed=4)
-        return near_clifford_ensemble(circuit, cfg)
+        cfg = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=2)
+        return near_clifford_ensemble(circuit, cfg, seed=4)
 
     @pytest.mark.parametrize("obs", [1.9, True, "011", 16])
     def test_non_basis_states_rejected(self, ensemble, obs):
         with pytest.raises(ValueError, match="observable"):
-            build_training_set(ensemble, NoiseModel(0.01, seed=1), 100, [obs])
+            build_training_set(ensemble, NoiseModel(0.01), 100, [obs], seed=1)
         with pytest.raises(ValueError, match="observable"):
             bootstrap_bands({"0011": 7, "0101": 3}, 10, 1, observables=[obs])
 
     def test_every_reference_form_reads_the_same_state(self, ensemble):
         b = BitString("0011")
-        noise = NoiseModel(0.01, seed=1)
-        pairs = build_training_set(ensemble, noise, 100, [b])[b]
+        noise = NoiseModel(0.01)
+        pairs = build_training_set(ensemble, noise, 100, [b], seed=1)[b]
         counts = {"0011": 7, "0101": 3}
         bands = bootstrap_bands(counts, 10, 1, observables=[b])[b]
         for ref in [b, "0011", 3, np.int64(3)]:
-            got = build_training_set(ensemble, noise, 100, [ref])[ref]
+            got = build_training_set(ensemble, noise, 100, [ref], seed=1)[ref]
             np.testing.assert_array_equal(got, pairs)
             assert bootstrap_bands(counts, 10, 1, observables=[ref])[ref] == bands
 
@@ -221,21 +217,21 @@ class TestObservableReferences:
         with pytest.raises(ValueError, match=re.escape("BitString(bits='0011') and '0011'")):
             bootstrap_bands({"0011": 7, "0101": 3}, 10, 1, observables=twice)
         with pytest.raises(ValueError, match="'0011' and 3 are both basis state 3"):
-            build_training_set(ensemble, NoiseModel(0.01, seed=1), 100, twice[1:])
+            build_training_set(ensemble, NoiseModel(0.01), 100, twice[1:], seed=1)
         circuit, _ = small_lowered()
-        cfg = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=2, shots=100, seed=4)
+        cfg = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=2)
         with pytest.raises(ValueError, match=re.escape("5 and '0101'")):
-            mitigate_circuit(circuit, [5, "0101"], NoiseModel(0.01, seed=1), cfg)
+            mitigate_circuit(circuit, [5, "0101"], NoiseModel(0.01), cfg,
+                             shots=100, seed=4)
 
 
 class TestTrainingSet:
     def test_noiseless_pairs_sit_on_diagonal(self):
         circuit, ordering = small_lowered()
-        cfg = CdrConfig(replacement_rates=(0.8, 1.0), circuits_per_rate=4,
-                        shots=4000, seed=2)
-        ens = near_clifford_ensemble(circuit, cfg)
-        pairs = build_training_set(ens, NoiseModel(0.0, seed=3), cfg.shots,
-                                   ordering)
+        cfg = CdrConfig(replacement_rates=(0.8, 1.0), circuits_per_rate=4)
+        ens = near_clifford_ensemble(circuit, cfg, seed=2)
+        pairs = build_training_set(ens, NoiseModel(0.0), 4000, ordering,
+                                   seed=3)
         for obs in ordering:
             arr = pairs[obs]
             assert arr.shape == (8, 2)
@@ -243,21 +239,19 @@ class TestTrainingSet:
 
     def test_deterministic(self):
         circuit, ordering = small_lowered()
-        cfg = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=3,
-                        shots=500, seed=2)
-        ens = near_clifford_ensemble(circuit, cfg)
-        a = build_training_set(ens, NoiseModel(0.02, seed=3), 500, ordering)
-        b = build_training_set(ens, NoiseModel(0.02, seed=3), 500, ordering)
+        cfg = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=3)
+        ens = near_clifford_ensemble(circuit, cfg, seed=2)
+        a = build_training_set(ens, NoiseModel(0.02), 500, ordering, seed=3)
+        b = build_training_set(ens, NoiseModel(0.02), 500, ordering, seed=3)
         for obs in ordering:
             assert np.array_equal(a[obs], b[obs])
 
     def test_zero_noise_slope_near_one(self):
         circuit, ordering = small_lowered()
-        cfg = CdrConfig(replacement_rates=(0.9, 1.0), circuits_per_rate=10,
-                        shots=100_000, seed=6)
-        ens = near_clifford_ensemble(circuit, cfg)
-        pairs = build_training_set(ens, NoiseModel(0.0, seed=7), cfg.shots,
-                                   ordering)
+        cfg = CdrConfig(replacement_rates=(0.9, 1.0), circuits_per_rate=10)
+        ens = near_clifford_ensemble(circuit, cfg, seed=6)
+        pairs = build_training_set(ens, NoiseModel(0.0), 100_000, ordering,
+                                   seed=7)
         for obs in ordering:
             fit = fit_pairs(pairs[obs])
             if not fit.degenerate:
@@ -298,24 +292,25 @@ class TestBootstrap:
 class TestEndToEnd:
     def test_report_shape_and_determinism(self):
         circuit, ordering = small_lowered(seed=5)
-        cfg = CdrConfig(replacement_rates=(0.9, 1.0), circuits_per_rate=6,
-                        shots=3000, seed=13)
-        noise = NoiseModel(0.02, seed=0)
-        report = mitigate_circuit(circuit, ordering, noise, cfg, bootstrap=60)
+        cfg = CdrConfig(replacement_rates=(0.9, 1.0), circuits_per_rate=6)
+        noise = NoiseModel(0.02)
+        report = mitigate_circuit(circuit, ordering, noise, cfg, shots=3000,
+                                  seed=13, bootstrap=60)
         assert report.observables == tuple(ordering)
         assert abs(sum(report.mitigated.values()) - 1.0) < 1e-12
         assert all(v >= 0.0 for v in report.mitigated.values())
         assert set(report.bands) == set(ordering)
-        again = mitigate_circuit(circuit, ordering, noise, cfg, bootstrap=60)
+        again = mitigate_circuit(circuit, ordering, noise, cfg, shots=3000,
+                                 seed=13, bootstrap=60)
         assert again.raw == report.raw
         assert again.mitigated == report.mitigated
         assert again.bands == report.bands
 
     def test_zero_noise_pipeline_recovers_target(self):
         circuit, ordering = small_lowered(seed=5)
-        cfg = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=4,
-                        shots=100_000, seed=13)
-        report = mitigate_circuit(circuit, ordering, NoiseModel(0.0), cfg)
+        cfg = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=4)
+        report = mitigate_circuit(circuit, ordering, NoiseModel(0.0), cfg,
+                                  shots=100_000, seed=13)
         for obs in ordering:
             assert abs(report.raw[obs] - report.target[obs]) < 0.01
             assert abs(report.mitigated[obs] - report.target[obs]) < 0.01
@@ -323,8 +318,9 @@ class TestEndToEnd:
     def test_mitigation_improves_noisy_run(self):
         circuit, ordering = small_lowered(seed=5)
         cfg = CdrConfig(replacement_rates=(0.9, 0.95, 1.0),
-                        circuits_per_rate=20, shots=10_000, seed=21)
-        report = mitigate_circuit(circuit, ordering, NoiseModel(0.02, 1), cfg)
+                        circuits_per_rate=20)
+        report = mitigate_circuit(circuit, ordering, NoiseModel(0.02), cfg,
+                                  shots=10_000, seed=21)
         raw_err = mean_relative_error(report.raw, report.target)
         mit_err = mean_relative_error(report.mitigated, report.target)
         assert mit_err < raw_err

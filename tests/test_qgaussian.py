@@ -101,10 +101,9 @@ class TestRunDemo:
             )
 
     def test_mitigated_run_structure(self):
-        config = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=4,
-                           shots=1500, seed=8)
-        report = run_demo(shots=1500, p2=0.02, seed=8, mitigate=True,
-                          config=config, bootstrap=25)
+        config = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=4)
+        report = run_demo(shots=1500, p2=0.02, seed=8, config=config,
+                          bootstrap=25)
         assert report.mitigated
         total = sum(r.mitigated for r in report.rows)
         assert abs(total - 1.0) < 1e-9
@@ -113,15 +112,11 @@ class TestRunDemo:
             assert row.band_low is not None
             assert row.rel_err_mitigated is not None
 
-    def test_config_must_match_reported_shots_and_seed(self):
-        # the report states shots and seed; a config that ran others would
-        # label its raw column with values that never ran
-        config = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=2,
-                           shots=5000, seed=9)
-        for shots, seed in ((100, 9), (5000, 4)):
-            with pytest.raises(ValueError, match=f"5000 shots under seed 9.*"
-                                                 f"shots={shots} and seed={seed}"):
-                run_demo(shots=shots, seed=seed, mitigate=True, config=config)
+    def test_config_alone_turns_on_mitigation(self):
+        config = CdrConfig(replacement_rates=(1.0,), circuits_per_rate=2)
+        report = run_demo(shots=1000, p2=0.01, seed=3, config=config)
+        assert report.mitigated
+        assert all(r.mitigated is not None for r in report.rows)
 
     def test_smaller_space_demo(self):
         spec = QGaussianSpec(points=6)

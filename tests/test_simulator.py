@@ -522,12 +522,12 @@ class TestNoise:
     def test_rejects_logical(self):
         c = Circuit(2, (rbs(0.3, 2, 1),))
         with pytest.raises(ValueError, match="cnot-level"):
-            run_noisy(c, NoiseModel(0.01, 1), 10)
+            run_noisy(c, NoiseModel(0.01), 10, seed=1)
 
     def test_p2_zero_equals_noiseless(self):
         c = Circuit(2, (ry(0.5, 2), cnot(2, 1)), level="cnot")
         shots = 40_000
-        noisy = run_noisy(c, NoiseModel(0.0, 5), shots, seed=11)
+        noisy = run_noisy(c, NoiseModel(0.0), shots, seed=11)
         ideal = run(c).probabilities()
         for bits, prob in ideal.items():
             got = noisy.get(bits, 0) / shots
@@ -540,7 +540,7 @@ class TestNoise:
         p = 0.3
         shots = 60_000
         c = Circuit(2, (cnot(2, 1),), level="cnot")
-        counts = run_noisy(c, NoiseModel(p, 0), shots, seed=123)
+        counts = run_noisy(c, NoiseModel(p), shots, seed=123)
         want = {
             "00": (1 - p) + 3 * p / 15,
             "01": 4 * p / 15,
@@ -554,14 +554,8 @@ class TestNoise:
 
     def test_deterministic_given_seed(self):
         c = Circuit(3, (ry(0.4, 3), cnot(3, 2), cnot(2, 1)), level="cnot")
-        a = run_noisy(c, NoiseModel(0.05, 2), 500, seed=9)
-        b = run_noisy(c, NoiseModel(0.05, 2), 500, seed=9)
-        assert a == b
-
-    def test_seed_falls_back_to_model(self):
-        c = Circuit(2, (cnot(2, 1),), level="cnot")
-        a = run_noisy(c, NoiseModel(0.2, 31), 200)
-        b = run_noisy(c, NoiseModel(0.2, 31), 200)
+        a = run_noisy(c, NoiseModel(0.05), 500, seed=9)
+        b = run_noisy(c, NoiseModel(0.05), 500, seed=9)
         assert a == b
 
     def test_density_matches_trajectory_oracle(self):
@@ -601,7 +595,7 @@ class TestNoise:
         gates += [rz(0.3, 4), rw(0.8, (0.6, 0.0, 0.8), 7), x_gate(2),
                   cnot(1, 10), cnot(10, 5), ry(-0.4, 5), cnot(3, 8)]
         c = Circuit(10, tuple(gates), level="cnot")
-        counts = run_noisy(c, NoiseModel(0.05, 0), 2000, seed=17)
+        counts = run_noisy(c, NoiseModel(0.05), 2000, seed=17)
         text = ",".join(f"{b.bits}:{v}" for b, v in
                         sorted(counts.items(), key=lambda kv: kv[0].bits))
         assert len(counts) == 409
@@ -618,7 +612,7 @@ class TestNoise:
         def tv(p2):
             total = 0.0
             for s in (0, 1, 2):
-                counts = run_noisy(c, NoiseModel(p2, s), shots, seed=100 + s)
+                counts = run_noisy(c, NoiseModel(p2), shots, seed=100 + s)
                 freq = {b: v / shots for b, v in counts.items()}
                 keys = set(freq) | set(ideal)
                 total += 0.5 * sum(
