@@ -250,10 +250,19 @@ def _cmd_demo(args) -> int:
     spec = QGaussianSpec(q=args.q, beta=args.beta,
                          interval=(args.interval[0], args.interval[1]),
                          points=args.points)
+    for flag, value in (("--rates", args.rates),
+                        ("--circuits-per-rate", args.circuits_per_rate)):
+        if value is not None and args.mitigate is None:
+            raise ValueError(f"{flag} needs --mitigate cdr")
     config = None
     if args.mitigate is not None:
-        config = CdrConfig(replacement_rates=_parse_rates(args.rates),
-                           circuits_per_rate=args.circuits_per_rate)
+        # CdrConfig holds the defaults; pass only the fields given
+        shape = {}
+        if args.rates is not None:
+            shape["replacement_rates"] = _parse_rates(args.rates)
+        if args.circuits_per_rate is not None:
+            shape["circuits_per_rate"] = args.circuits_per_rate
+        config = CdrConfig(**shape)
     report = run_demo(spec, n=args.n, k=args.k, shots=args.shots, p2=p2,
                       seed=seed, config=config, bootstrap=args.bootstrap)
     out = sys.stdout
@@ -347,10 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=10_000)
     p.add_argument("--noise", help="depol:P two-qubit noise after CNOTs")
     p.add_argument("--mitigate", choices=("cdr",),
-                   help="regress errors away on a near-Clifford ensemble")
-    p.add_argument("--rates", default="0.79,0.83,0.90,0.95,1.00",
-                   help="comma-separated replacement rates")
-    p.add_argument("--circuits-per-rate", type=int, default=50)
+                   help="regress errors away on a near-Clifford ensemble "
+                        "shaped by --rates and --circuits-per-rate")
+    p.add_argument("--rates", help="comma-separated replacement rates")
+    p.add_argument("--circuits-per-rate", type=int)
     p.add_argument("--bootstrap", type=int, default=0, metavar="B",
                    help="bootstrap resamples for raw-frequency bands")
     p.add_argument("--seed", type=int)

@@ -2,16 +2,16 @@
 
 A multi-controlled rotation about an axis w becomes one about Y: one
 uncontrolled rotation about w x y turns the axis before it, and its inverse
-turns it back after. The controlled Y rotation takes the cheaper of two
-constructions, chosen from the control count alone. A Gray-code Ry
-multiplexor costs exactly 2^(number of controls) CNOTs; its rotations take
-only two angles, so it builds two Ry gates and reuses them at every step.
-From seven controls on, an ancilla-free linear construction is cheaper:
-16 * controls - 24 CNOTs, the per-gate budget of ``counting.mcry_bound``
-(Vale et al., arXiv:2302.06377). It splits the controls into two halves and
-interleaves four multi-controlled X gates, each borrowing the other half as
-dirty ancillas (Barenco et al. 1995, Lemma 7.2), with two angle-dependent
-Ry gates on the target.
+turns it back after. The controlled Y rotation takes one of two
+constructions by a rule on the control count. Up to six controls it is a
+Gray-code Ry multiplexor of exactly 2^(number of controls) CNOTs; its
+rotations take only two angles, so it builds two Ry gates and reuses them
+at every step. From seven controls on it is an ancilla-free linear
+construction of 16 * controls - 24 CNOTs, the per-gate budget of
+``counting.mcry_bound`` (Vale et al., arXiv:2302.06377). It splits the
+controls into two halves and interleaves four multi-controlled X gates,
+each borrowing the other half as dirty ancillas (Barenco et al. 1995,
+Lemma 7.2), with two angle-dependent Ry gates on the target.
 A mixing gate on two wires with no controls takes an entangle-rotate-
 disentangle template ("top"): two frame CNOTs around uncontrolled
 rotations. Every other mixing gate takes a parity ladder plus one central
@@ -109,12 +109,11 @@ def _multiplexed(tau: float, target: int, ctrls: tuple[int, ...]) -> list[Gate]:
     """Gray-code Ry stack firing Ry(tau) on the all-ones pattern.
 
     The stack costs exactly 2^len(ctrls) CNOTs, so :func:`_mcry_core` builds
-    it only where that is no dearer than :func:`_linear_rotation`. It is the
-    identity (not merely a phase) on every other control pattern. Its
-    rotations take only the angles +-tau/2^len(ctrls), so it builds those two
-    gates once and every step appends one of them; negation and division by
-    a power of two are sign-symmetric in IEEE arithmetic, so each equals
-    sign * tau / size.
+    it only up to six controls. It is the identity (not merely a phase) on
+    every other control pattern. Its rotations take only the angles
+    +-tau/2^len(ctrls), so it builds those two gates once and every step
+    appends one of them; negation and division by a power of two are
+    sign-symmetric in IEEE arithmetic, so each equals sign * tau / size.
     """
     size = 1 << len(ctrls)
     plus = ry(tau / size, target)
@@ -141,23 +140,6 @@ def compile_mcry(gate: Gate) -> list[Gate]:
 def _is_identity(lam: float) -> bool:
     """Whether exp(i*lam * w.sigma) is the identity, whatever the axis."""
     return abs(math.sin(lam)) < AXIS_TOL and math.cos(lam) > 0
-
-
-def _mcx_cnots(k: int) -> int:
-    """CNOTs of :func:`_mcx` with k >= 1 controls."""
-    if k < 1:
-        raise ValueError(f"a multi-controlled X needs a control, got {k}")
-    return (1, 6)[k - 1] if k < 3 else 8 * k - 6
-
-
-def _linear_cnots(ell: int) -> int:
-    """CNOTs of :func:`_linear_rotation` with ell >= 2 controls.
-
-    Four multi-controlled X gates, two on each half of the controls:
-    16 * ell - 24 once both halves hold three or more, which beats 2^ell
-    from seven on.
-    """
-    return 2 * _mcx_cnots(ell - ell // 2) + 2 * _mcx_cnots(ell // 2)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -219,12 +201,13 @@ def _mcx(ctrls: tuple[int, ...], target: int, spare: tuple[int, ...]) -> tuple[G
 
 
 def _linear_rotation(lam: float, t: int, ctrls: tuple[int, ...]) -> list[Gate]:
-    """exp(i*lam*Y) on t under all of ``ctrls`` in _linear_cnots CNOTs.
+    """exp(i*lam*Y) on t under all of ``ctrls``.
 
     With the controls split into halves g1 and g2 and A = Ry(-lam/4), the
     sequence A, X[g1], A^-1, X[g2], A, X[g1], A^-1, X[g2] is the identity
     unless both halves fire, and then (X A^-1 X A)^2 = Ry(-lam) = exp(i*lam*Y).
-    Each multi-controlled X borrows the other half.
+    Each multi-controlled X borrows the other half, and once both halves
+    hold three or more controls the four cost 16 * len(ctrls) - 24 CNOTs.
     """
     k1 = len(ctrls) - len(ctrls) // 2
     g1, g2 = ctrls[:k1], ctrls[k1:]
@@ -239,8 +222,10 @@ def _mcry_core(gate: Gate, ctrls: tuple[int, ...]) -> list[Gate]:
     It is written as exp(i*lam * w.sigma), and the uncontrolled rotation V
     about w x y with V (w.sigma) V^-1 = Y turns the axis into Y before and
     back after. The controlled exp(i*lam*Y) in between takes the linear
-    construction where its count for this many controls is below the
-    multiplexor's 2^len(ctrls), and the multiplexor otherwise.
+    construction from seven controls on and the multiplexor below that. The
+    rule is the cheaper of the two: the linear one costs 72 > 64 CNOTs at six
+    controls and 88 < 128 at seven, and 16 * controls - 24 stays below
+    2^controls from there on.
     """
     if not ctrls:
         return [gate]
@@ -267,7 +252,7 @@ def _mcry_core(gate: Gate, ctrls: tuple[int, ...]) -> list[Gate]:
         unit = (-az / sin_b, 0.0, ax / sin_b)
         pre.append(rw(-half, unit, t))
         post.append(rw(half, unit, t))
-    if len(ctrls) > 1 and _linear_cnots(len(ctrls)) < 1 << len(ctrls):
+    if len(ctrls) >= 7:
         return pre + _linear_rotation(lam, t, ctrls) + post
     # exp(i*lam*Y) = Ry(-lam)
     return pre + _multiplexed(-lam, t, ctrls) + post

@@ -77,7 +77,10 @@ def _clifford_rotations() -> tuple[tuple[float, tuple[float, float, float]], ...
 
 @dataclass(frozen=True)
 class CdrConfig:
-    """Ensemble shape for the regression: replacement rates, draws per rate."""
+    """Ensemble shape for the regression: replacement rates, draws per rate.
+
+    The one copy of the default ensemble.  A line needs two proxies or more.
+    """
 
     replacement_rates: tuple[float, ...] = (0.79, 0.83, 0.90, 0.95, 1.00)
     circuits_per_rate: int = 50
@@ -91,6 +94,8 @@ class CdrConfig:
                 raise ValueError(f"replacement rate {r} outside (0, 1]")
         if self.circuits_per_rate < 1:
             raise ValueError("need at least one circuit per rate")
+        if len(self.replacement_rates) * self.circuits_per_rate < 2:
+            raise ValueError("a line needs at least two proxy circuits")
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,6 @@ class RegressionFit:
 
     slope: float
     intercept: float
-    training_pairs: tuple[tuple[float, float], ...]
     degenerate: bool = False
 
     def apply(self, value: float) -> float:
@@ -119,16 +123,10 @@ class MitigationReport:
 
 
 def rotation_positions(circuit: Circuit) -> list[int]:
-    """Gate indices eligible for Clifford replacement."""
-    positions = []
-    for i, g in enumerate(circuit.gates):
-        if g.kind in ROTATION_KINDS:
-            if g.ctrls or g.anti_ctrls:
-                raise ValueError(
-                    f"gate {i} is a controlled rotation; lower the circuit first"
-                )
-            positions.append(i)
-    return positions
+    """Gate indices eligible for Clifford replacement, all uncontrolled."""
+    if circuit.level != "cnot":
+        raise ValueError("noisy runs need a cnot-level circuit; lower the circuit first")
+    return [i for i, g in enumerate(circuit.gates) if g.kind in ROTATION_KINDS]
 
 
 def near_clifford_ensemble(circuit: Circuit, config: CdrConfig,
@@ -155,7 +153,7 @@ def near_clifford_ensemble(circuit: Circuit, config: CdrConfig,
                 pos = positions[int(c)]
                 lam, axis = pool[int(rng.integers(24))]
                 gates[pos] = rw(lam, axis, circuit.gates[pos].target)
-            ensemble.append(Circuit(circuit.n, gates, level=circuit.level))
+            ensemble.append(Circuit(circuit.n, gates, level="cnot"))
     return ensemble
 
 
@@ -174,28 +172,34 @@ def _observable_indices(keys, n: int) -> list[int]:
     return list(named)
 
 
+def _frequencies(counts: dict, indices, shots: int) -> list[float]:
+    """The share of ``shots`` that ``run_noisy`` counts hold at each basis index."""
+    at = {b.to_index(): c for b, c in counts.items()}
+    return [at.get(i, 0) / shots for i in indices]
+
+
 def build_training_set(ensemble, noise: NoiseModel, shots: int,
                        observables, seed: int) -> dict:
     """(noisy, noiseless) probability pairs per tracked basis state.
 
     Noiseless values come from exact simulation, noisy ones from sampled
     runs of ``shots`` shots each, with per-circuit seeds drawn from
-    ``seed``.  Observables are basis states as ``simulator._basis_index`` reads
-    them, no two the same state.  Returns {observable: array of shape
-    (len(ensemble), 2)} with columns (noisy, noiseless).
+    ``seed``.  Observables are basis states of the proxies' one width as
+    ``simulator._basis_index`` reads them, no two the same state.  Returns
+    {observable: array of shape (len(ensemble), 2)} with columns (noisy,
+    noiseless).
     """
+    if not ensemble:
+        raise ValueError("need at least one proxy circuit")
     keys = list(observables)
+    indices = _observable_indices(keys, ensemble[0].n)
     rng = np.random.default_rng(seed)
-    pairs = {k: np.zeros((len(ensemble), 2)) for k in keys}
+    pairs = np.zeros((len(keys), len(ensemble), 2))
     for j, circ in enumerate(ensemble):
-        indices = _observable_indices(keys, circ.n)
-        exact = np.abs(dense_run(circ)) ** 2
         counts = run_noisy(circ, noise, shots, seed=int(rng.integers(2**63)))
-        freq = {b.to_index(): c / shots for b, c in counts.items()}
-        for k, idx in zip(keys, indices):
-            pairs[k][j, 0] = freq.get(idx, 0.0)
-            pairs[k][j, 1] = exact[idx]
-    return pairs
+        pairs[:, j, 0] = _frequencies(counts, indices, shots)
+        pairs[:, j, 1] = (np.abs(dense_run(circ)) ** 2)[indices]
+    return dict(zip(keys, pairs))
 
 
 def fit_pairs(pairs) -> RegressionFit:
@@ -207,11 +211,10 @@ def fit_pairs(pairs) -> RegressionFit:
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ValueError("need at least two (noisy, noiseless) pairs")
-    rows = tuple((float(a), float(b)) for a, b in arr)
     if np.ptp(arr[:, 0]) < 1e-12:
-        return RegressionFit(1.0, 0.0, rows, degenerate=True)
+        return RegressionFit(1.0, 0.0, degenerate=True)
     slope, intercept = np.polyfit(arr[:, 0], arr[:, 1], 1)
-    return RegressionFit(float(slope), float(intercept), rows)
+    return RegressionFit(float(slope), float(intercept))
 
 
 def fit_and_mitigate(training: dict, raw: dict) -> tuple[dict, dict]:
@@ -284,8 +287,7 @@ def mitigate_circuit(circuit: Circuit, observables, noise: NoiseModel,
     target = {k: float(exact[i]) for k, i in zip(keys, indices)}
 
     counts = run_noisy(circuit, noise, shots, seed=s_raw)
-    freq = {b.to_index(): c / shots for b, c in counts.items()}
-    raw = {k: freq.get(i, 0.0) for k, i in zip(keys, indices)}
+    raw = dict(zip(keys, _frequencies(counts, indices, shots)))
 
     ensemble = near_clifford_ensemble(circuit, config, s_ens)
     training = build_training_set(ensemble, noise, shots, keys, s_noise)

@@ -20,6 +20,7 @@ from hwenc.compiler import lower
 from hwenc.encoders import encode_dense_real
 from hwenc.mitigation import (
     CdrConfig,
+    _frequencies,
     bootstrap_bands,
     mitigate_circuit,
 )
@@ -154,8 +155,8 @@ def run_demo(spec: QGaussianSpec = QGaussianSpec(), *, n: int = 6, k: int = 2,
             int(s) for s in np.random.SeedSequence(seed).generate_state(2)
         )
         counts = run_noisy(compiled, noise, shots, seed=s_run)
-        freq = {b.to_index(): c / shots for b, c in counts.items()}
-        raw = {b: freq.get(b.to_index(), 0.0) for b in ordering}
+        indices = [b.to_index() for b in ordering]
+        raw = dict(zip(ordering, _frequencies(counts, indices, shots)))
         if bootstrap:
             bands = bootstrap_bands(counts, bootstrap, s_boot, ordering)
 

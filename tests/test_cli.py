@@ -370,6 +370,15 @@ class TestDemo:
         )
         assert code == 1 and "outside" in err
 
+    @pytest.mark.parametrize("flag, value", [("--rates", "0.5"),
+                                             ("--circuits-per-rate", "2")])
+    def test_ensemble_flags_need_mitigation(self, capsys, flag, value):
+        # without --mitigate no ensemble is drawn, so the flag would be lost
+        code, out, err = run_cli(capsys, "demo", "qgaussian", "--shots",
+                                 "100", flag, value, "--seed", "1")
+        assert code == 1 and out == ""
+        assert flag in err and "--mitigate" in err
+
     def test_custom_grid(self, capsys):
         code, out, _ = run_cli(
             capsys, "demo", "qgaussian", "--points", "6", "--n", "4", "--k",
@@ -390,8 +399,7 @@ GOLDEN_STDOUT = {
         "38851a259efd30c53f61c0a348328ad5b2f5a5dac7e989e7d537f3d5ee270157"),
     "demo-raw": (
         ("demo", "qgaussian", "--noise", "depol:0.01",
-         "--circuits-per-rate", "2", "--shots", "2000", "--seed", "3",
-         "--bootstrap", "20"),
+         "--shots", "2000", "--seed", "3", "--bootstrap", "20"),
         "b1fce5395bbe7c186f21e6673c7da2eecc1d59cd9f210bcc2f5f000c438f6ced"),
     "demo-benchmark": (
         ("demo", "qgaussian", "--noise", "depol:0.01", "--mitigate", "cdr",

@@ -127,20 +127,21 @@ class TestActualUnderBound:
             assert cnots(compile_anti_phase(g)) == gate_cnot_bound(g), ell
 
     def test_priced_cnots_are_emitted(self):
-        # the identity is free; otherwise one control costs the multiplexor's
-        # two CNOTs, and more the lower of 2^ell and the linear construction
+        # the identity is free; otherwise up to six controls cost the
+        # multiplexor's 2^ell CNOTs, and from seven on the linear budget
         for ell in range(13):
             for lam in (0.0, 0.7, -2.1, np.pi):
                 want = 0 if ell == 0 or lam == 0.0 else (
-                    2 if ell == 1 else min(1 << ell, compiler._linear_cnots(ell)))
+                    1 << ell if ell <= 6 else mcry_bound(ell))
                 for axis in ((0.0, 1.0, 0.0), (0.0, 0.0, -1.0), (0.48, -0.6, 0.64)):
                     g = rw(lam, axis, 1, ctrls=tuple(range(2, ell + 2)))
                     assert cnots(compile_mcry(g)) == want, (ell, lam, axis)
-        for ell in range(2, 13):
+        # the rule's reason: the linear construction would cost 72 > 64 at
+        # six controls, and costs 88 < 128 at seven
+        for ell in range(6, 13):
             built = compiler._linear_rotation(0.7, 1, tuple(range(2, ell + 2)))
-            assert cnots(built) == compiler._linear_cnots(ell), ell
-            if ell >= 6:
-                assert compiler._linear_cnots(ell) == mcry_bound(ell), ell
+            assert cnots(built) == mcry_bound(ell), ell
+        assert mcry_bound(6) > 1 << 6 and mcry_bound(7) < 1 << 7
 
     def test_exact_at_small_controls(self):
         # the real column is met exactly up to two controls, the complex

@@ -9,7 +9,7 @@ import pytest
 from hwenc.bitstrings import BitString
 from hwenc.compiler import lower
 from hwenc.encoders import encode_dense_real
-from hwenc.ir import Circuit, ry
+from hwenc.ir import Circuit, rbs, ry
 from hwenc.mitigation import (
     CdrConfig,
     bootstrap_bands,
@@ -121,6 +121,20 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="lower the circuit first"):
             rotation_positions(logical)
 
+    def test_rejects_uncontrolled_logical_circuit(self):
+        # every rotation is uncontrolled, but the mixing gate has no noisy run
+        logical = Circuit(2, [ry(0.3, 1), rbs(0.2, 1, 2)])
+        with pytest.raises(ValueError, match="lower the circuit first"):
+            near_clifford_ensemble(logical, CdrConfig(), seed=0)
+
+    def test_unfittable_ensemble_rejected(self):
+        # fewer than two proxies in all cannot pin a line; two can
+        for rates, per_rate in (((1.0,), 1), ((), 50)):
+            with pytest.raises(ValueError, match="at least two proxy"):
+                CdrConfig(replacement_rates=rates, circuits_per_rate=per_rate)
+        CdrConfig(replacement_rates=(1.0,), circuits_per_rate=2)
+        CdrConfig(replacement_rates=(0.5, 1.0), circuits_per_rate=1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="outside"):
             CdrConfig(replacement_rates=(0.0,))
@@ -226,6 +240,10 @@ class TestObservableReferences:
 
 
 class TestTrainingSet:
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValueError, match="at least one proxy"):
+            build_training_set([], NoiseModel(0.01), 100, ["0011"], seed=1)
+
     def test_noiseless_pairs_sit_on_diagonal(self):
         circuit, ordering = small_lowered()
         cfg = CdrConfig(replacement_rates=(0.8, 1.0), circuits_per_rate=4)
