@@ -55,13 +55,21 @@ def _read_vector(path: str, complex_amplitudes: bool) -> np.ndarray:
 
 def _parse_noise(text: str) -> float:
     kind, sep, value = text.partition(":")
-    if kind != "depol" or not sep:
-        raise ValueError(f"noise spec {text!r} is not of the form depol:P")
-    return float(value)
+    if kind == "depol" and sep:
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"--noise {text!r} is not of the form depol:P, P a number")
 
 
 def _parse_rates(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--rates {text!r} is not a comma-separated list of numbers"
+        ) from None
 
 
 def _emit_circuit(report, level: str, fmt: str) -> str:
@@ -139,6 +147,8 @@ def _budget_payload(budget) -> dict:
 
 def _cmd_count(args) -> int:
     if args.check_8n2n is not None:
+        if args.check_8n2n < 1:
+            raise ValueError(f"--check-8n2n {args.check_8n2n} checks nothing; give N >= 1")
         checks = []
         for n in range(1, args.check_8n2n + 1):
             total = count_binary(n).analytic_total

@@ -12,17 +12,15 @@ construction of 16 * controls - 24 CNOTs, the per-gate budget of
 controls into two halves and interleaves four multi-controlled X gates,
 each borrowing the other half as dirty ancillas (Barenco et al. 1995,
 Lemma 7.2), with two angle-dependent Ry gates on the target.
-A mixing gate on two wires with no controls takes an entangle-rotate-
+An RBS gate on two wires with no controls takes an entangle-rotate-
 disentangle template ("top"): two frame CNOTs around uncontrolled
-rotations. Every other mixing gate takes a parity ladder plus one central
+rotations. Every other RBS gate takes a parity ladder plus one central
 multi-controlled rotation ("bottom"). Under l >= 1 controls "top" would
 need two rotations under l controls where "bottom" needs one under l + 1,
 and with c(l) the CNOTs of a rotation under l controls, c(l + 1) <= 2 c(l):
 2^(l+1) = 2 * 2^l for the multiplexor, 88 <= 128 where seven controls first
 take the linear construction, and 16 l - 8 <= 32 l - 48 beyond. Without
-controls "top" costs 2 CNOTs and "bottom" 2 or 4. Conditional phase gates
-unroll into a stack of multi-controlled Rz gates with geometrically
-shrinking angles.
+controls "top" costs 2 CNOTs and "bottom" 2 or 4.
 
 Everything here preserves the logical unitary up to a global phase;
 :func:`phase_distance` measures exactly that and backs the tests.
@@ -37,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ir import (
-    MIXING_KINDS,
     Circuit,
     Gate,
     _mixing_matrix,
@@ -258,10 +255,6 @@ def _mcry_core(gate: Gate, ctrls: tuple[int, ...]) -> list[Gate]:
     return pre + _multiplexed(-lam, t, ctrls) + post
 
 
-def _phased(gate: Gate) -> bool:
-    return gate.kind == "ComplexRBS" or bool(gate.phi)
-
-
 def _cnots(gates) -> int:
     return sum(1 for g in gates if g.kind == "CNOT")
 
@@ -287,7 +280,7 @@ def _rbs_top(gate: Gate) -> list[Gate]:
     gates += compile_mcry(ry(half, src, ctrls=ctrls, anti_ctrls=antis))
     gates += compile_mcry(ry(half, dst, ctrls=ctrls, anti_ctrls=antis))
     gates += [cnot(src, dst), rw(np.pi / 2.0, _H_AXIS, src)]
-    if _phased(gate):
+    if gate.phi:
         quarter = gate.phi / 2.0
         gates += compile_mcry(rz(quarter, src, ctrls=ctrls, anti_ctrls=antis))
         gates += compile_mcry(rz(-quarter, dst, ctrls=ctrls, anti_ctrls=antis))
@@ -341,41 +334,6 @@ def _mixing_bottom(gate: Gate) -> list[Gate]:
     return ladder + compile_mcry(rotation) + list(reversed(ladder))
 
 
-def compile_anti_phase(gate: Gate) -> list[Gate]:
-    """Lower a conditional phase to multi-controlled Rz gates.
-
-    The gate multiplies exactly one bit pattern (target zero, controls
-    one, anti-controls zero) by exp(i*phi). Splitting off one pattern
-    bit at a time yields an Rz whose sign tracks the wanted bit plus the
-    same problem at half the angle, down to a plain Rz and a discarded
-    global phase: at most 2^(pattern size) - 2 CNOTs in total, fewer once
-    the widest Rz takes the linear construction.
-    """
-    if gate.kind != "AntiPhase":
-        raise ValueError(f"compile_anti_phase cannot lower {gate.kind}")
-    pattern = {gate.target: 0}
-    for q in gate.ctrls:
-        pattern[q] = 1
-    for q in gate.anti_ctrls:
-        pattern[q] = 0
-    gates: list[Gate] = []
-    phi = gate.phi
-    while pattern:
-        q = min(pattern)
-        want = pattern.pop(q)
-        rest = sorted(pattern)
-        gamma = phi / 2.0 if want else -phi / 2.0
-        rot = rz(
-            gamma,
-            q,
-            ctrls=tuple(k for k in rest if pattern[k] == 1),
-            anti_ctrls=tuple(k for k in rest if pattern[k] == 0),
-        )
-        gates += compile_mcry(rot)
-        phi /= 2.0
-    return gates
-
-
 @dataclass(frozen=True)
 class LoweringResult:
     """A CNOT-level circuit plus per-source-gate CNOT accounting."""
@@ -391,13 +349,9 @@ def lower_gate(gate: Gate) -> list[Gate]:
         return [gate]
     if gate.kind in ("Ry", "Rz", "Rw"):
         return compile_mcry(gate)
-    if gate.kind == "AntiPhase":
-        return compile_anti_phase(gate)
-    if gate.kind in MIXING_KINDS:
-        if len(gate.ins) + len(gate.outs) == 2 and not (gate.ctrls or gate.anti_ctrls):
-            return _rbs_top(gate)
-        return _mixing_bottom(gate)
-    raise ValueError(f"no lowering for gate kind {gate.kind}")
+    if len(gate.ins) + len(gate.outs) == 2 and not (gate.ctrls or gate.anti_ctrls):
+        return _rbs_top(gate)
+    return _mixing_bottom(gate)
 
 
 def lower(circuit: Circuit) -> LoweringResult:

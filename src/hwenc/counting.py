@@ -1,19 +1,19 @@
 """Analytic CNOT budgets for the encoder families.
 
 The per-gate bounds come from a fixed cost table: one column for
-multi-controlled Ry, one for two-wire mixing gates (real and complex
-variants), and a linear formula for generalized mixing gates on three
-or more wires. Each entry is a ceiling: ``compiler.lower`` never spends
-more CNOTs on a gate than ``gate_cnot_bound`` gives it, whatever its
-control count, so a budget, which sums those entries over the gate census
-of a construction, bounds the lowered circuit. The dense budgets
-additionally collapse to closed-form polynomials in n.
+multi-controlled Ry, one for RBS gates on two wires (real and phased
+variants), and a linear formula for RBS gates on three or more wires.
+Each entry is a ceiling: ``compiler.lower`` never spends more CNOTs on a
+gate than ``gate_cnot_bound`` gives it, whatever its control count, so a
+budget, which sums those entries over the gate census of a construction,
+bounds the lowered circuit. The dense budgets additionally collapse to
+closed-form polynomials in n.
 
 The sparse budget defines none of its inputs itself: its addresses pass the
 encoder's rules (``encoders._check_addresses``) and its wires come from the
 encoder's walk (``bitstrings.walk_wires``). No budget has a row for the
-global phase a complex encoder puts first: it acts on |0^n> with no
-controls and lowers to no CNOT.
+global phase a complex encoder puts first: it is an uncontrolled Rz and
+lowers to no CNOT.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def mcry_bound(ell: int) -> int:
 
 
 def rbs_bound(ell: int, complex_amplitudes: bool = False) -> int:
-    """Budget for a two-wire mixing gate with ell controls."""
+    """Budget for a two-wire RBS gate with ell controls."""
     if ell < 0:
         raise ValueError("control count must be non-negative")
     if ell < 5:
@@ -49,7 +49,7 @@ def rbs_bound(ell: int, complex_amplitudes: bool = False) -> int:
 
 
 def grbs_bound(m: int, mp: int, ell: int, complex_amplitudes: bool = False) -> int:
-    """Budget for a generalized mixing gate on m + mp >= 3 wires."""
+    """Budget for an RBS gate on m + mp >= 3 wires."""
     if m + mp < 3:
         raise ValueError("generalized column needs at least three mixed wires")
     if complex_amplitudes:
@@ -60,8 +60,8 @@ def grbs_bound(m: int, mp: int, ell: int, complex_amplitudes: bool = False) -> i
 def gate_cnot_bound(gate: Gate) -> int:
     """Table bound for one logical gate; anti-controls count as controls.
 
-    Mixing gates on one or two wires use the Ry and two-wire columns
-    even when expressed in generalized form, the same rule by which
+    An RBS gate is priced by its wire counts and whether it carries a
+    nonzero phase, through :func:`_mixing_bound`, the same rule by which
     ``count_sparse`` prices its gate list.
     """
     ell = len(gate.ctrls) + len(gate.anti_ctrls)
@@ -71,20 +71,13 @@ def gate_cnot_bound(gate: Gate) -> int:
         return 0
     if gate.kind == "CNOT":
         return 1
-    if gate.kind == "AntiPhase":
-        # one Rz per pattern wire, with ell, ell - 1, ..., 0 controls, each
-        # taking the multiplexor or the linear construction
-        return sum(min(2**j, mcry_bound(j)) for j in range(1, ell + 1))
-    if gate.kind in ("RBS", "ComplexRBS"):
-        return rbs_bound(ell, complex_amplitudes=gate.kind == "ComplexRBS")
-    if gate.kind == "GRBS":
-        return _mixing_bound(len(gate.ins), len(gate.outs), ell, bool(gate.phi))
-    raise ValueError(f"no bound for gate kind {gate.kind}")
+    return _mixing_bound(len(gate.ins), len(gate.outs), ell, bool(gate.phi))
 
 
 def _mixing_bound(m: int, mp: int, ell: int, complex_amplitudes: bool) -> int:
-    """A mixing gate with m in- and mp out-wires: a single raise is priced
-    as an Ry, one or two wires as an RBS, anything wider as a GRBS."""
+    """An RBS gate with m in- and mp out-wires and ell controls: a single
+    raise is priced as an Ry (its one rotation under ell controls), two
+    wires by :func:`rbs_bound` and anything wider by :func:`grbs_bound`."""
     if m == 0 and mp == 1:
         return mcry_bound(ell)
     if m + mp <= 2:

@@ -21,8 +21,8 @@ vector slot i to the basis state that receives amplitude ``x[i] / |x|``.
 Each gate's wires come from ``bitstrings.walk_wires`` and the sparse
 address rules are :func:`_check_addresses`; ``counting.count_sparse`` uses
 both, so a budget prices the very gates the encoder emits. A complex
-encoder adds one gate in front, the global phase on |0^n>, which costs no
-CNOT and so has no row in any budget.
+encoder adds one gate in front, the global phase on |0^n> as an
+uncontrolled Rz, which costs no CNOT and so has no row in any budget.
 """
 
 from __future__ import annotations
@@ -40,16 +40,7 @@ from .bitstrings import (
     walk_wires,
 )
 from .coordinates import angles_from_complex, angles_from_real
-from .ir import (
-    Circuit,
-    Gate,
-    anti_phase,
-    complex_rbs,
-    grbs,
-    rbs,
-    ry,
-    x_gate,
-)
+from .ir import Circuit, Gate, rbs, ry, rz, x_gate
 from .simulator import _to_arrays, apply_gate, run
 
 
@@ -145,20 +136,20 @@ def _cascade(
     The wires come from :func:`walk_wires`: ones shared by a pair are
     controls (minus those on wires still in their initial state), ones only
     in the first string are in-wires and ones only in the second are
-    out-wires. A single raise is a controlled Ry, a
-    one-in/one-out move an RBS, anything else a GRBS. ``mirrored`` loads
-    the complement of every walk string instead. With phases every gate
-    carries a phase angle, and the global phase comes first, as an
-    uncontrolled AntiPhase on |0^n>, which lowers to no CNOT.
+    out-wires. A real single raise is a controlled Ry and every other
+    step an RBS on those wires. ``mirrored`` loads the complement of every
+    walk string instead. With phases every RBS carries a phase angle, and
+    the global phase psi_0 comes first as ``rz(-psi_0, 1)``, which sends
+    |0^n> to exp(i psi_0)|0^n> exactly and lowers to no CNOT.
     """
     d = len(walk)
     if with_phases:
         thetas, phis = angles_from_complex(x)
     else:
-        thetas, phis = angles_from_real(x.real), np.zeros(d)
+        thetas = angles_from_real(x.real)
     ordering = tuple(b.complement() for b in walk) if mirrored else tuple(walk)
 
-    gates = [anti_phase(phis[0], 1)] if with_phases else []
+    gates = [rz(-phis[0], 1)] if with_phases else []
     gates += _x_layer(ordering[0].ones)
     for j, (ins, outs, ctrls) in enumerate(walk_wires(walk)):
         if mirrored:
@@ -167,15 +158,13 @@ def _cascade(
             wires = dict(ctrls=(), anti_ctrls=ctrls)
         else:
             wires = dict(ctrls=ctrls)
-        if not with_phases and not ins and len(outs) == 1:
+        if with_phases:
+            gates.append(rbs(thetas[j], ins, outs, phis[j + 1], **wires))
+        elif not ins and len(outs) == 1:
             # plain single-bit raise: a controlled Ry is the same rotation
             gates.append(ry(thetas[j], outs[0], **wires))
-        elif len(ins) == len(outs) == 1 and with_phases:
-            gates.append(complex_rbs(thetas[j], phis[j + 1], ins[0], outs[0], **wires))
-        elif len(ins) == len(outs) == 1:
-            gates.append(rbs(thetas[j], ins[0], outs[0], **wires))
         else:
-            gates.append(grbs(thetas[j], phis[j + 1], ins, outs, **wires))
+            gates.append(rbs(thetas[j], ins, outs, **wires))
 
     return EncoderReport(
         circuit=Circuit(n=n, gates=tuple(gates)),
@@ -220,10 +209,10 @@ def encode_dense_real(n: int, k: int, x) -> EncoderReport:
 def encode_dense_complex(n: int, k: int, x) -> EncoderReport:
     """Complex-amplitude variant of :func:`encode_dense_real`.
 
-    Each mixing gate carries an inclination and a phase angle, and one
-    leading uncontrolled phase gate sets the global phase, so the loaded
-    state matches x / |x| exactly rather than up to phase. The leading
-    gate acts on |0^n> and lowers to no CNOT.
+    Each RBS gate carries an inclination and a phase angle, and one
+    leading uncontrolled Rz sets the global phase, so the loaded state
+    matches x / |x| exactly rather than up to phase. The leading Rz lowers
+    to itself, with no CNOT.
     """
     return _dense(n, k, x, with_phases=True)
 
@@ -233,7 +222,7 @@ def encode_dense_complex(n: int, k: int, x) -> EncoderReport:
 
 
 def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderReport:
-    """Load (value, address) pairs, one generalized mixing gate per pair.
+    """Load (value, address) pairs, one mixing gate per pair after the first.
 
     Addresses must appear in non-decreasing weight order (pass
     ``sort_by_weight=True`` for a stable pre-sort; nothing is reordered
@@ -355,8 +344,8 @@ def encode_binary(n: int, x) -> EncoderReport:
 def encode_binary_complex(n: int, x) -> EncoderReport:
     """Complex variant of :func:`encode_binary`; 2^(n+1) - 1 parameters.
 
-    Bridges become raising GRBS gates (no in-wire, one out-wire) under the
-    same controls, every gate carries a phase angle, and one leading
-    uncontrolled phase gate sets the global phase at no CNOT cost.
+    Bridges become raising RBS gates (no in-wire, one out-wire) under the
+    same controls, every RBS carries a phase angle, and one leading
+    uncontrolled Rz sets the global phase at no CNOT cost.
     """
     return _binary(n, x, with_phases=True)

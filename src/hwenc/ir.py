@@ -1,9 +1,10 @@
 """Typed gate IR for encoder circuits, with semantics and serialization.
 
-Circuits exist at two levels.  Logical circuits may contain the mixing gates
-(RBS, ComplexRBS, GRBS) and multi-controlled rotations; CNOT-level circuits
-are restricted to X, Ry, Rz, Rw and CNOT with no controls on the rotations,
-so the CNOT count can be read off directly.
+There are six gate kinds: X, Ry, Rz, Rw, RBS and CNOT.  Circuits exist at
+two levels.  Logical circuits may contain the mixing gate RBS and
+multi-controlled rotations; CNOT-level circuits are restricted to X, Ry, Rz,
+Rw and CNOT with no controls on the rotations, so the CNOT count can be read
+off directly.
 
 Conventions, fixed package-wide:
 
@@ -11,9 +12,10 @@ Conventions, fixed package-wide:
   cos(t)|0> + sin(t)|1>, Rz(p) = exp(-i p Z) = diag(exp(-ip), exp(ip));
 * Rw(l, w) = exp(+i l W) for the unit axis w, W = w . (X, Y, Z) -- note the
   plus sign, opposite to Ry/Rz;
-* AntiPhase(p) = diag(exp(ip), 1): phase lands on |0> of the target;
-* mixing gates act on a basis state whose in-wires are all 1 and out-wires
-  all 0 (controls satisfied, anti-controls clear) as
+* RBS(t, p) mixes its in-wires (any number, none included) with its
+  out-wires (at least one); the paper's two-wire RBS has one of each, and
+  an absent phase p reads as 0.  It acts on a basis state whose in-wires
+  are all 1 and out-wires all 0 (controls satisfied, anti-controls clear) as
   |b> -> exp(ip) cos(t) |b> + exp(-ip) sin(t) |b'>, and on the mirrored
   state as |b'> -> -exp(ip) sin(t) |b> + exp(-ip) cos(t) |b'>, where b' is b
   with in-wires and out-wires flipped; every other basis state is fixed;
@@ -28,14 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GATE_KINDS = ("X", "Ry", "Rz", "Rw", "AntiPhase", "RBS", "ComplexRBS", "GRBS", "CNOT")
+GATE_KINDS = ("X", "Ry", "Rz", "Rw", "RBS", "CNOT")
 
 # kinds permitted in a CNOT-level circuit
 CNOT_LEVEL_KINDS = frozenset({"X", "Ry", "Rz", "Rw", "CNOT"})
 
-MIXING_KINDS = frozenset({"RBS", "ComplexRBS", "GRBS"})
-
-SINGLE_QUBIT_KINDS = frozenset({"X", "Ry", "Rz", "Rw", "AntiPhase"})
+SINGLE_QUBIT_KINDS = frozenset({"X", "Ry", "Rz", "Rw"})
 
 
 class SerializationError(ValueError):
@@ -70,9 +70,9 @@ def _check_angle(value, what: str) -> None:
 class Gate:
     """One gate. Wires are qubit labels; single-qubit kinds use ins=[target].
 
-    theta carries the rotation angle of Ry, Rw and the mixing gates; phi
-    carries the phase angle of Rz, AntiPhase, ComplexRBS and GRBS; axis is
-    the unit rotation axis of Rw only.
+    theta carries the rotation angle of Ry, Rw and RBS; phi carries the
+    phase angle of Rz and, optionally, of RBS; axis is the unit rotation
+    axis of Rw only.
     """
 
     kind: str
@@ -111,12 +111,11 @@ class Gate:
 
     def _check_shape(self):
         kind = self.kind
-        need_theta = kind in ("Ry", "Rw", "RBS", "ComplexRBS", "GRBS")
-        need_phi = kind in ("Rz", "AntiPhase", "ComplexRBS", "GRBS")
+        need_theta = kind in ("Ry", "Rw", "RBS")
         if need_theta != (self.theta is not None):
             raise ValueError(f"{kind}: theta {'required' if need_theta else 'not allowed'}")
-        if need_phi != (self.phi is not None):
-            raise ValueError(f"{kind}: phi {'required' if need_phi else 'not allowed'}")
+        if kind != "RBS" and (kind == "Rz") != (self.phi is not None):
+            raise ValueError(f"{kind}: phi {'required' if kind == 'Rz' else 'not allowed'}")
         if (kind == "Rw") != (self.axis is not None):
             raise ValueError(f"{kind}: axis {'required' if kind == 'Rw' else 'not allowed'}")
         if kind in SINGLE_QUBIT_KINDS:
@@ -127,12 +126,8 @@ class Gate:
         elif kind == "CNOT":
             if len(self.ctrls) != 1 or len(self.ins) != 1 or self.outs or self.anti_ctrls:
                 raise ValueError("CNOT: one control in ctrls, one target in ins")
-        elif kind in ("RBS", "ComplexRBS"):
-            if len(self.ins) != 1 or len(self.outs) != 1:
-                raise ValueError(f"{kind}: one in-wire and one out-wire")
-        elif kind == "GRBS":
-            if len(self.outs) < 1:
-                raise ValueError("GRBS: at least one out-wire")
+        elif not self.outs:
+            raise ValueError("RBS: at least one out-wire")
 
     @property
     def target(self) -> int:
@@ -204,23 +199,9 @@ def rw(theta: float, axis, target: int, ctrls=(), anti_ctrls=()) -> Gate:
                 anti_ctrls=anti_ctrls)
 
 
-def anti_phase(phi: float, target: int, ctrls=(), anti_ctrls=()) -> Gate:
-    return Gate("AntiPhase", phi=phi, ins=(target,), ctrls=ctrls, anti_ctrls=anti_ctrls)
-
-
-def rbs(theta: float, in_: int, out: int, ctrls=(), anti_ctrls=()) -> Gate:
-    return Gate("RBS", theta=theta, ins=(in_,), outs=(out,), ctrls=ctrls,
-                anti_ctrls=anti_ctrls)
-
-
-def complex_rbs(theta: float, phi: float, in_: int, out: int, ctrls=(),
-                anti_ctrls=()) -> Gate:
-    return Gate("ComplexRBS", theta=theta, phi=phi, ins=(in_,), outs=(out,),
-                ctrls=ctrls, anti_ctrls=anti_ctrls)
-
-
-def grbs(theta: float, phi: float, ins, outs, ctrls=(), anti_ctrls=()) -> Gate:
-    return Gate("GRBS", theta=theta, phi=phi, ins=tuple(ins), outs=tuple(outs),
+def rbs(theta: float, ins, outs, phi: float | None = None, ctrls=(),
+        anti_ctrls=()) -> Gate:
+    return Gate("RBS", theta=theta, phi=phi, ins=tuple(ins), outs=tuple(outs),
                 ctrls=ctrls, anti_ctrls=anti_ctrls)
 
 
@@ -261,13 +242,11 @@ def _single_qubit_matrix(gate: Gate) -> np.ndarray:
         return np.diag([np.exp(-1j * gate.phi), np.exp(1j * gate.phi)])
     if gate.kind == "Rw":
         return rw_matrix(gate.theta, gate.axis)
-    if gate.kind == "AntiPhase":
-        return np.diag([np.exp(1j * gate.phi), 1.0 + 0j])
     raise ValueError(f"{gate.kind} is not a single-qubit gate")
 
 
 def _mixing_matrix(gate: Gate) -> np.ndarray:
-    """A mixing gate's 2x2 block on (|b>, |b'>): in-wires 1 and out-wires 0
+    """An RBS gate's 2x2 block on (|b>, |b'>): in-wires 1 and out-wires 0
     first, the mirrored state second."""
     phi = gate.phi if gate.phi is not None else 0.0
     fwd, bwd = np.exp(1j * phi), np.exp(-1j * phi)
@@ -299,7 +278,7 @@ def apply_to_basis_state(gate: Gate, state: int) -> dict[int, complex]:
             out[state | bit] = complex(u[1, col])
         return out
 
-    # mixing gates
+    # RBS
     ins_mask, outs_mask = _mask(gate.ins), _mask(gate.outs)
     flip = ins_mask | outs_mask
     u = _mixing_matrix(gate)

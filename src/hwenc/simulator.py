@@ -42,7 +42,6 @@ from hwenc.bitstrings import BitString
 from hwenc.ir import (
     Circuit,
     Gate,
-    MIXING_KINDS,
     _mask,
     _mixing_matrix,
     _single_qubit_matrix,
@@ -168,7 +167,7 @@ def apply_gate(idx: np.ndarray, amp: np.ndarray,
     care = ctrl | _mask(gate.anti_ctrls)
     if gate.kind in ("X", "CNOT"):
         return _apply_flip(idx, amp, care, ctrl, 1 << (gate.ins[0] - 1))
-    if gate.kind in MIXING_KINDS:
+    if gate.kind == "RBS":
         lo, hi = _mask(gate.ins), _mask(gate.outs)
         u = _mixing_matrix(gate)
     else:
@@ -282,7 +281,7 @@ def dense_run(circuit: Circuit, initial=0) -> np.ndarray:
 def _apply_gate_dense(vec: np.ndarray, g: Gate) -> np.ndarray:
     if g.kind == "CNOT":
         return vec[_cnot_permutation(vec.size, g.ctrls[0], g.ins[0])]
-    if g.kind in MIXING_KINDS or g.ctrls or g.anti_ctrls:
+    if g.kind == "RBS" or g.ctrls or g.anti_ctrls:
         idx, amp = apply_gate(np.arange(vec.size), vec.copy(), g)
         out = np.zeros_like(vec)
         out[idx] = amp

@@ -38,11 +38,8 @@ from hwenc.encoders import (
 )
 from hwenc.ir import (
     Circuit,
-    anti_phase,
     circuit_unitary,
-    complex_rbs,
     gate_unitary,
-    grbs,
     rbs,
     rw,
     ry,
@@ -103,10 +100,10 @@ GOLDEN_SPARSE_ADDRESSES = (
 GOLDEN_SPARSE_GATES = (
     ("RBS", (3,), (4,), ()),
     ("RBS", (1,), (3,), (4,)),
-    ("GRBS", (3, 4), (1, 5), ()),
+    ("RBS", (3, 4), (1, 5), ()),
     ("RBS", (1,), (4,), (5,)),
-    ("GRBS", (2, 4, 5), (1, 3, 6), ()),
-    ("GRBS", (1, 3), (2, 4, 5), (6,)),
+    ("RBS", (2, 4, 5), (1, 3, 6), ()),
+    ("RBS", (1, 3), (2, 4, 5), (6,)),
 )
 GOLDEN_SPARSE_ROWS = (2, 6, 30, 6, 66, 64)
 
@@ -342,7 +339,9 @@ def test_criterion_5_formula_consistency():
 
 
 def _random_gate(rng, kind):
-    """One random instance of the given gate kind on six qubits."""
+    """One random gate on six qubits: a rotation kind, or one of four RBS
+    shapes ("RBS" two-wire real, "RBS phased" two-wire, "RBS raise" with no
+    in-wire and one or two out-wires, phased, and "RBS wide")."""
     theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
     phi = float(rng.uniform(-2 * np.pi, 2 * np.pi))
     labels = [int(v) for v in 1 + rng.permutation(6)]
@@ -352,39 +351,39 @@ def _random_gate(rng, kind):
         na = int(rng.integers(0, spare - nc + 1))
         return tuple(wires[:nc]), tuple(wires[nc:nc + na])
 
-    if kind in ("Ry", "Rz", "Rw", "AntiPhase"):
+    if kind in ("Ry", "Rz", "Rw"):
         target, rest = labels[0], labels[1:]
         ctrls, antis = split(rest, 5)
         if kind == "Ry":
             return ry(theta, target, ctrls, antis)
         if kind == "Rz":
             return rz(phi, target, ctrls, antis)
-        if kind == "AntiPhase":
-            return anti_phase(phi, target, ctrls, antis)
         axis = rng.normal(size=3)
         axis = axis / np.linalg.norm(axis)
         return rw(theta, tuple(axis), target, ctrls, antis)
-    if kind in ("RBS", "ComplexRBS"):
+    if kind in ("RBS", "RBS phased"):
         a, b, rest = labels[0], labels[1], labels[2:]
         ctrls, antis = split(rest, 4)
-        if kind == "RBS":
-            return rbs(theta, a, b, ctrls, antis)
-        return complex_rbs(theta, phi, a, b, ctrls, antis)
-    m = int(rng.integers(1, 4))
-    mp = int(rng.integers(max(1, 3 - m), 4))
+        return rbs(theta, (a,), (b,), phi if kind == "RBS phased" else None,
+                   ctrls, antis)
+    if kind == "RBS raise":
+        m, mp = 0, int(rng.integers(1, 3))
+    else:
+        m = int(rng.integers(1, 4))
+        mp = int(rng.integers(max(1, 3 - m), 4))
+        if rng.integers(2):
+            phi = None
     ins, outs = labels[:m], labels[m:m + mp]
     rest = labels[m + mp:]
     ctrls, antis = split(rest, len(rest))
-    if rng.integers(2):
-        phi = 0.0
-    return grbs(theta, phi, ins, outs, ctrls, antis)
+    return rbs(theta, ins, outs, phi, ctrls, antis)
 
 
 def test_criterion_6_lowering_is_exact():
     t0 = time.perf_counter()
     rng = np.random.default_rng(6060)
     worst = 0.0
-    kinds = ("Ry", "Rz", "Rw", "AntiPhase", "RBS", "ComplexRBS", "GRBS")
+    kinds = ("Ry", "Rz", "Rw", "RBS raise", "RBS", "RBS phased", "RBS wide")
     for kind in kinds:
         for _ in range(100):
             gate = _random_gate(rng, kind)

@@ -218,6 +218,13 @@ class TestCount:
         payload = json.loads(out)
         assert code == 0 and payload["ok"] and len(payload["check_8n2n"]) == 24
 
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_size_bound_check_refuses_empty_range(self, capsys, size):
+        # no n in 1..N would be checked, so "ok" would claim a pass
+        code, out, err = run_cli(capsys, "count", "--check-8n2n", size)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --check-8n2n ")
+
     def test_missing_n(self, capsys):
         code, _, err = run_cli(capsys, "count", "--k", "2")
         assert code == 1 and "--n" in err
@@ -378,6 +385,15 @@ class TestDemo:
                                  "100", flag, value, "--seed", "1")
         assert code == 1 and out == ""
         assert flag in err and "--mitigate" in err
+
+    @pytest.mark.parametrize("flag, value", [("--rates", "0.9,,1.0"),
+                                             ("--noise", "depol:abc"),
+                                             ("--noise", "depol:")])
+    def test_malformed_number_names_its_flag(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "demo", "qgaussian", "--shots", "100",
+                                 "--mitigate", "cdr", flag, value, "--seed", "1")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag} {value!r} ")
 
     def test_custom_grid(self, capsys):
         code, out, _ = run_cli(

@@ -15,7 +15,6 @@ from hwenc.compiler import (
     _mixing_bottom,
     _rbs_top,
     axis_angle,
-    compile_anti_phase,
     compile_mcry,
     lower,
     lower_gate,
@@ -29,13 +28,10 @@ from hwenc.ir import (
     Circuit,
     Gate,
     _single_qubit_matrix,
-    anti_phase,
     circuit_unitary,
     cnot,
-    complex_rbs,
     emit_qasm,
     gate_unitary,
-    grbs,
     rbs,
     rw,
     ry,
@@ -152,7 +148,7 @@ class TestMultiplexedRotations:
 
     def test_rejects_other_kinds(self):
         with pytest.raises(ValueError, match="compile_mcry"):
-            compile_mcry(rbs(0.3, 1, 2))
+            compile_mcry(rbs(0.3, (1,), (2,)))
 
 
 def oracle_multiplexed(tau, target, ctrls):
@@ -248,11 +244,15 @@ def test_pushed_unitary_matches_circuit_unitary():
     assert np.max(np.abs(pushed_unitary(order, 3) - want)) < 1e-12
 
 
-def linear_path_gate(kind, n, rng):
-    """A random gate of one kind using all n wires, controls and anti-controls mixed."""
+def linear_path_gate(shape, n, rng):
+    """A random gate of one shape using all n wires, controls and anti-controls mixed.
+
+    The shapes are the rotation kinds and three of RBS: two-wire real
+    ("RBS"), two-wire phased ("RBS phased") and any wires, phased ("RBS wide").
+    """
     wires = [int(q) for q in rng.permutation(np.arange(1, n + 1))]
-    m, mp = {"RBS": (1, 1), "ComplexRBS": (1, 1)}.get(kind, (1, 0))
-    if kind == "GRBS":
+    m, mp = {"RBS": (1, 1), "RBS phased": (1, 1)}.get(shape, (1, 0))
+    if shape == "RBS wide":
         m = int(rng.integers(0, 4))
         mp = int(rng.integers(max(1, 2 - m), 4))
     ins, outs = tuple(sorted(wires[:m])), tuple(sorted(wires[m:m + mp]))
@@ -262,31 +262,29 @@ def linear_path_gate(kind, n, rng):
     theta, phi = (float(v) for v in rng.uniform(-3, 3, size=2))
     axis = rng.normal(size=3)
     axis = tuple(float(v) for v in axis / np.linalg.norm(axis))
-    if kind == "Ry":
+    if shape == "Ry":
         return ry(theta, ins[0], **wiring)
-    if kind == "Rz":
+    if shape == "Rz":
         return rz(phi, ins[0], **wiring)
-    if kind == "Rw":
+    if shape == "Rw":
         return rw(theta, axis, ins[0], **wiring)
-    if kind == "RBS":
-        return rbs(theta, ins[0], outs[0], **wiring)
-    if kind == "ComplexRBS":
-        return complex_rbs(theta, phi, ins[0], outs[0], **wiring)
-    return grbs(theta, phi, ins, outs, **wiring)
+    if shape == "RBS":
+        return rbs(theta, ins, outs, **wiring)
+    return rbs(theta, ins, outs, phi, **wiring)
 
 
 class TestLinearRotations:
     """From seven controls on, rotations take the 16 * ell - 24 CNOT construction."""
 
-    KINDS = ("Ry", "Rz", "Rw", "RBS", "ComplexRBS", "GRBS")
+    SHAPES = ("Ry", "Rz", "Rw", "RBS", "RBS phased", "RBS wide")
 
     def test_exact_on_seven_to_ten_wires(self):
         rng = np.random.default_rng(60)
-        cases = [(kind, n) for n in (7, 8, 9) for kind in self.KINDS]
-        cases += [("GRBS", 10)]
+        cases = [(shape, n) for n in (7, 8, 9) for shape in self.SHAPES]
+        cases += [("RBS wide", 10)]
         linear = 0
-        for kind, n in cases:
-            g = linear_path_gate(kind, n, rng)
+        for shape, n in cases:
+            g = linear_path_gate(shape, n, rng)
             lowered = lower_gate(g)
             dist = phase_distance(gate_unitary(g, n), pushed_unitary(lowered, n))
             assert dist < TOL, (g, dist)
@@ -326,16 +324,20 @@ class TestLinearRotations:
 
 @st.composite
 def any_gate(draw):
-    """A gate of a random rotating kind on up to nine wires, with its width."""
+    """A gate of a random rotating kind on up to nine wires, with its width.
+
+    RBS comes in three shapes: two-wire real, two-wire phased, and wide
+    (any wires, with or without a phase).
+    """
     n = draw(st.integers(2, 9))
-    kind = draw(st.sampled_from(("Ry", "Rz", "Rw", "AntiPhase", "RBS", "ComplexRBS",
-                                 "GRBS")))
+    shape = draw(st.sampled_from(("Ry", "Rz", "Rw", "RBS", "RBS phased", "RBS wide")))
+    kind = shape.split()[0]
     wires = draw(st.permutations(range(1, n + 1)))
-    if kind in ("RBS", "ComplexRBS"):
-        m, mp = 1, 1
-    elif kind == "GRBS":
+    if shape == "RBS wide":
         m = draw(st.integers(0, min(3, n - 1)))
         mp = draw(st.integers(1, min(3, n - m)))
+    elif kind == "RBS":
+        m, mp = 1, 1
     else:
         m, mp = 1, 0
     rest = wires[m + mp:]
@@ -348,10 +350,11 @@ def any_gate(draw):
     if kind == "Rw":
         v = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 1e-3))
         axis = tuple(x / math.hypot(*v) for x in v)
+    phased = shape in ("Rz", "RBS phased") or (shape == "RBS wide" and draw(st.booleans()))
     gate = Gate(
         kind,
-        theta=draw(angle) if kind in ("Ry", "Rw", "RBS", "ComplexRBS", "GRBS") else None,
-        phi=draw(angle) if kind in ("Rz", "AntiPhase", "ComplexRBS", "GRBS") else None,
+        theta=draw(angle) if kind in ("Ry", "Rw", "RBS") else None,
+        phi=draw(angle) if phased else None,
         axis=axis,
         ins=tuple(wires[:m]),
         outs=tuple(wires[m:m + mp]),
@@ -374,35 +377,30 @@ class TestLoweringProperty:
 class TestMixingGates:
     def test_rbs_equivalence_hundred_draws(self):
         rng = np.random.default_rng(52)
-        for kind in ("RBS", "ComplexRBS"):
+        for phased in (False, True):
             for _ in range(100):
                 n = int(rng.integers(2, 7))
                 src, dst = rng.choice(np.arange(1, n + 1), size=2, replace=False)
                 ctrls, antis = random_wiring(rng, n, {int(src), int(dst)})
                 theta = float(rng.uniform(-3, 3))
-                if kind == "RBS":
-                    g = rbs(theta, int(src), int(dst), ctrls=ctrls, anti_ctrls=antis)
-                else:
-                    g = complex_rbs(
-                        theta, float(rng.uniform(-3, 3)),
-                        int(src), int(dst), ctrls=ctrls, anti_ctrls=antis,
-                    )
+                phi = float(rng.uniform(-3, 3)) if phased else None
+                g = rbs(theta, (int(src),), (int(dst),), phi, ctrls=ctrls, anti_ctrls=antis)
                 assert_equivalent(g, lower_gate(g), n)
 
     def test_real_cnot_counts(self):
         for ell, want in [(0, 2), (1, 6), (2, 10), (3, 18)]:
-            g = rbs(0.8, 5, 6, ctrls=tuple(range(1, ell + 1)))
+            g = rbs(0.8, (5,), (6,), ctrls=tuple(range(1, ell + 1)))
             assert cnots(lower_gate(g)) == want
 
     def test_complex_cnot_counts(self):
         for ell, want in [(0, 2), (1, 6), (2, 10), (3, 18)]:
-            g = complex_rbs(0.8, 0.5, 5, 6, ctrls=tuple(range(1, ell + 1)))
+            g = rbs(0.8, (5,), (6,), 0.5, ctrls=tuple(range(1, ell + 1)))
             assert cnots(lower_gate(g)) == want
 
     def test_uncontrolled_uses_rotate_between_cnots(self):
         # the 2-CNOT template: conjugating frame, two half-angle
         # rotations inside, no multi-controlled machinery
-        lowered = lower_gate(rbs(0.8, 1, 2))
+        lowered = lower_gate(rbs(0.8, (1,), (2,)))
         assert cnots(lowered) == 2
         half = [g for g in lowered if g.kind == "Ry"]
         assert [g.theta for g in half] == [0.4, 0.4]
@@ -410,7 +408,7 @@ class TestMixingGates:
     def test_controlled_uses_ladder(self):
         # one control makes the central-rotation route cheaper;
         # its signature is a CNOT between the mixed wires at both ends
-        lowered = lower_gate(rbs(0.8, 1, 2, ctrls=(3,)))
+        lowered = lower_gate(rbs(0.8, (1,), (2,), ctrls=(3,)))
         assert lowered[0] == cnot(1, 2)
         assert lowered[-1] == cnot(1, 2)
 
@@ -425,10 +423,8 @@ class TestMixingGates:
             ins = tuple(sorted(wires[:m]))
             outs = tuple(sorted(wires[m : m + mp]))
             ctrls, antis = random_wiring(rng, n, set(ins) | set(outs))
-            g = grbs(
-                float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)),
-                ins, outs, ctrls=ctrls, anti_ctrls=antis,
-            )
+            g = rbs(float(rng.uniform(-3, 3)), ins, outs, float(rng.uniform(-3, 3)),
+                    ctrls=ctrls, anti_ctrls=antis)
             assert_equivalent(g, lower_gate(g), n)
             done += 1
 
@@ -437,7 +433,7 @@ class TestMixingGates:
             ins = tuple(range(1, m + 1))
             outs = tuple(range(m + 1, m + mp + 1))
             ctrls = tuple(range(m + mp + 1, m + mp + ell + 1))
-            g = grbs(0.7, 0.4, ins, outs, ctrls=ctrls)
+            g = rbs(0.7, ins, outs, 0.4, ctrls=ctrls)
             want = 2 * (m + mp - 1) + 2 ** (ell + m + mp - 1)
             if m + mp == 2 and ell == 0:
                 want = 2  # the "top" template, as for an RBS
@@ -447,7 +443,7 @@ class TestMixingGates:
         for mp, ell in [(1, 1), (2, 0), (3, 1)]:
             outs = tuple(range(1, mp + 1))
             ctrls = tuple(range(mp + 1, mp + ell + 1))
-            g = grbs(0.7, 0.4, (), outs, ctrls=ctrls)
+            g = rbs(0.7, (), outs, 0.4, ctrls=ctrls)
             lowered = lower_gate(g)
             n = mp + ell
             assert_equivalent(g, lowered, n)
@@ -473,11 +469,10 @@ class TestTemplateChoice:
                 wires = dict(ctrls=tuple(sorted(rest[:cut])),
                              anti_ctrls=tuple(sorted(rest[cut:])))
                 for theta in thetas:
-                    gates = [rbs(theta, src, dst, **wires)]
+                    gates = [rbs(theta, (src,), (dst,), **wires)]
                     for phi in phis:
-                        gates += [complex_rbs(theta, phi, src, dst, **wires),
-                                  grbs(theta, phi, (src,), (dst,), **wires),
-                                  grbs(theta, phi, (), tuple(sorted((src, dst))), **wires)]
+                        gates += [rbs(theta, (src,), (dst,), phi, **wires),
+                                  rbs(theta, (), tuple(sorted((src, dst))), phi, **wires)]
                     for g in gates:
                         top, bottom = _rbs_top(g), _mixing_bottom(g)
                         picked, other = (top, bottom) if ell == 0 else (bottom, top)
@@ -493,34 +488,10 @@ class TestTemplateChoice:
     def test_uncontrolled_identity_takes_top(self):
         # theta = 0 with no controls: both templates cost 2 CNOTs, and the
         # gate takes the frame
-        g = rbs(0.0, 1, 2)
+        g = rbs(0.0, (1,), (2,))
         assert cnots(_rbs_top(g)) == cnots(_mixing_bottom(g)) == 2
         assert lower_gate(g) == _rbs_top(g)
         assert cnots(lower_gate(g)) == 2
-
-
-class TestAntiPhase:
-    def test_equivalence_hundred_draws(self):
-        rng = np.random.default_rng(54)
-        for _ in range(100):
-            n = int(rng.integers(1, 7))
-            t = int(rng.integers(1, n + 1))
-            ctrls, antis = random_wiring(rng, n, {t})
-            g = anti_phase(float(rng.uniform(-3, 3)), t, ctrls=ctrls, anti_ctrls=antis)
-            assert_equivalent(g, compile_anti_phase(g), n)
-
-    def test_cnot_count(self):
-        for ell in range(5):
-            g = anti_phase(1.1, 6, ctrls=tuple(range(1, ell + 1)))
-            assert cnots(compile_anti_phase(g)) == 2 ** (ell + 1) - 2
-
-    def test_plain_gate_is_one_rz(self):
-        lowered = compile_anti_phase(anti_phase(0.8, 1))
-        assert len(lowered) == 1 and lowered[0].kind == "Rz"
-
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(ValueError, match="compile_anti_phase"):
-            compile_anti_phase(ry(0.3, 1))
 
 
 class TestLower:
@@ -532,11 +503,12 @@ class TestLower:
         ctl = dict(ctrls=(3,), anti_ctrls=(4,))
         examples = [
             x_gate(1), cnot(1, 2), ry(0.3, 1, **ctl), rz(0.3, 1, **ctl),
-            rw(0.3, (0.48, -0.6, 0.64), 1, **ctl), anti_phase(0.3, 1, **ctl),
-            rbs(0.3, 1, 2, **ctl), complex_rbs(0.3, 0.5, 1, 2, **ctl),
-            grbs(0.3, 0.5, (1,), (2, 5), **ctl),
+            rw(0.3, (0.48, -0.6, 0.64), 1, **ctl),
+            # RBS: two-wire real and phased, wide, and raising
+            rbs(0.3, (1,), (2,), **ctl), rbs(0.3, (1,), (2,), 0.5, **ctl),
+            rbs(0.3, (1,), (2, 5), 0.5, **ctl), rbs(0.3, (), (2, 5), 0.5, **ctl),
         ]
-        assert {g.kind for g in examples} == set(GATE_KINDS)
+        assert len(GATE_KINDS) == 6 and {g.kind for g in examples} == set(GATE_KINDS)
         for g in examples:
             lowered = lower_gate(g)
             assert {x.kind for x in lowered} <= CNOT_LEVEL_KINDS, g.kind
@@ -559,19 +531,17 @@ class TestLower:
                                     ctrls=ctrls, anti_ctrls=antis))
                 elif pick == 2:
                     ctrls, antis = random_wiring(rng, n, {wires[0]})
-                    gates.append(anti_phase(float(rng.uniform(-3, 3)), wires[0],
-                                            ctrls=ctrls, anti_ctrls=antis))
+                    gates.append(rz(float(rng.uniform(-3, 3)), wires[0],
+                                    ctrls=ctrls, anti_ctrls=antis))
                 elif pick == 3 and n >= 2:
-                    gates.append(complex_rbs(float(rng.uniform(-3, 3)),
-                                             float(rng.uniform(-3, 3)),
-                                             wires[0], wires[1]))
+                    gates.append(rbs(float(rng.uniform(-3, 3)), (wires[0],), (wires[1],),
+                                     float(rng.uniform(-3, 3))))
                 else:
                     m = int(rng.integers(1, min(2, n - 1) + 1))
                     mp = int(rng.integers(1, min(2, n - m) + 1))
-                    gates.append(grbs(float(rng.uniform(-3, 3)),
-                                      float(rng.uniform(-3, 3)),
-                                      tuple(sorted(wires[:m])),
-                                      tuple(sorted(wires[m:m + mp]))))
+                    gates.append(rbs(float(rng.uniform(-3, 3)), tuple(sorted(wires[:m])),
+                                     tuple(sorted(wires[m:m + mp])),
+                                     float(rng.uniform(-3, 3))))
             logical = Circuit(n=n, gates=tuple(gates))
             result = lower(logical)
             assert isinstance(result, LoweringResult)
@@ -585,7 +555,7 @@ class TestLower:
             assert dist < TOL
 
     def test_lowered_circuit_emits_qasm(self):
-        logical = Circuit(n=3, gates=(rbs(0.5, 1, 2, ctrls=(3,)),))
+        logical = Circuit(n=3, gates=(rbs(0.5, (1,), (2,), ctrls=(3,)),))
         text = emit_qasm(lower(logical).circuit)
         assert text.startswith("OPENQASM 2.0;")
 

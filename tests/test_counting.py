@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hwenc import compiler
 from hwenc.bitstrings import BitString
-from hwenc.compiler import compile_anti_phase, compile_mcry, lower, lower_gate
+from hwenc.compiler import compile_mcry, lower, lower_gate
 from hwenc.counting import (
     BudgetRow,
     closed_form_dense,
@@ -29,7 +29,7 @@ from hwenc.encoders import (
     encode_dense_real,
     encode_sparse,
 )
-from hwenc.ir import anti_phase, complex_rbs, grbs, rbs, rw, ry, rz
+from hwenc.ir import rbs, rw, ry, rz
 
 SPARSE_ADDRESSES = [
     "000111", "001011", "001110", "010011", "011010", "100101", "111010",
@@ -58,14 +58,14 @@ class TestColumns:
 
     def test_gate_cnot_bound_dispatch(self):
         assert gate_cnot_bound(ry(0.3, 1, ctrls=(2, 3))) == 4
-        assert gate_cnot_bound(rbs(0.3, 1, 2, ctrls=(3,))) == 6
-        assert gate_cnot_bound(complex_rbs(0.3, 0.2, 1, 2, ctrls=(3,))) == 6
-        assert gate_cnot_bound(grbs(0.3, 0.0, (1, 2), (3, 4))) == 30
-        assert gate_cnot_bound(grbs(0.3, 0.4, (1, 2), (3, 4))) == 68
+        assert gate_cnot_bound(rbs(0.3, (1,), (2,), ctrls=(3,))) == 6
+        assert gate_cnot_bound(rbs(0.3, (1,), (2,), 0.2, ctrls=(3,))) == 6
+        assert gate_cnot_bound(rbs(0.3, (1, 2), (3, 4))) == 30
+        assert gate_cnot_bound(rbs(0.3, (1, 2), (3, 4), 0.4)) == 68
         # anti-controls price like controls
-        assert gate_cnot_bound(rbs(0.3, 1, 2, anti_ctrls=(3,))) == 6
+        assert gate_cnot_bound(rbs(0.3, (1,), (2,), anti_ctrls=(3,))) == 6
         # single-bit raise prices as a controlled rotation
-        assert gate_cnot_bound(grbs(0.3, 0.0, (), (1,), ctrls=(2,))) == 2
+        assert gate_cnot_bound(rbs(0.3, (), (1,), ctrls=(2,))) == 2
 
 
 class TestActualUnderBound:
@@ -89,9 +89,9 @@ class TestActualUnderBound:
     def test_mixing_dominated_through_twelve(self):
         for ell in range(13):
             wires = self.wiring(3, ell)
-            g = rbs(0.7, 1, 2, **wires)
+            g = rbs(0.7, (1,), (2,), **wires)
             assert cnots(lower_gate(g)) <= gate_cnot_bound(g) == rbs_bound(ell), ell
-            g = complex_rbs(0.7, 0.4, 2, 1, **wires)
+            g = rbs(0.7, (2,), (1,), 0.4, **wires)
             assert cnots(lower_gate(g)) <= gate_cnot_bound(g) == rbs_bound(ell, True), ell
 
     def test_phased_binary_gates_meet_real_columns_through_twelve(self):
@@ -103,9 +103,9 @@ class TestActualUnderBound:
             for w in (dict(ctrls=wires), self.wiring(3, ell)):
                 for theta, phi in itertools.product((0.7, -2.1, 3.0, 1e-3),
                                                     (0.4, -1.3, 3.1)):
-                    g = complex_rbs(theta, phi, 2, 1, **w)
+                    g = rbs(theta, (2,), (1,), phi, **w)
                     assert cnots(lower_gate(g)) <= rbs_bound(ell), (ell, theta, phi)
-                    g = grbs(theta, phi, (), (1,), **w)
+                    g = rbs(theta, (), (1,), phi, **w)
                     assert cnots(lower_gate(g)) <= mcry_bound(ell), (ell, theta, phi)
 
     def test_generalized_dominated_through_twelve(self):
@@ -117,14 +117,8 @@ class TestActualUnderBound:
                 for ell in range(13):
                     wires = self.wiring(m + mp + 1, ell)
                     for phi in (0.0, 0.4):
-                        g = grbs(0.7, phi, ins, outs, **wires)
+                        g = rbs(0.7, ins, outs, phi, **wires)
                         assert cnots(lower_gate(g)) <= gate_cnot_bound(g), (m, mp, ell, phi)
-
-    def test_anti_phase_meets_bound_through_twelve(self):
-        # the bound sums the cheaper construction of each Rz of the cascade
-        for ell in range(13):
-            g = anti_phase(1.1, 1, **self.wiring(2, ell))
-            assert cnots(compile_anti_phase(g)) == gate_cnot_bound(g), ell
 
     def test_priced_cnots_are_emitted(self):
         # the identity is free; otherwise up to six controls cost the
@@ -147,14 +141,14 @@ class TestActualUnderBound:
         # the real column is met exactly up to two controls, the complex
         # one up to one control; beyond that the compiled count is lower
         for ell in (0, 1, 2):
-            g = rbs(0.7, 6, 5, ctrls=tuple(range(1, ell + 1)))
+            g = rbs(0.7, (6,), (5,), ctrls=tuple(range(1, ell + 1)))
             assert cnots(lower_gate(g)) == rbs_bound(ell)
         for ell in (0, 1):
-            g = complex_rbs(0.7, 0.4, 6, 5, ctrls=tuple(range(1, ell + 1)))
+            g = rbs(0.7, (6,), (5,), 0.4, ctrls=tuple(range(1, ell + 1)))
             assert cnots(lower_gate(g)) == rbs_bound(ell, True)
-        g = rbs(0.7, 6, 5, ctrls=(1, 2, 3))
+        g = rbs(0.7, (6,), (5,), ctrls=(1, 2, 3))
         assert cnots(lower_gate(g)) < rbs_bound(3)
-        g = complex_rbs(0.7, 0.4, 6, 5, ctrls=(1, 2))
+        g = rbs(0.7, (6,), (5,), 0.4, ctrls=(1, 2))
         assert cnots(lower_gate(g)) < rbs_bound(2, True)
 
 
@@ -242,7 +236,7 @@ class TestSparseBudget:
         assert budget.total == 304
 
     def test_phase_zero_gate_is_priced_real(self):
-        # [1, 1j]: the one GRBS carries phase -pi/4, so the complex budget
+        # [1, 1j]: the one RBS carries phase -pi/4, so the complex budget
         # is its bound; equal arguments leave it phase 0, priced real
         rep = encode_sparse(3, [(1.0, "000"), (1j, "111")])
         budget = count_sparse(3, ["000", "111"], complex_amplitudes=True)
@@ -295,12 +289,12 @@ class TestSparseBudgetPricesTheCircuit:
     @settings(max_examples=200, deadline=None)
     def test_rows_sum_the_encoded_gate_bounds(self, case):
         # budget and circuit read their wires off one walk; a gate bound
-        # prices an RBS, or a GRBS with phase 0, as real, and the complex
+        # prices an RBS with no phase, or phase 0, as real, and the complex
         # budget prices every row complex
         n, addresses, values, complex_amplitudes = case
         rep = encode_sparse(n, list(zip(values, addresses)))
         bounds = sum(gate_cnot_bound(g) for g in rep.circuit.gates)
-        phases = [g.phi for g in rep.circuit.gates if g.kind in ("RBS", "ComplexRBS", "GRBS")]
+        phases = [g.phi for g in rep.circuit.gates if g.kind == "RBS"]
         if not complex_amplitudes or all(phases):
             assert count_sparse(n, addresses, complex_amplitudes).total == bounds
         else:

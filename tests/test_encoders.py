@@ -23,6 +23,7 @@ from hwenc.encoders import (
     encode_dense_real,
     encode_sparse,
 )
+from hwenc.compiler import lower, lower_gate
 from hwenc.counting import gate_cnot_bound
 from hwenc.ir import serialize
 from hwenc.simulator import SparseState, run
@@ -60,10 +61,10 @@ SPARSE_ADDRESSES = [
 SPARSE_GATES = [
     ("RBS", (3,), (4,), ()),
     ("RBS", (1,), (3,), (4,)),
-    ("GRBS", (3, 4), (1, 5), ()),
+    ("RBS", (3, 4), (1, 5), ()),
     ("RBS", (1,), (4,), (5,)),
-    ("GRBS", (2, 4, 5), (1, 3, 6), ()),
-    ("GRBS", (1, 3), (2, 4, 5), (6,)),
+    ("RBS", (2, 4, 5), (1, 3, 6), ()),
+    ("RBS", (1, 3), (2, 4, 5), (6,)),
 ]
 
 
@@ -261,12 +262,12 @@ class TestDenseComplex:
         # inclinations with all phases zero
         assert len(ccplx.gates) == len(creal.gates) + 1
         head = ccplx.gates[0]
-        assert head.kind == "AntiPhase" and head.phi == 0.0
+        assert head.kind == "Rz" and head.phi == 0.0
         for gr, gc in zip(creal.gates, ccplx.gates[1:]):
             if gr.kind == "X":
                 assert gc.kind == "X" and gc.ins == gr.ins
                 continue
-            assert gc.kind == "ComplexRBS"
+            assert gc.kind == gr.kind == "RBS" and gr.phi is None
             assert (gc.ins, gc.outs, gc.ctrls) == (gr.ins, gr.outs, gr.ctrls)
             assert gc.theta == pytest.approx(gr.theta, abs=1e-15)
             assert gc.phi == 0.0
@@ -277,10 +278,31 @@ class TestDenseComplex:
         rep = encode_dense_complex(6, 2, z)
         head, rest = rep.circuit.gates[0], rep.circuit.gates[1:]
         # the state is |0^n> there, so the gate is a pure global phase
-        assert head.kind == "AntiPhase" and head.target == 1
+        assert head.kind == "Rz" and head.target == 1
         assert head.ctrls == head.anti_ctrls == ()
         assert gate_cnot_bound(head) == 0
-        assert all(g.kind != "AntiPhase" for g in rest)
+        assert all(g.kind != "Rz" for g in rest)
+
+    @pytest.mark.parametrize("encode", [
+        lambda z: encode_dense_complex(6, 2, z[:15]),
+        lambda z: encode_dense_complex(6, 4, z[:15]),
+        lambda z: encode_binary_complex(4, z),
+        lambda z: encode_sparse(5, list(zip(z[:3], ["00011", "00101", "11100"]))),
+    ], ids=["dense", "mirrored", "binary", "sparse"])
+    def test_global_phase_is_rz_of_minus_psi0(self, encode):
+        # Rz(-psi0)|0> = exp(i psi0)|0>, exact on |0^n>, so the gate lowers
+        # to itself and costs no CNOT
+        rng = np.random.default_rng(24)
+        z = rng.normal(size=16) + 1j * rng.normal(size=16)
+        rep = encode(z)
+        target = np.array([z[i] for i in range(len(rep.ordering))])
+        _, phis = angles_from_complex(target / np.linalg.norm(target))
+        head = rep.circuit.gates[0]
+        assert (head.kind, head.ins, head.ctrls, head.anti_ctrls) == ("Rz", (1,), (), ())
+        assert head.phi == pytest.approx(-phis[0], abs=1e-12)
+        assert lower_gate(head) == [head]
+        lowered = lower(rep.circuit)
+        assert lowered.circuit.gates[0] == head and lowered.gate_cnots[0] == 0
 
 
 class TestSparse:
@@ -322,7 +344,7 @@ class TestSparse:
         rep = encode_sparse(3, [(vals[0], "011"), (vals[1], "111")])
         # the all-ones final address needs no gate beyond the global phase
         kinds = [g.kind for g in rep.circuit.gates]
-        assert kinds.count("AntiPhase") == 1
+        assert kinds[0] == "Rz" and kinds.count("Rz") == 1
         assert_loads(rep, vals)
 
     def test_weight_zero_start(self):
@@ -340,7 +362,7 @@ class TestSparse:
     def test_equal_weight_pair_is_grbs(self):
         rep = encode_sparse(6, [(0.6, "000011"), (0.8, "011000")])
         mixers = [g for g in rep.circuit.gates if g.kind != "X"]
-        assert len(mixers) == 1 and mixers[0].kind == "GRBS"
+        assert len(mixers) == 1 and mixers[0].kind == "RBS"
         assert len(mixers[0].ins) == 2 and len(mixers[0].outs) == 2
 
     def test_ordering_violation_names_pair(self):
@@ -538,15 +560,14 @@ class TestBinary:
             assert_loads(rep, z)
 
     def test_complex_bridge_pairs(self):
-        # a complex bridge is one raising GRBS: no in-wire, one out-wire,
+        # a complex bridge is one raising RBS: no in-wire, one out-wire,
         # under the same controls as the real Ry bridge, and one gate later,
         # behind the leading global phase
         rep = encode_binary_complex(6, np.arange(1.0, 65.0) * (1 + 1j))
-        bridges = [
-            (i, g) for i, g in enumerate(rep.circuit.gates) if g.kind == "GRBS"
-        ]
-        assert len(bridges) == 6
-        assert all(g.ins == () and len(g.outs) == 1 for _, g in bridges)
+        mixers = [(i, g) for i, g in enumerate(rep.circuit.gates) if g.kind == "RBS"]
+        bridges = [(i, g) for i, g in mixers if not g.ins]
+        assert len(bridges) == 6 and len(mixers) == 63
+        assert all(len(g.outs) == 1 and g.phi is not None for _, g in bridges)
         assert [i for i, _ in bridges] == GOLDEN_BINARY_BRIDGE_SLOTS
         assert [g.outs[0] for _, g in bridges] == GOLDEN_BINARY_BRIDGE_TARGETS
         assert [g.ctrls for _, g in bridges] == GOLDEN_BINARY_BRIDGE_CTRLS
@@ -716,14 +737,16 @@ GOLDEN_FAMILIES = {
 
 # Taken before the encoders shared one cascade; that change kept them all.
 # The complex and sparse ones were taken again when the global phase moved
-# to the front; sparse_real holds a lone negative value, loaded as a phase.
+# to the front, and again when the mixing gates became one RBS kind and the
+# global phase an Rz: each equals the earlier JSON with the kinds relabelled.
+# sparse_real holds a lone negative value, loaded as a phase.
 GOLDEN_DIGESTS = {
     "binary_real": "0c2a114f3ada319de4eff677ec9c8ceca14836112ab63dbfbfa8e2d09421e779",
-    "dense_complex": "1e8c5cee6f3c9e309bdd37035263d0555b936efccab31ca110469ff22cc53abf",
-    "dense_complex_mirrored": "0cc7dda5923a7de6ff931ab4aa5956983bf81a7c8c6aa913de6b7457d334b4f8",
+    "dense_complex": "6c1de75f65c91df24f187fcbe549e521321c4cc387578616307725dc51d8fb2b",
+    "dense_complex_mirrored": "d7c7efffa74f558eb81590dfb3b088e68c702f36a14b41ed84f3c4f6474598ac",
     "dense_real": "a70fe91b3eada93afd86468f37307ea72481832420bb2f79a9e4a15eccbf3752",
-    "sparse_complex": "6bba9e29d94745307178bb4a839176ed77db6b076ea1c93a7143a68b530e0aa5",
-    "sparse_real": "5372e8f0b11ea76dcf9ae0475ee80074ec87c975a2033be062521c58100ba742",
+    "sparse_complex": "8720b0c8ab3065ffe00a6e1273ab92a5a4fa03fe30d5892bbd230bdf0b20e268",
+    "sparse_real": "caaa26e79221c49c9a13196ada36aba3389bd54e939ee04a5f0d65bf67f919b0",
 }
 
 

@@ -1,6 +1,7 @@
 """Gate semantics, validation, serialization and QASM emission."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -16,15 +17,12 @@ from hwenc.ir import (
     Gate,
     SerializationError,
     _as_labels,
-    anti_phase,
     apply_to_basis_state,
     circuit_unitary,
     cnot,
-    complex_rbs,
     deserialize,
     emit_qasm,
     gate_unitary,
-    grbs,
     rbs,
     rw,
     rw_matrix,
@@ -47,7 +45,7 @@ class TestValidation:
 
     def test_role_overlap(self):
         with pytest.raises(ValueError, match="two roles"):
-            rbs(0.1, 2, 2)
+            rbs(0.1, (2,), (2,))
         with pytest.raises(ValueError, match="two roles"):
             ry(0.1, 1, ctrls=(1,))
 
@@ -59,21 +57,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="theta required"):
             Gate("Ry", ins=(1,))
         with pytest.raises(ValueError, match="phi required"):
-            Gate("ComplexRBS", theta=0.3, ins=(1,), outs=(2,))
+            Gate("Rz", ins=(1,))
+        with pytest.raises(ValueError, match="phi not allowed"):
+            Gate("Ry", theta=0.3, phi=0.1, ins=(1,))
+        with pytest.raises(ValueError, match="theta required"):
+            Gate("RBS", phi=0.1, ins=(1,), outs=(2,))
         with pytest.raises(ValueError, match="theta not allowed"):
             Gate("Rz", theta=0.2, phi=0.1, ins=(1,))
+        # an RBS phase is optional, and absent it reads as 0
+        np.testing.assert_array_equal(gate_unitary(rbs(0.3, (2,), (1,)), 2),
+                                      gate_unitary(rbs(0.3, (2,), (1,), 0.0), 2))
 
     def test_axis_must_be_unit(self):
         with pytest.raises(ValueError, match="unit length"):
             rw(0.1, (1.0, 1.0, 0.0), 1)
 
     def test_grbs_empty_ins_allowed(self):
-        g = grbs(0.2, 0.0, (), (1, 2))
+        g = rbs(0.2, (), (1, 2))
         assert g.ins == ()
 
     def test_grbs_needs_out(self):
         with pytest.raises(ValueError, match="out-wire"):
-            grbs(0.2, 0.0, (1,), ())
+            rbs(0.2, (1,), ())
 
     def test_circuit_label_range(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -82,8 +87,8 @@ class TestValidation:
     def test_circuit_label_range_every_role(self):
         # the highest label of each gate may sit in any of its four roles
         for gate in (
-            rbs(0.1, 1, 4),
-            grbs(0.1, 0.0, (2,), (4, 1)),
+            rbs(0.1, (1,), (4,)),
+            rbs(0.1, (2,), (4, 1)),
             ry(0.1, 1, ctrls=(4, 2)),
             rz(0.1, 2, ctrls=(1,), anti_ctrls=(4, 3)),
             cnot(4, 1),
@@ -94,7 +99,7 @@ class TestValidation:
 
     def test_cnot_level_restrictions(self):
         with pytest.raises(ValueError, match="not allowed at cnot level"):
-            Circuit(2, (rbs(0.1, 2, 1),), level="cnot")
+            Circuit(2, (rbs(0.1, (2,), (1,)),), level="cnot")
         with pytest.raises(ValueError, match="controlled Ry"):
             Circuit(3, (ry(0.1, 1, ctrls=(2,)),), level="cnot")
         Circuit(2, (cnot(2, 1), ry(0.1, 1)), level="cnot")  # fine
@@ -102,7 +107,7 @@ class TestValidation:
     @pytest.mark.parametrize("level, bad, message", [
         ("logical", ry(0.1, 4), "label 4 exceeds 3 qubits"),
         ("cnot", cnot(4, 1), "label 4 exceeds 3 qubits"),
-        ("cnot", rbs(0.1, 2, 1), "RBS not allowed at cnot level"),
+        ("cnot", rbs(0.1, (2,), (1,)), "RBS not allowed at cnot level"),
         ("cnot", ry(0.1, 1, ctrls=(2,)), "controlled Ry at cnot level"),
     ])
     def test_reused_gate_reports_its_first_index(self, level, bad, message):
@@ -150,13 +155,13 @@ class TestLabelValidation:
         with pytest.raises(ValueError, match="ins " + message):
             cnot(2, bad)
         with pytest.raises(ValueError, match="outs " + message):
-            rbs(0.1, 2, bad)
+            rbs(0.1, (2,), (bad,))
         with pytest.raises(ValueError, match="anti_ctrls " + message):
             ry(0.1, 2, anti_ctrls=(bad,))
 
     def test_rejects_duplicates_and_shared_roles(self):
         with pytest.raises(ValueError, match=re.escape("duplicate label in outs: (3, 3)")):
-            grbs(0.1, 0.0, (1,), (3, 3))
+            rbs(0.1, (1,), (3, 3))
         with pytest.raises(ValueError, match=re.escape("duplicate label in ctrls: (2, 2)")):
             ry(0.1, 1, ctrls=(2, 2))
         with pytest.raises(ValueError, match=re.escape("CNOT: a qubit appears in two roles: (1, 1)")):
@@ -183,9 +188,9 @@ class TestAngleValidation:
             with pytest.raises(ValueError, match="theta must be a finite real number"):
                 ry(bad, 1)
             with pytest.raises(ValueError, match="phi must be a finite real number"):
-                complex_rbs(0.1, bad, 1, 2, ctrls=(3,))
+                rbs(0.1, (1,), (2,), bad, ctrls=(3,))
             with pytest.raises(ValueError, match="theta must be a finite real number"):
-                rbs(bad, 1, 2, ctrls=(3,))
+                rbs(bad, (1,), (2,), ctrls=(3,))
         with pytest.raises(ValueError, match="axis component must be a finite real number"):
             rw(0.1, (bad, 0.0, 0.0), 1)
 
@@ -222,9 +227,10 @@ class TestSingleQubitSemantics:
             u, np.diag([np.exp(-0.4j), np.exp(0.4j)]), atol=1e-15
         )
 
-    def test_anti_phase_hits_zero_branch(self):
-        u = gate_unitary(anti_phase(0.7, 1), 1)
-        np.testing.assert_allclose(u, np.diag([np.exp(0.7j), 1.0]), atol=1e-15)
+    def test_rz_sets_the_phase_of_zero(self):
+        # the complex encoders' global phase: Rz(-p)|0> = exp(ip)|0>
+        out = apply_to_basis_state(rz(-0.7, 1), 0)
+        assert out == {0: pytest.approx(np.exp(0.7j))}
 
     def test_rw_plus_sign(self):
         # along Z: exp(+i t Z) = diag(exp(it), exp(-it)) = Rz(-t)
@@ -262,12 +268,12 @@ class TestSingleQubitSemantics:
 
 class TestMixingSemantics:
     def test_rbs_identity_at_zero(self):
-        u = gate_unitary(rbs(0.0, 2, 1), 2)
+        u = gate_unitary(rbs(0.0, (2,), (1,)), 2)
         np.testing.assert_allclose(u, np.eye(4), atol=1e-15)
 
     def test_rbs_block(self):
         t = 0.37
-        u = gate_unitary(rbs(t, 2, 1), 2)
+        u = gate_unitary(rbs(t, (2,), (1,)), 2)
         c, s = math.cos(t), math.sin(t)
         # b = |10> = index 2, b' = |01> = index 1
         assert u[2, 2] == pytest.approx(c)
@@ -279,7 +285,7 @@ class TestMixingSemantics:
 
     def test_complex_rbs_block(self):
         t, p = 0.37, 0.91
-        u = gate_unitary(complex_rbs(t, p, 2, 1), 2)
+        u = gate_unitary(rbs(t, (2,), (1,), p), 2)
         c, s = math.cos(t), math.sin(t)
         fwd, bwd = np.exp(1j * p), np.exp(-1j * p)
         assert u[2, 2] == pytest.approx(fwd * c)
@@ -289,7 +295,7 @@ class TestMixingSemantics:
         assert_unitary(u)
 
     def test_controlled_rbs_fires_only_when_armed(self):
-        g = rbs(0.3, 2, 1, ctrls=(3,))
+        g = rbs(0.3, (2,), (1,), ctrls=(3,))
         assert apply_to_basis_state(g, 0b010) == {0b010: 1.0 + 0j}
         out = apply_to_basis_state(g, 0b110)
         assert out[0b110] == pytest.approx(math.cos(0.3))
@@ -297,14 +303,14 @@ class TestMixingSemantics:
 
     def test_grbs_weight_arithmetic(self):
         # 2 ins, 1 out: eligible weight-w states map into weights {w, w-1}
-        g = grbs(0.3, 0.1, (3, 2), (1,), ())
+        g = rbs(0.3, (3, 2), (1,), 0.1)
         out = apply_to_basis_state(g, 0b110)
         assert set(out) == {0b110, 0b001}
         u = gate_unitary(g, 3)
         assert_unitary(u)
 
     def test_grbs_equal_arity_preserves_weight(self):
-        g = grbs(0.5, 0.2, (4, 3), (2, 1))
+        g = rbs(0.5, (4, 3), (2, 1), 0.2)
         u = gate_unitary(g, 4)
         for col in range(16):
             w = bin(col).count("1")
@@ -314,14 +320,14 @@ class TestMixingSemantics:
 
     def test_grbs_no_ins(self):
         # raises weight on the out wires, controlled by nothing
-        g = grbs(0.4, 0.0, (), (2, 1))
+        g = rbs(0.4, (), (2, 1))
         out = apply_to_basis_state(g, 0b00)
         assert out[0b00] == pytest.approx(math.cos(0.4))
         assert out[0b11] == pytest.approx(math.sin(0.4))
         assert_unitary(gate_unitary(g, 2))
 
     def test_spectator_states_fixed(self):
-        g = rbs(0.3, 2, 1)
+        g = rbs(0.3, (2,), (1,))
         # partially matching pattern: in-wire 1 but out-wire also 1
         assert apply_to_basis_state(g, 0b11) == {0b11: 1.0 + 0j}
 
@@ -339,9 +345,8 @@ def logical_gates(draw, n):
         return cnot(wires[0], wires[1])
     if kind == "X":
         return x_gate(wires[0])
-    if kind in ("RBS", "ComplexRBS"):
-        m, mp = 1, 1
-    elif kind == "GRBS":
+    if kind == "RBS":
+        # two-wire or wide, real or phased
         m = draw(st.integers(0, min(2, n - 1)))
         mp = draw(st.integers(1, min(2, n - m)))
     else:
@@ -355,10 +360,11 @@ def logical_gates(draw, n):
         v = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
             lambda v: math.hypot(*v) > 1e-3))
         axis = tuple(x / math.hypot(*v) for x in v)
+    phased = kind == "Rz" or (kind == "RBS" and draw(st.booleans()))
     return Gate(
         kind,
-        theta=draw(angle) if kind in ("Ry", "Rw", "RBS", "ComplexRBS", "GRBS") else None,
-        phi=draw(angle) if kind in ("Rz", "AntiPhase", "ComplexRBS", "GRBS") else None,
+        theta=draw(angle) if kind in ("Ry", "Rw", "RBS") else None,
+        phi=draw(angle) if phased else None,
         axis=axis,
         ins=tuple(wires[:m]),
         outs=tuple(wires[m:m + mp]),
@@ -396,10 +402,9 @@ class TestSerialization:
                 ry(0.1, 1, ctrls=(2,)),
                 rz(0.2, 2, anti_ctrls=(3,)),
                 rw(0.3, (0.0, 0.0, 1.0), 3),
-                anti_phase(0.4, 1, ctrls=(4,)),
-                rbs(0.5, 2, 1),
-                complex_rbs(0.6, 0.7, 3, 1, ctrls=(2,)),
-                grbs(0.8, 0.9, (4, 3), (2, 1)),
+                rbs(0.5, (2,), (1,)),
+                rbs(0.6, (3,), (1,), 0.7, ctrls=(2,)),
+                rbs(0.8, (4, 3), (2, 1), 0.9),
             ),
         )
         self.round_trip(c)
@@ -411,6 +416,18 @@ class TestSerialization:
     def test_unknown_kind_named(self):
         with pytest.raises(SerializationError, match="gate 0.*'Toffoli'"):
             deserialize('{"n":2,"level":"logical","gates":[{"kind":"Toffoli"}]}')
+
+    @pytest.mark.parametrize("gate", [
+        '{"kind":"AntiPhase","phi":0.3,"ins":[1]}',
+        '{"kind":"ComplexRBS","theta":0.3,"phi":0.2,"ins":[2],"outs":[1]}',
+        '{"kind":"GRBS","theta":0.3,"phi":0.0,"ins":[],"outs":[1,2]}',
+    ])
+    def test_retired_kinds_refused(self, gate):
+        # one RBS kind replaced these three; their JSON is not translated
+        kind = json.loads(gate)["kind"]
+        text = '{"n":2,"level":"logical","gates":[%s]}' % gate
+        with pytest.raises(SerializationError, match=f"gate 0: unknown kind '{kind}'"):
+            deserialize(text)
 
     def test_bad_gate_indexed(self):
         text = (
@@ -441,7 +458,7 @@ class TestQasm:
 
     def test_rejects_logical(self):
         with pytest.raises(ValueError, match="cnot-level"):
-            emit_qasm(Circuit(2, (rbs(0.1, 2, 1),)))
+            emit_qasm(Circuit(2, (rbs(0.1, (2,), (1,)),)))
 
     def test_single_x_wire_mapping(self):
         text = emit_qasm(Circuit(2, (x_gate(1),), level="cnot"))
@@ -468,7 +485,7 @@ class TestQasm:
         shared = (a, cnot(3, 1), b, a, x_gate(2), cnot(3, 1), b, c, a, x_gate(2), c)
         lowered = lower(Circuit(4, (
             rw(0.9, (0.48, -0.6, 0.64), 4, ctrls=(1, 2), anti_ctrls=(3,)),
-            rbs(0.4, 1, 2, ctrls=(3, 4)),
+            rbs(0.4, (1,), (2,), ctrls=(3, 4)),
         ))).circuit.gates
         for n, gates in ((3, shared), (4, lowered)):
             assert len({id(g) for g in gates}) < len(gates)
@@ -503,5 +520,5 @@ class TestCircuitUnitary:
         np.testing.assert_allclose(circuit_unitary(c), expect, atol=1e-15)
 
     def test_composite_is_unitary(self):
-        c = Circuit(3, (rbs(0.3, 3, 1), complex_rbs(0.2, 0.4, 2, 1, ctrls=(3,))))
+        c = Circuit(3, (rbs(0.3, (3,), (1,)), rbs(0.2, (2,), (1,), 0.4, ctrls=(3,))))
         assert_unitary(circuit_unitary(c))

@@ -123,7 +123,7 @@ class TestEnsemble:
 
     def test_rejects_uncontrolled_logical_circuit(self):
         # every rotation is uncontrolled, but the mixing gate has no noisy run
-        logical = Circuit(2, [ry(0.3, 1), rbs(0.2, 1, 2)])
+        logical = Circuit(2, [ry(0.3, 1), rbs(0.2, (1,), (2,))])
         with pytest.raises(ValueError, match="lower the circuit first"):
             near_clifford_ensemble(logical, CdrConfig(), seed=0)
 

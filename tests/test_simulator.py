@@ -16,15 +16,11 @@ from hwenc.encoders import encode_dense_real
 from hwenc.encoders import encode_dense_complex
 from hwenc.ir import (
     GATE_KINDS,
-    MIXING_KINDS,
     Circuit,
     Gate,
-    anti_phase,
     apply_to_basis_state,
     circuit_unitary,
     cnot,
-    complex_rbs,
-    grbs,
     rbs,
     rw,
     ry,
@@ -56,32 +52,28 @@ def apply_to_amps(amps: dict, gate: Gate) -> dict:
 def random_logical_circuit(rng, n, n_gates):
     gates = []
     for _ in range(n_gates):
-        kind = rng.choice(["RBS", "ComplexRBS", "GRBS", "Ry", "Rz", "X", "AntiPhase"])
+        shape = rng.choice(["RBS", "RBS phased", "RBS wide", "Ry", "Rz", "X"])
         wires = list(rng.permutation(n) + 1)
         theta, phi = rng.uniform(-3, 3, size=2)
-        if kind == "X":
+        if shape == "X":
             gates.append(x_gate(int(wires[0])))
-        elif kind == "Ry":
+        elif shape == "Ry":
             ctrls = tuple(int(w) for w in wires[1 : int(rng.integers(1, 3))])
             gates.append(ry(theta, int(wires[0]), ctrls=ctrls))
-        elif kind == "Rz":
+        elif shape == "Rz":
             gates.append(rz(phi, int(wires[0])))
-        elif kind == "AntiPhase":
-            gates.append(anti_phase(phi, int(wires[0])))
-        elif kind == "RBS":
-            gates.append(rbs(theta, int(wires[0]), int(wires[1])))
-        elif kind == "ComplexRBS":
+        elif shape == "RBS":
+            gates.append(rbs(theta, (int(wires[0]),), (int(wires[1]),)))
+        elif shape == "RBS phased":
             ctrls = tuple(int(w) for w in wires[2 : int(rng.integers(2, 4))])
             gates.append(
-                complex_rbs(theta, phi, int(wires[0]), int(wires[1]), ctrls=ctrls)
+                rbs(theta, (int(wires[0]),), (int(wires[1]),), phi, ctrls=ctrls)
             )
         else:
             m = int(rng.integers(0, min(3, n)))
             mp = int(rng.integers(1, min(3, n - m) + 1))
-            gates.append(
-                grbs(theta, phi, [int(w) for w in wires[:m]],
-                     [int(w) for w in wires[m : m + mp]])
-            )
+            gates.append(rbs(theta, [int(w) for w in wires[:m]],
+                             [int(w) for w in wires[m : m + mp]], phi))
     return Circuit(n, tuple(gates))
 
 
@@ -122,21 +114,23 @@ def dict_loop_apply(amps, gate):
     return out
 
 
-THETA_KINDS = frozenset({"Ry", "Rw", "RBS", "ComplexRBS", "GRBS"})
-PHI_KINDS = frozenset({"Rz", "AntiPhase", "ComplexRBS", "GRBS"})
+# every gate kind, RBS in three shapes: two-wire real, two-wire phased,
+# and phased on as many in- and out-wires as the counts ask for
+SHAPES = ("X", "Ry", "Rz", "Rw", "RBS", "RBS phased", "RBS wide", "CNOT")
 
 
-def build_gate(kind, wires, counts, theta, phi, axis):
-    """A gate of this kind on the wires in turn: ins, outs, ctrls, anti_ctrls.
+def build_gate(shape, wires, counts, theta, phi, axis):
+    """A gate of this shape on the wires in turn: ins, outs, ctrls, anti_ctrls.
 
-    ``counts`` asks for (ins, outs, ctrls, anti_ctrls); the kind's own shape
+    ``counts`` asks for (ins, outs, ctrls, anti_ctrls); the shape
     overrides it and wires that run out cut the controls short.
     """
+    kind = shape.split()[0]
     n_ins, n_outs, n_ctrls, n_anti = counts
-    if kind == "GRBS":
+    if shape == "RBS wide":
         n_outs = min(max(n_outs, 1), len(wires))
         n_ins = min(n_ins, len(wires) - n_outs)
-    elif kind in ("RBS", "ComplexRBS"):
+    elif kind == "RBS":
         n_ins, n_outs = 1, 1
     else:
         n_ins, n_outs = 1, 0
@@ -149,8 +143,8 @@ def build_gate(kind, wires, counts, theta, phi, axis):
     n_anti = min(n_anti, len(rest) - n_ctrls)
     return Gate(
         kind,
-        theta=theta if kind in THETA_KINDS else None,
-        phi=phi if kind in PHI_KINDS else None,
+        theta=theta if kind in ("Ry", "Rw", "RBS") else None,
+        phi=phi if shape in ("Rz", "RBS phased", "RBS wide") else None,
         axis=axis if kind == "Rw" else None,
         ins=tuple(wires[:n_ins]),
         outs=tuple(wires[n_ins:n_ins + n_outs]),
@@ -167,7 +161,7 @@ def gate_pairs(gate, n):
     """Every (lo, hi) basis pair the gate mixes or flips, over n qubits."""
     ctrl = bits(gate.ctrls)
     care = ctrl | bits(gate.anti_ctrls)
-    if gate.kind in MIXING_KINDS:
+    if gate.kind == "RBS":
         lo, hi = bits(gate.ins), bits(gate.outs)
     else:
         lo, hi = 0, bits(gate.ins)
@@ -234,10 +228,8 @@ class TestRun:
         gates = []
         for _ in range(30):
             wires = rng.permutation(6) + 1
-            gates.append(
-                rbs(rng.uniform(-3, 3), int(wires[0]), int(wires[1]),
-                    ctrls=(int(wires[2]),))
-            )
+            gates.append(rbs(rng.uniform(-3, 3), (int(wires[0]),), (int(wires[1]),),
+                             ctrls=(int(wires[2]),)))
         start = BitString("110100")
         amps = {start.to_index(): 1.0 + 0j}
         for g in gates:
@@ -319,15 +311,16 @@ class TestKernel:
         rng = np.random.default_rng(2024 + offset)
         n = 6
         seen = set()
-        cases = itertools.product(GATE_KINDS, (0.0, math.pi / 2, math.pi, None),
+        assert {shape.split()[0] for shape in SHAPES} == set(GATE_KINDS)
+        cases = itertools.product(SHAPES, (0.0, math.pi / 2, math.pi, None),
                                   (0.0, None), range(3))
-        for kind, theta, phi, _ in cases:
+        for shape, theta, phi, _ in cases:
             theta = rng.uniform(-4, 4) if theta is None else theta
             phi = rng.uniform(-4, 4) if phi is None else phi
             axis = rng.normal(size=3)
             axis = (0.0, 0.0, 1.0) if rng.random() < 0.25 else tuple(axis / np.linalg.norm(axis))
             counts = tuple(int(c) for c in rng.integers(0, 3, size=4))
-            gate = build_gate(kind, [int(w) for w in rng.permutation(n) + 1],
+            gate = build_gate(shape, [int(w) for w in rng.permutation(n) + 1],
                               counts, theta, phi, axis)
             amps = {}
             pairs = gate_pairs(gate, n)
@@ -354,7 +347,7 @@ class TestKernel:
             assert max((abs(got[s] - want[s]) for s in want), default=0.0) <= 1e-15, gate
         assert seen == {"both", "lo", "hi", "neither"}
 
-    @pytest.mark.parametrize("gate", [ry(0.7, 1), rbs(0.7, 1, 2)])
+    @pytest.mark.parametrize("gate", [ry(0.7, 1), rbs(0.7, (1,), (2,))])
     def test_exact_cancellation_drops_the_entry(self, gate):
         # (sin, cos) on a pair cancels exactly on the lo side of Ry and RBS
         c, s = math.cos(0.7), math.sin(0.7)
@@ -375,7 +368,7 @@ class TestKernel:
             norm = np.linalg.norm(axis)
             axis = tuple(axis / norm) if norm > 1e-3 else (0.0, 0.0, 1.0)
             gates.append(build_gate(
-                data.draw(st.sampled_from(GATE_KINDS)),
+                data.draw(st.sampled_from(SHAPES)),
                 data.draw(st.permutations(range(1, n + 1))),
                 data.draw(st.tuples(*[st.integers(0, 2)] * 4)),
                 data.draw(angle), data.draw(angle), axis))
@@ -412,28 +405,28 @@ class TestDenseRun:
             )
 
     def test_logical_matches_unitary_column(self):
-        # every logical gate kind, each under random controls and
-        # anti-controls, from a random basis state
+        # every logical gate kind, RBS in three shapes, each under random
+        # controls and anti-controls, from a random basis state
         rng = np.random.default_rng(29)
         for _ in range(30):
             n = int(rng.integers(2, 7))
             gates = []
             for _ in range(10):
-                kind = rng.choice(["Ry", "Rz", "Rw", "AntiPhase", "X", "CNOT",
-                                   "RBS", "ComplexRBS", "GRBS"])
+                shape = rng.choice(["Ry", "Rz", "Rw", "X", "CNOT",
+                                   "RBS", "RBS phased", "RBS wide"])
                 w = [int(q) for q in rng.permutation(n) + 1]
                 theta, phi = rng.uniform(-3, 3, size=2)
-                if kind == "X":
+                if shape == "X":
                     gates.append(x_gate(w[0]))
                     continue
-                if kind == "CNOT":
+                if shape == "CNOT":
                     gates.append(cnot(w[0], w[1]))
                     continue
-                if kind == "GRBS":
+                if shape == "RBS wide":
                     m = int(rng.integers(0, min(3, n)))
                     mp = int(rng.integers(1, min(3, n - m) + 1))
                     ins, outs = w[:m], w[m : m + mp]
-                elif kind in ("RBS", "ComplexRBS"):
+                elif shape in ("RBS", "RBS phased"):
                     ins, outs = w[:1], w[1:2]
                 else:
                     ins, outs = w[:1], []
@@ -441,21 +434,15 @@ class TestDenseRun:
                 split = int(rng.integers(0, len(spare) + 1))
                 ctrls = spare[:int(rng.integers(0, split + 1))]
                 anti = spare[split : split + int(rng.integers(0, 3))]
-                if kind == "Ry":
+                if shape == "Ry":
                     g = ry(theta, ins[0], ctrls, anti)
-                elif kind == "Rz":
+                elif shape == "Rz":
                     g = rz(phi, ins[0], ctrls, anti)
-                elif kind == "Rw":
+                elif shape == "Rw":
                     ax = rng.normal(size=3)
                     g = rw(theta, tuple(ax / np.linalg.norm(ax)), ins[0], ctrls, anti)
-                elif kind == "AntiPhase":
-                    g = anti_phase(phi, ins[0], ctrls, anti)
-                elif kind == "RBS":
-                    g = rbs(theta, ins[0], outs[0], ctrls, anti)
-                elif kind == "ComplexRBS":
-                    g = complex_rbs(theta, phi, ins[0], outs[0], ctrls, anti)
                 else:
-                    g = grbs(theta, phi, ins, outs, ctrls, anti)
+                    g = rbs(theta, ins, outs, None if shape == "RBS" else phi, ctrls, anti)
                 gates.append(g)
             c = Circuit(n, tuple(gates))
             initial = int(rng.integers(1, 2**n))
@@ -520,7 +507,7 @@ class TestNoise:
             NoiseModel(-0.1)
 
     def test_rejects_logical(self):
-        c = Circuit(2, (rbs(0.3, 2, 1),))
+        c = Circuit(2, (rbs(0.3, (2,), (1,)),))
         with pytest.raises(ValueError, match="cnot-level"):
             run_noisy(c, NoiseModel(0.01), 10, seed=1)
 
