@@ -31,23 +31,35 @@ from hwenc.simulator import NoiseModel, run, run_noisy, sample
 
 
 def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get("HWENC_SEED", "0"))
+    """--seed, else HWENC_SEED, else 0; a seed is an integer >= 0."""
+    source = "--seed"
+    if value is None:
+        source, text = "HWENC_SEED", os.environ.get("HWENC_SEED", "0")
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"HWENC_SEED {text!r} is not an integer") from None
+    if value < 0:
+        raise ValueError(f"{source} {value} is negative; a seed is an integer >= 0")
+    return value
 
 
 def _read_vector(path: str, complex_amplitudes: bool) -> np.ndarray:
     values = []
     with open(path, newline="") as f:
-        for row in csv.reader(f):
+        reader = csv.reader(f)
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            if complex_amplitudes:
-                re = float(row[0])
-                im = float(row[1]) if len(row) > 1 else 0.0
-                values.append(re + 1j * im)
-            else:
-                values.append(float(row[0]))
+            try:
+                if complex_amplitudes:
+                    re = float(row[0])
+                    im = float(row[1]) if len(row) > 1 else 0.0
+                    values.append(re + 1j * im)
+                else:
+                    values.append(float(row[0]))
+            except ValueError as exc:
+                raise EncodingError(f"{path} row {reader.line_num}: {exc}") from None
     if not values:
         raise EncodingError(f"no amplitudes found in {path}")
     return np.array(values)

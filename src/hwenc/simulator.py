@@ -22,7 +22,12 @@ Noise is a single synthetic channel: after every CNOT, with probability p2,
 a uniformly random non-identity two-qubit Pauli hits that CNOT's wires.
 Shots are iid, so their counts are Multinomial(shots, diag rho), with rho
 the final density matrix under the matching depolarizing channel.  Up to 9
-qubits rho is evolved exactly and the counts are one multinomial draw.  From
+qubits rho is evolved exactly and the counts are one multinomial draw.  That
+density kernel evolves a stack of circuits with one skeleton (width, and the
+kind and wires at every gate position) in one pass, with a statevector stack
+beside it for the noiseless amplitudes; a stack holds at most
+``_STACK_ENTRIES`` density entries, a single run is the one-circuit stack,
+and each circuit's arithmetic is the same in any stack.  From
 10 to 16 qubits, where rho would need 4^n entries, each shot is its own
 trajectory: shots sharing an insertion pattern see the same final state, so
 each distinct pattern is simulated once and its counts are a multinomial
@@ -301,6 +306,10 @@ _PAULIS = (
 # widest circuit evolved as a density matrix (4^n entries, 4 MB at n = 9)
 _DENSITY_QUBITS = 9
 
+# most density entries evolved in one stack (512 KB): 8 circuits at n = 6,
+# 2 at n = 7 and one from n = 8
+_STACK_ENTRIES = 2**15
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -314,11 +323,12 @@ class NoiseModel:
             raise ValueError(f"p2 must be in [0, 1), got {self.p2}")
 
 
-def _depolarize(vec: np.ndarray, n: int, wires: tuple[int, int],
+def _depolarize(rho: np.ndarray, n: int, wires: tuple[int, int],
                 lam: float) -> None:
-    """rho -> (1 - lam) rho + lam Tr_{c,t}(rho) (x) I/4 on a vectorized rho."""
-    rows = [n - q for q in wires]
-    view = np.moveaxis(vec.reshape((2,) * (2 * n)),
+    """rho -> (1 - lam) rho + lam Tr_{c,t}(rho) (x) I/4 on each row of a
+    stack of vectorized density matrices, in place."""
+    rows = [1 + n - q for q in wires]
+    view = np.moveaxis(rho.reshape((-1,) + (2,) * (2 * n)),
                        rows + [n + r for r in rows], (0, 1, 2, 3))
     blocks = [(a, b, a, b) for a in (0, 1) for b in (0, 1)]
     traced = sum(view[blk] for blk in blocks) * (lam / 4.0)
@@ -327,37 +337,75 @@ def _depolarize(vec: np.ndarray, n: int, wires: tuple[int, int],
         view[blk] += traced
 
 
-def _noisy_probabilities(circuit: Circuit, p2: float) -> np.ndarray:
-    """Exact outcome distribution under two-qubit depolarizing noise.
+def _evolve_stack(circuits, p2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy outcome distributions and noiseless amplitudes of a stack of
+    circuits with one skeleton, each of shape (B, 2^n).
 
-    The density matrix is kept flat, vec[r * 2^n + c] = rho[r, c], so a
-    one-qubit U rho U^dagger is U (x) conj(U) on the qubit's row and column
-    bits, and a CNOT permutes rows and columns alike.  After each CNOT on
-    wires (c, t), rho -> (1 - 16 p2/15) rho + (16 p2/15) Tr_{c,t}(rho) (x) I/4,
-    which is a uniformly random non-identity Pauli pair with probability p2.
+    The circuits share their width and, at every gate position, the kind
+    (CNOT or one-qubit gate) and wires; only the one-qubit matrices differ.
+    The caller checks that.  Each density matrix is kept flat, row b of
+    rho holding rho_b[r, c] at r * 2^n + c, so a one-qubit U rho U^dagger is
+    U (x) conj(U) on the qubit's row and column bits: one batched matmul
+    per position over the gathered 4x4 matrices, and a 2x2 one on the
+    statevector stack.  A CNOT permutes rows and columns alike, and after
+    it, on wires (c, t), rho -> (1 - 16 p2/15) rho + (16 p2/15)
+    Tr_{c,t}(rho) (x) I/4, which is a uniformly random non-identity Pauli
+    pair with probability p2.  Each circuit's arithmetic is the same as if
+    it ran alone, so a result does not depend on its stack.
     """
-    n, dim = circuit.n, 2**circuit.n
-    vec = np.zeros(dim * dim, dtype=complex)
-    vec[0] = 1.0
+    n, size = circuits[0].n, len(circuits)
+    dim = 2**n
+    rho = np.zeros((size, dim * dim), dtype=complex)
+    rho[:, 0] = 1.0
+    psi = np.zeros((size, dim), dtype=complex)
+    psi[:, 0] = 1.0
     lam = 16.0 * p2 / 15.0
-    for g in circuit.gates:
+    # each distinct one-qubit gate's U and U (x) conj(U), built once: the
+    # proxies of one circuit share most of their gates
+    mats = {}
+    for column in zip(*(c.gates for c in circuits)):
+        g = column[0]
         if g.kind == "CNOT":
             c, t = g.ctrls[0], g.ins[0]
             perm = _cnot_permutation(dim, c, t)
-            vec = vec.reshape(dim, dim)[perm[:, None], perm].reshape(-1)
+            rho = rho.reshape(size, dim, dim)[:, perm[:, None], perm]
+            rho = rho.reshape(size, -1)
+            psi = psi[:, perm]
             if lam:
-                _depolarize(vec, n, (c, t), lam)
-        else:
-            u = _single_qubit_matrix(g)
-            lo = 1 << (g.ins[0] - 1)
-            # axes: row bits above q, row bit q, row bits below q with
-            # column bits above q, column bit q, column bits below q
-            pair = np.tensordot(np.kron(u, u.conj()).reshape(2, 2, 2, 2),
-                                vec.reshape(dim // (2 * lo), 2, -1, 2, lo),
-                                axes=([2, 3], [1, 3]))
-            vec = pair.transpose(2, 0, 3, 1, 4).reshape(-1)
-    probs = np.clip(vec.reshape(dim, dim).diagonal().real, 0.0, None)
-    return probs / probs.sum()
+                _depolarize(rho, n, (c, t), lam)
+            continue
+        for h in column:
+            if h not in mats:
+                u = _single_qubit_matrix(h)
+                mats[h] = u, np.kron(u, u.conj())
+        lo = 1 << (g.ins[0] - 1)
+        # axes: stack, row bits above q, row bit q, row bits below q with
+        # column bits above q, column bit q, column bits below q; each step
+        # rebinds rho, so at most two stacks are alive at once
+        rho = rho.reshape(size, dim // (2 * lo), 2, -1, 2, lo)
+        rho = rho.transpose(0, 2, 4, 1, 3, 5).reshape(size, 4, -1)
+        rho = np.matmul(np.array([mats[h][1] for h in column]), rho)
+        rho = rho.reshape(size, 2, 2, dim // (2 * lo), -1, lo)
+        rho = rho.transpose(0, 3, 1, 4, 2, 5).reshape(size, -1)
+        psi = psi.reshape(size, -1, 2, lo).transpose(0, 2, 1, 3).reshape(size, 2, -1)
+        psi = np.matmul(np.array([mats[h][0] for h in column]), psi)
+        psi = psi.reshape(size, 2, -1, lo).transpose(0, 2, 1, 3).reshape(size, -1)
+    probs = np.clip(rho.reshape(size, dim, dim).diagonal(axis1=1, axis2=2).real,
+                    0.0, None)
+    # row by row: a sum over a whole axis may round differently
+    return np.array([p / p.sum() for p in probs]), psi
+
+
+def _stacked_runs(circuits, p2: float):
+    """Each circuit's noisy outcome distribution and noiseless amplitudes,
+    in order, from stacks of at most ``_STACK_ENTRIES`` density entries.
+
+    The circuits share one skeleton, as :func:`_evolve_stack` needs, and
+    are at most ``_DENSITY_QUBITS`` wide.
+    """
+    size = max(1, _STACK_ENTRIES >> 2 * circuits[0].n)
+    for start in range(0, len(circuits), size):
+        yield from zip(*_evolve_stack(circuits[start:start + size], p2))
 
 
 def _apply_pauli_pair(vec: np.ndarray, cnot_gate: Gate,
@@ -424,7 +472,8 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int,
     """Measurement counts under per-CNOT two-qubit depolarizing noise.
 
     Up to 9 qubits the counts are one multinomial draw from the exact
-    distribution, which is the law of iid noisy shots.  From 10 to 16
+    distribution, which is the law of iid noisy shots; it comes from the
+    stacked density kernel as a stack of one.  From 10 to 16
     qubits each shot is its own Pauli trajectory: first the fire and
     which-Pauli tables for all shots and sites are drawn, then one
     multinomial per distinct insertion pattern in sorted pattern order.
@@ -440,7 +489,8 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int,
         raise ValueError("noisy simulation limited to 16 qubits")
     rng = np.random.default_rng(seed)
     if n <= _DENSITY_QUBITS:
-        totals = rng.multinomial(shots, _noisy_probabilities(circuit, noise.p2))
+        (noisy,), _ = _evolve_stack([circuit], noise.p2)
+        totals = rng.multinomial(shots, noisy)
     else:
         totals = _trajectory_counts(circuit, noise.p2, shots, rng)
     return {

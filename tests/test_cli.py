@@ -85,6 +85,19 @@ class TestEncode:
         )
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("text, flags, cell", [
+        ("0.5\n# note\nabc\n", (), "'abc'"),
+        ("0.5,0.1\n\n0.5,x\n", ("--complex",), "'x'"),
+    ])
+    def test_bad_cell_names_file_and_row(self, capsys, tmp_path, text, flags, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "encode", "--n", "3", "--k", "1", "--input", str(path), *flags,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path} row 3: ") and cell in err
+
     def test_empty_input(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# nothing\n")
@@ -310,6 +323,23 @@ class TestSimulate:
             capsys, "simulate", circ, "--shots", "20", "--seed", "4",
         )
         assert json.loads(out)["seed"] == 4
+
+    @pytest.mark.parametrize("env, flags, message", [
+        (None, ("--seed", "-1"), "error: --seed -1 is negative"),
+        ("-3", (), "error: HWENC_SEED -3 is negative"),
+        ("x", (), "error: HWENC_SEED 'x' is not an integer"),
+    ])
+    def test_bad_seed_names_its_source(self, capsys, circuit_file, monkeypatch,
+                                       env, flags, message):
+        circ, _, _ = circuit_file
+        if env is not None:
+            monkeypatch.setenv("HWENC_SEED", env)
+        for argv in (("simulate", circ, "--shots", "20"),
+                     ("demo", "qgaussian", "--shots", "100",
+                      "--noise", "depol:0.01")):
+            code, out, err = run_cli(capsys, *argv, *flags)
+            assert code == 1 and out == ""
+            assert err.startswith(message), err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "/no/such/file.json")

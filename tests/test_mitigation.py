@@ -9,7 +9,7 @@ import pytest
 from hwenc.bitstrings import BitString
 from hwenc.compiler import lower
 from hwenc.encoders import encode_dense_real
-from hwenc.ir import Circuit, rbs, ry
+from hwenc.ir import Circuit, cnot, rbs, ry, rz, x_gate
 from hwenc.mitigation import (
     CdrConfig,
     bootstrap_bands,
@@ -22,7 +22,8 @@ from hwenc.mitigation import (
     rotation_positions,
     single_qubit_cliffords,
 )
-from hwenc.simulator import NoiseModel, dense_run
+from hwenc.qgaussian import discretize_qgaussian
+from hwenc.simulator import NoiseModel, dense_run, run_noisy
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _S = np.diag([1, 1j]).astype(complex)
@@ -274,6 +275,58 @@ class TestTrainingSet:
             fit = fit_pairs(pairs[obs])
             if not fit.degenerate:
                 assert abs(fit.slope - 1.0) < 0.05, obs
+
+
+def per_proxy_training_set(ensemble, noise, shots, observables, seed):
+    """The training set as one run_noisy and one dense_run a proxy: the
+    loop the stacked kernel replaced, kept as its oracle."""
+    indices = [b.to_index() for b in observables]
+    rng = np.random.default_rng(seed)
+    pairs = np.zeros((len(observables), len(ensemble), 2))
+    for j, circ in enumerate(ensemble):
+        counts = run_noisy(circ, noise, shots, seed=int(rng.integers(2**63)))
+        at = {b.to_index(): c for b, c in counts.items()}
+        pairs[:, j, 0] = [at.get(i, 0) / shots for i in indices]
+        pairs[:, j, 1] = (np.abs(dense_run(circ)) ** 2)[indices]
+    return dict(zip(observables, pairs))
+
+
+class TestStackedTrainingSet:
+    @pytest.fixture(scope="class")
+    def demo(self):
+        # the mitigated demo's circuit: the q-Gaussian load at n = 6, k = 2
+        report = encode_dense_real(6, 2, discretize_qgaussian().amplitudes)
+        return lower(report.circuit).circuit, list(report.ordering)
+
+    @pytest.mark.parametrize("p2, per_rate", [(0.01, 10), (0.0, 10), (0.01, 3)])
+    def test_equals_the_per_proxy_loop(self, demo, p2, per_rate):
+        circuit, ordering = demo
+        ens = near_clifford_ensemble(circuit, CdrConfig(circuits_per_rate=per_rate),
+                                     seed=11)
+        noise = NoiseModel(p2)
+        got = build_training_set(ens, noise, 10_000, ordering, seed=12)
+        want = per_proxy_training_set(ens, noise, 10_000, ordering, seed=12)
+        for obs in ordering:
+            assert np.array_equal(got[obs], want[obs]), obs
+
+    def test_mismatched_skeleton_refused(self):
+        gates = (ry(0.3, 3), cnot(3, 2), rz(0.2, 2), cnot(2, 1), x_gate(1))
+        first = Circuit(3, gates, level="cnot")
+        moved_cnot = Circuit(3, gates[:3] + (cnot(1, 2),) + gates[4:], level="cnot")
+        moved_rotation = Circuit(3, gates[:2] + (rz(0.2, 1),) + gates[3:], level="cnot")
+        cases = [
+            (moved_cnot, "proxy 2 gate 3 is a CNOT 1->2, proxy 0's a CNOT 2->1"),
+            (moved_rotation, "proxy 2 gate 2 is a one-qubit gate on 1, "
+                             "proxy 0's a one-qubit gate on 2"),
+            (Circuit(3, gates[:4], level="cnot"), "proxy 2 has 3 qubits and 4 gates"),
+            (Circuit(4, gates, level="cnot"), "proxy 2 has 4 qubits and 5 gates"),
+        ]
+        # a one-qubit gate of another kind on the same wire is the same skeleton
+        same = Circuit(3, (x_gate(3),) + gates[1:], level="cnot")
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build_training_set([first, same, bad], NoiseModel(0.01), 100,
+                                   ["011"], seed=1)
 
 
 class TestBootstrap:

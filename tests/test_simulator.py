@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwenc.bitstrings import BitString
+from hwenc.compiler import lower
 from hwenc.encoders import encode_dense_real
 from hwenc.encoders import encode_dense_complex
 from hwenc.ir import (
@@ -27,11 +28,14 @@ from hwenc.ir import (
     rz,
     x_gate,
 )
+from hwenc.mitigation import CdrConfig, near_clifford_ensemble
 from hwenc.simulator import (
+    _STACK_ENTRIES,
     NoiseModel,
     SparseState,
-    _noisy_probabilities,
+    _evolve_stack,
     _replay,
+    _stacked_runs,
     _to_arrays,
     apply_gate,
     dense_run,
@@ -553,9 +557,9 @@ class TestNoise:
             weight = math.prod(1 - p if ch == 0 else p / 15 for ch in choice)
             state = circuit_unitary(with_paulis(NOISY_CIRCUIT, choice))[:, 0]
             want += weight * np.abs(state) ** 2
-        np.testing.assert_allclose(
-            _noisy_probabilities(NOISY_CIRCUIT, p), want, rtol=0, atol=1e-12
-        )
+        # the stacked kernel's one-circuit case, which run_noisy draws from
+        (noisy,), _ = _evolve_stack([NOISY_CIRCUIT], p)
+        np.testing.assert_allclose(noisy, want, rtol=0, atol=1e-12)
 
     def test_replay_matches_explicit_paulis(self):
         choices = {
@@ -609,3 +613,70 @@ class TestNoise:
 
         distances = [tv(p2) for p2 in (0.0, 0.005, 0.01, 0.02)]
         assert all(a < b for a, b in zip(distances, distances[1:])), distances
+
+
+def one_skeleton(rng, n, length, size):
+    """``size`` CNOT-level circuits on one random skeleton of ``length``
+    positions.  Each circuit after the first redraws about half of the
+    first's one-qubit gates and shares the rest."""
+
+    def one_qubit(q):
+        theta, axis = float(rng.uniform(-3, 3)), rng.normal(size=3)
+        return [ry(theta, q), rz(theta, q),
+                rw(theta, axis / np.linalg.norm(axis), q),
+                x_gate(q)][rng.integers(4)]
+
+    first = [cnot(*(int(q) for q in rng.choice(n, size=2, replace=False) + 1))
+             if rng.random() < 0.4 else one_qubit(int(rng.integers(1, n + 1)))
+             for _ in range(length)]
+    circuits = [first] + [
+        [g if g.kind == "CNOT" or rng.random() < 0.5 else one_qubit(g.ins[0])
+         for g in first]
+        for _ in range(size - 1)
+    ]
+    return [Circuit(n, tuple(gates), level="cnot") for gates in circuits]
+
+
+def demo_ensemble(config):
+    """Near-Clifford proxies of the lowered dense (6, 2) load of 1..15."""
+    report = encode_dense_real(6, 2, np.arange(1.0, 16.0))
+    return near_clifford_ensemble(lower(report.circuit).circuit, config, seed=3)
+
+
+class TestStackedKernel:
+    """The stacked density kernel: each row is bit for bit the one-circuit
+    run, whatever the stack, and its statevector rows are dense_run's."""
+
+    def assert_rows_are_single_runs(self, circuits, runs, p2):
+        assert len(runs) == len(circuits)
+        for circ, (noisy, amps) in zip(circuits, runs):
+            (alone,), (vec,) = _evolve_stack([circ], p2)
+            assert np.array_equal(noisy, alone)
+            assert np.array_equal(amps, vec)
+            assert np.array_equal(amps, dense_run(circ))
+
+    @pytest.mark.parametrize("p2", [0.0, 0.01])
+    def test_chunked_ensemble_equals_single_runs(self, p2):
+        # 15 proxies at n = 6 are not a whole number of stacks
+        ens = demo_ensemble(CdrConfig((0.5, 0.8, 1.0), circuits_per_rate=5))
+        assert len(ens) % (_STACK_ENTRIES // 4**6) != 0
+        self.assert_rows_are_single_runs(ens, list(_stacked_runs(ens, p2)), p2)
+
+    @pytest.mark.parametrize("p2", [0.0, 0.01])
+    def test_one_unbounded_stack_equals_single_runs(self, p2):
+        circuits = one_skeleton(np.random.default_rng(5), 5, 60, 11)
+        self.assert_rows_are_single_runs(
+            circuits, list(zip(*_evolve_stack(circuits, p2))), p2)
+
+    def test_nine_qubits_one_circuit_a_stack(self):
+        circuits = one_skeleton(np.random.default_rng(9), 9, 30, 3)
+        assert _STACK_ENTRIES < 4**9
+        self.assert_rows_are_single_runs(
+            circuits, list(_stacked_runs(circuits, 0.01)), 0.01)
+
+    def test_rows_are_distributions(self):
+        ens = demo_ensemble(CdrConfig((1.0,), circuits_per_rate=9))
+        for noisy, amps in _stacked_runs(ens, 0.02):
+            assert np.all(noisy >= 0.0)
+            assert abs(noisy.sum() - 1.0) < 1e-12
+            assert abs(np.vdot(amps, amps).real - 1.0) < 1e-12
