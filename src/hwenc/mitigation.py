@@ -21,8 +21,8 @@ import numpy as np
 
 from hwenc.compiler import axis_angle
 from hwenc.ir import Circuit, rw
-from hwenc.simulator import (_DENSITY_QUBITS, NoiseModel, _basis_index,
-                              _stacked_runs, dense_run, run_noisy)
+from hwenc.simulator import (NoiseModel, _basis_index, _noisy_runs, dense_run,
+                              run_noisy)
 
 ROTATION_KINDS = frozenset({"Ry", "Rz", "Rw"})
 
@@ -179,31 +179,6 @@ def _frequencies(counts: dict, indices, shots: int) -> list[float]:
     return [at.get(i, 0) / shots for i in indices]
 
 
-def _gate_skeleton(gate) -> str:
-    if gate.kind == "CNOT":
-        return f"CNOT {gate.ctrls[0]}->{gate.ins[0]}"
-    return f"one-qubit gate on {gate.ins[0]}"
-
-
-def _check_one_skeleton(ensemble) -> None:
-    """Raise ValueError unless every proxy has proxy 0's width and, at every
-    gate position, its kind (CNOT or one-qubit gate) and wires."""
-    first = ensemble[0]
-    for j, circ in enumerate(ensemble[1:], 1):
-        if circ.n != first.n or len(circ.gates) != len(first.gates):
-            raise ValueError(
-                f"proxy {j} has {circ.n} qubits and {len(circ.gates)} gates, "
-                f"proxy 0 {first.n} and {len(first.gates)}: a stack needs one skeleton")
-        for i, (g, h) in enumerate(zip(circ.gates, first.gates)):
-            if g is h:
-                continue
-            mine, theirs = _gate_skeleton(g), _gate_skeleton(h)
-            if mine != theirs:
-                raise ValueError(
-                    f"proxy {j} gate {i} is a {mine}, proxy 0's a {theirs}: "
-                    "a stack needs one skeleton")
-
-
 def build_training_set(ensemble, noise: NoiseModel, shots: int,
                        observables, seed: int) -> dict:
     """(noisy, noiseless) probability pairs per tracked basis state.
@@ -215,12 +190,13 @@ def build_training_set(ensemble, noise: NoiseModel, shots: int,
     same state.  Returns {observable: array of shape (len(ensemble), 2)}
     with columns (noisy, noiseless).
 
-    Up to 9 qubits the proxies run through the simulator's stacked
-    density kernel in stacks of bounded size, each drawing its counts from
-    its own seed as ``run_noisy`` would.  A stack needs one skeleton: a
-    proxy that differs from proxy 0 in width, or in the kind and wires of
-    any gate position, raises ValueError naming the proxy and the
-    position.  Wider proxies run the trajectory engine one at a time.
+    The proxies run together through the simulator's noisy kernel, each
+    drawing its counts from its own seed as ``run_noisy`` would: up to 9
+    qubits in density stacks of bounded size, wider one trajectory run at a
+    time.  They are CNOT-level, take at least one shot and share one
+    skeleton: a proxy that differs from proxy 0 in width, or in the kind
+    and wires of any gate position, raises ValueError naming the proxy and
+    the position.
     """
     if not ensemble:
         raise ValueError("need at least one proxy circuit")
@@ -229,16 +205,8 @@ def build_training_set(ensemble, noise: NoiseModel, shots: int,
     rng = np.random.default_rng(seed)
     seeds = [int(rng.integers(2**63)) for _ in ensemble]
     pairs = np.zeros((len(keys), len(ensemble), 2))
-    if ensemble[0].n > _DENSITY_QUBITS:
-        for j, (circ, s) in enumerate(zip(ensemble, seeds)):
-            counts = run_noisy(circ, noise, shots, seed=s)
-            pairs[:, j, 0] = _frequencies(counts, indices, shots)
-            pairs[:, j, 1] = (np.abs(dense_run(circ)) ** 2)[indices]
-        return dict(zip(keys, pairs))
-    _check_one_skeleton(ensemble)
-    runs = _stacked_runs(ensemble, noise.p2)
-    for j, ((noisy, amps), s) in enumerate(zip(runs, seeds)):
-        counts = np.random.default_rng(s).multinomial(shots, noisy)
+    runs = _noisy_runs(ensemble, noise, shots, seeds)
+    for j, (counts, amps) in enumerate(runs):
         pairs[:, j, 0] = counts[indices] / shots
         pairs[:, j, 1] = (np.abs(amps) ** 2)[indices]
     return dict(zip(keys, pairs))

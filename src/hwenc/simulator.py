@@ -27,7 +27,10 @@ density kernel evolves a stack of circuits with one skeleton (width, and the
 kind and wires at every gate position) in one pass, with a statevector stack
 beside it for the noiseless amplitudes; a stack holds at most
 ``_STACK_ENTRIES`` density entries, a single run is the one-circuit stack,
-and each circuit's arithmetic is the same in any stack.  From
+and each circuit's arithmetic is the same in any stack.  One function,
+``_noisy_runs``, checks a batch of circuits (CNOT-level, one skeleton, at
+least one shot), picks the engine by width and draws each circuit's counts
+from its own seed; ``run_noisy`` and the CDR training set both use it.  From
 10 to 16 qubits, where rho would need 4^n entries, each shot is its own
 trajectory: shots sharing an insertion pattern see the same final state, so
 each distinct pattern is simulated once and its counts are a multinomial
@@ -341,10 +344,11 @@ def _evolve_stack(circuits, p2: float) -> tuple[np.ndarray, np.ndarray]:
     """Noisy outcome distributions and noiseless amplitudes of a stack of
     circuits with one skeleton, each of shape (B, 2^n).
 
-    The circuits share their width and, at every gate position, the kind
-    (CNOT or one-qubit gate) and wires; only the one-qubit matrices differ.
-    The caller checks that.  Each density matrix is kept flat, row b of
-    rho holding rho_b[r, c] at r * 2^n + c, so a one-qubit U rho U^dagger is
+    The circuits are CNOT-level and share their width and, at every gate
+    position, the kind (CNOT or one-qubit gate) and wires; only the
+    one-qubit matrices differ.  :func:`_check_noisy_runs` checks that.
+    Each density matrix is kept flat, row b of rho holding rho_b[r, c] at
+    r * 2^n + c, so a one-qubit U rho U^dagger is
     U (x) conj(U) on the qubit's row and column bits: one batched matmul
     per position over the gathered 4x4 matrices, and a 2x2 one on the
     statevector stack.  A CNOT permutes rows and columns alike, and after
@@ -394,18 +398,6 @@ def _evolve_stack(circuits, p2: float) -> tuple[np.ndarray, np.ndarray]:
                     0.0, None)
     # row by row: a sum over a whole axis may round differently
     return np.array([p / p.sum() for p in probs]), psi
-
-
-def _stacked_runs(circuits, p2: float):
-    """Each circuit's noisy outcome distribution and noiseless amplitudes,
-    in order, from stacks of at most ``_STACK_ENTRIES`` density entries.
-
-    The circuits share one skeleton, as :func:`_evolve_stack` needs, and
-    are at most ``_DENSITY_QUBITS`` wide.
-    """
-    size = max(1, _STACK_ENTRIES >> 2 * circuits[0].n)
-    for start in range(0, len(circuits), size):
-        yield from zip(*_evolve_stack(circuits[start:start + size], p2))
 
 
 def _apply_pauli_pair(vec: np.ndarray, cnot_gate: Gate,
@@ -467,32 +459,82 @@ def _trajectory_counts(circuit: Circuit, p2: float, shots: int,
     return totals
 
 
+def _skeleton(gate: Gate) -> tuple:
+    """What the circuits of one stack share at a gate position."""
+    return gate.kind == "CNOT", gate.ins, gate.ctrls
+
+
+def _describe(gate: Gate) -> str:
+    if gate.kind == "CNOT":
+        return f"CNOT {gate.ctrls[0]}->{gate.ins[0]}"
+    return f"one-qubit gate on {gate.ins[0]}"
+
+
+def _check_noisy_runs(circuits, shots: int) -> None:
+    """Raise ValueError unless the circuits can run noisy together: at
+    least one shot, at most 16 qubits, every circuit CNOT-level, and every
+    circuit with circuit 0's skeleton (width, and the kind and wires at
+    every gate position).  A mismatch names the circuit and the position."""
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    first = circuits[0]
+    if first.n > 16:
+        raise ValueError("noisy simulation limited to 16 qubits")
+    for j, circ in enumerate(circuits):
+        if circ.level != "cnot":
+            raise ValueError(
+                f"noisy runs need a cnot-level circuit, circuit {j} is {circ.level}")
+        if circ.n != first.n or len(circ.gates) != len(first.gates):
+            raise ValueError(
+                f"circuit {j} has {circ.n} qubits and {len(circ.gates)} gates, "
+                f"circuit 0 {first.n} and {len(first.gates)}: "
+                "a stack needs one skeleton")
+        for i, (g, h) in enumerate(zip(circ.gates, first.gates)):
+            if g is not h and _skeleton(g) != _skeleton(h):
+                raise ValueError(
+                    f"circuit {j} gate {i} is a {_describe(g)}, circuit 0's a "
+                    f"{_describe(h)}: a stack needs one skeleton")
+
+
+def _noisy_runs(circuits, noise: NoiseModel, shots: int, seeds):
+    """Each circuit's noisy counts over basis indices and noiseless
+    amplitudes, in order, the counts drawn from the circuit's own seed.
+
+    The circuits pass :func:`_check_noisy_runs`.  Up to 9 qubits they run
+    through :func:`_evolve_stack` in stacks of at most ``_STACK_ENTRIES``
+    density entries, and each draws one multinomial from its row.  Wider
+    circuits run the trajectory engine and :func:`dense_run` one at a time.
+    """
+    _check_noisy_runs(circuits, shots)
+    n = circuits[0].n
+    if n > _DENSITY_QUBITS:
+        for circ, seed in zip(circuits, seeds):
+            rng = np.random.default_rng(seed)
+            yield _trajectory_counts(circ, noise.p2, shots, rng), dense_run(circ)
+        return
+    size = max(1, _STACK_ENTRIES >> 2 * n)
+    for start in range(0, len(circuits), size):
+        probs, amps = _evolve_stack(circuits[start:start + size], noise.p2)
+        for p, a, seed in zip(probs, amps, seeds[start:start + size]):
+            yield np.random.default_rng(seed).multinomial(shots, p), a
+
+
 def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int,
               seed: int) -> dict[BitString, int]:
     """Measurement counts under per-CNOT two-qubit depolarizing noise.
 
     Up to 9 qubits the counts are one multinomial draw from the exact
-    distribution, which is the law of iid noisy shots; it comes from the
-    stacked density kernel as a stack of one.  From 10 to 16
+    distribution, which is the law of iid noisy shots.  From 10 to 16
     qubits each shot is its own Pauli trajectory: first the fire and
     which-Pauli tables for all shots and sites are drawn, then one
     multinomial per distinct insertion pattern in sorted pattern order.
     Either way the counts are deterministic given ``seed``, as in
-    :func:`sample`.
+    :func:`sample`.  This is the one-circuit case of :func:`_noisy_runs`,
+    whose noiseless amplitudes it drops (from 10 qubits, one dense_run at
+    well under 1% of the trajectory run's time).
     """
-    if circuit.level != "cnot":
-        raise ValueError("noisy runs need a cnot-level circuit")
-    if shots < 1:
-        raise ValueError("need at least one shot")
     n = circuit.n
-    if n > 16:
-        raise ValueError("noisy simulation limited to 16 qubits")
-    rng = np.random.default_rng(seed)
-    if n <= _DENSITY_QUBITS:
-        (noisy,), _ = _evolve_stack([circuit], noise.p2)
-        totals = rng.multinomial(shots, noisy)
-    else:
-        totals = _trajectory_counts(circuit, noise.p2, shots, rng)
+    ((totals, _),) = _noisy_runs([circuit], noise, shots, [seed])
     return {
         BitString.from_index(n, int(i)): int(c)
         for i, c in enumerate(totals)

@@ -315,11 +315,11 @@ class TestStackedTrainingSet:
         moved_cnot = Circuit(3, gates[:3] + (cnot(1, 2),) + gates[4:], level="cnot")
         moved_rotation = Circuit(3, gates[:2] + (rz(0.2, 1),) + gates[3:], level="cnot")
         cases = [
-            (moved_cnot, "proxy 2 gate 3 is a CNOT 1->2, proxy 0's a CNOT 2->1"),
-            (moved_rotation, "proxy 2 gate 2 is a one-qubit gate on 1, "
-                             "proxy 0's a one-qubit gate on 2"),
-            (Circuit(3, gates[:4], level="cnot"), "proxy 2 has 3 qubits and 4 gates"),
-            (Circuit(4, gates, level="cnot"), "proxy 2 has 4 qubits and 5 gates"),
+            (moved_cnot, "circuit 2 gate 3 is a CNOT 1->2, circuit 0's a CNOT 2->1"),
+            (moved_rotation, "circuit 2 gate 2 is a one-qubit gate on 1, "
+                             "circuit 0's a one-qubit gate on 2"),
+            (Circuit(3, gates[:4], level="cnot"), "circuit 2 has 3 qubits and 4 gates"),
+            (Circuit(4, gates, level="cnot"), "circuit 2 has 4 qubits and 5 gates"),
         ]
         # a one-qubit gate of another kind on the same wire is the same skeleton
         same = Circuit(3, (x_gate(3),) + gates[1:], level="cnot")
@@ -327,6 +327,20 @@ class TestStackedTrainingSet:
             with pytest.raises(ValueError, match=re.escape(message)):
                 build_training_set([first, same, bad], NoiseModel(0.01), 100,
                                    ["011"], seed=1)
+
+    def test_logical_proxy_refused(self):
+        # a controlled Ry has the skeleton of a one-qubit gate on its target,
+        # but the kernel would drop its control
+        first = Circuit(3, (ry(0.3, 3), cnot(3, 2)), level="cnot")
+        logical = Circuit(3, (ry(0.3, 3, ctrls=(1,)), cnot(3, 2)))
+        with pytest.raises(ValueError, match="noisy runs need a cnot-level circuit"):
+            build_training_set([first, logical], NoiseModel(0.01), 100,
+                               ["011"], seed=1)
+
+    def test_no_shots_refused(self):
+        ens = [Circuit(3, (ry(0.3, 3), cnot(3, 2)), level="cnot")] * 2
+        with pytest.raises(ValueError, match="need at least one shot"):
+            build_training_set(ens, NoiseModel(0.01), 0, ["011"], seed=1)
 
 
 class TestBootstrap:

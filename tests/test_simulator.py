@@ -34,8 +34,9 @@ from hwenc.simulator import (
     NoiseModel,
     SparseState,
     _evolve_stack,
+    _noisy_runs,
     _replay,
-    _stacked_runs,
+    _trajectory_counts,
     _to_arrays,
     apply_gate,
     dense_run,
@@ -645,14 +646,27 @@ def demo_ensemble(config):
 
 class TestStackedKernel:
     """The stacked density kernel: each row is bit for bit the one-circuit
-    run, whatever the stack, and its statevector rows are dense_run's."""
+    run, whatever the stack, and its statevector rows are dense_run's.  The
+    noisy runs feed it in bounded stacks and draw each circuit's counts
+    from that circuit's own seed."""
 
-    def assert_rows_are_single_runs(self, circuits, runs, p2):
+    def assert_rows_are_single_runs(self, circuits, p2):
+        noisy, amps = _evolve_stack(circuits, p2)
+        assert len(noisy) == len(amps) == len(circuits)
+        for circ, row, vec in zip(circuits, noisy, amps):
+            (alone,), (alone_vec,) = _evolve_stack([circ], p2)
+            assert np.array_equal(row, alone)
+            assert np.array_equal(vec, alone_vec)
+            assert np.array_equal(vec, dense_run(circ))
+
+    def assert_runs_are_single_draws(self, circuits, p2, shots=10_000):
+        seeds = [100 + j for j in range(len(circuits))]
+        runs = list(_noisy_runs(circuits, NoiseModel(p2), shots, seeds))
         assert len(runs) == len(circuits)
-        for circ, (noisy, amps) in zip(circuits, runs):
-            (alone,), (vec,) = _evolve_stack([circ], p2)
-            assert np.array_equal(noisy, alone)
-            assert np.array_equal(amps, vec)
+        for circ, seed, (counts, amps) in zip(circuits, seeds, runs):
+            (alone,), _ = _evolve_stack([circ], p2)
+            want = np.random.default_rng(seed).multinomial(shots, alone)
+            assert np.array_equal(counts, want)
             assert np.array_equal(amps, dense_run(circ))
 
     @pytest.mark.parametrize("p2", [0.0, 0.01])
@@ -660,23 +674,43 @@ class TestStackedKernel:
         # 15 proxies at n = 6 are not a whole number of stacks
         ens = demo_ensemble(CdrConfig((0.5, 0.8, 1.0), circuits_per_rate=5))
         assert len(ens) % (_STACK_ENTRIES // 4**6) != 0
-        self.assert_rows_are_single_runs(ens, list(_stacked_runs(ens, p2)), p2)
+        self.assert_rows_are_single_runs(ens, p2)
+        self.assert_runs_are_single_draws(ens, p2)
 
     @pytest.mark.parametrize("p2", [0.0, 0.01])
-    def test_one_unbounded_stack_equals_single_runs(self, p2):
+    def test_random_skeleton_stack_equals_single_runs(self, p2):
         circuits = one_skeleton(np.random.default_rng(5), 5, 60, 11)
-        self.assert_rows_are_single_runs(
-            circuits, list(zip(*_evolve_stack(circuits, p2))), p2)
+        self.assert_rows_are_single_runs(circuits, p2)
+        self.assert_runs_are_single_draws(circuits, p2)
 
     def test_nine_qubits_one_circuit_a_stack(self):
         circuits = one_skeleton(np.random.default_rng(9), 9, 30, 3)
         assert _STACK_ENTRIES < 4**9
-        self.assert_rows_are_single_runs(
-            circuits, list(_stacked_runs(circuits, 0.01)), 0.01)
+        self.assert_runs_are_single_draws(circuits, 0.01)
+
+    def test_wider_circuits_run_trajectories_one_at_a_time(self):
+        circuits = one_skeleton(np.random.default_rng(10), 10, 30, 3)
+        runs = list(_noisy_runs(circuits, NoiseModel(0.02), 200, [7, 8, 9]))
+        for circ, seed, (counts, amps) in zip(circuits, [7, 8, 9], runs):
+            want = _trajectory_counts(circ, 0.02, 200, np.random.default_rng(seed))
+            assert np.array_equal(counts, want)
+            assert np.array_equal(amps, dense_run(circ))
 
     def test_rows_are_distributions(self):
         ens = demo_ensemble(CdrConfig((1.0,), circuits_per_rate=9))
-        for noisy, amps in _stacked_runs(ens, 0.02):
+        for noisy, amps in zip(*_evolve_stack(ens, 0.02)):
             assert np.all(noisy >= 0.0)
             assert abs(noisy.sum() - 1.0) < 1e-12
             assert abs(np.vdot(amps, amps).real - 1.0) < 1e-12
+
+    def test_checks_before_running(self):
+        circuits = one_skeleton(np.random.default_rng(4), 3, 12, 2)
+        logical = Circuit(3, (ry(0.4, 1, ctrls=(2,)),) + circuits[0].gates[1:])
+        cases = [
+            (circuits, 0, "need at least one shot"),
+            ([circuits[0], logical], 10, "circuit 1 is logical"),
+            ([Circuit(17, level="cnot")], 10, "limited to 16 qubits"),
+        ]
+        for stack, shots, message in cases:
+            with pytest.raises(ValueError, match=message):
+                next(_noisy_runs(stack, NoiseModel(0.01), shots, [1, 2]))
