@@ -77,15 +77,6 @@ class BitString:
     def complement(self) -> "BitString":
         return BitString("".join("1" if c == "0" else "0" for c in self.bits))
 
-    def differing_qubits(self, other: "BitString") -> frozenset[int]:
-        """Qubit labels where the two strings disagree."""
-        if other.n != self.n:
-            raise ValueError("length mismatch")
-        n = self.n
-        return frozenset(
-            n - i for i, (a, b) in enumerate(zip(self.bits, other.bits)) if a != b
-        )
-
 
 @dataclass(frozen=True)
 class EhrlichState:
@@ -102,13 +93,6 @@ class EhrlichState:
     def start(cls, n: int, k: int) -> "EhrlichState":
         """Weight-k start ``1^k 0^(n-k)`` with the ones marked."""
         return cls(BitString.initial(n, k), frozenset(range(1, k + 1)))
-
-    @classmethod
-    def start_reversed(cls, n: int, k: int) -> "EhrlichState":
-        """Weight-k start ``0^(n-k) 1^k`` with the zeros marked."""
-        if not 0 <= k <= n:
-            raise ValueError(f"weight {k} out of range for {n} qubits")
-        return cls(BitString("0" * (n - k) + "1" * k), frozenset(range(1, n - k + 1)))
 
 
 def next_state(state: EhrlichState) -> EhrlichState:
@@ -158,15 +142,12 @@ def walk_states(start: EhrlichState, count: int) -> Iterator[EhrlichState]:
         yield state
 
 
-def ehrlich_sequence(n: int, k: int, *, reverse: bool = False) -> list[BitString]:
-    """All C(n, k) weight-k strings in walk order.
+def ehrlich_sequence(n: int, k: int) -> list[BitString]:
+    """All C(n, k) weight-k strings in walk order, from ``1^k 0^(n-k)``.
 
-    Consecutive strings differ by exactly one transposition.  The forward
-    order starts at ``1^k 0^(n-k)``; ``reverse=True`` starts at
-    ``0^(n-k) 1^k`` with the zeros marked instead.
+    Consecutive strings differ by exactly one transposition.
     """
-    start = EhrlichState.start_reversed(n, k) if reverse else EhrlichState.start(n, k)
-    return [s.string for s in walk_states(start, comb(n, k))]
+    return [s.string for s in walk_states(EhrlichState.start(n, k), comb(n, k))]
 
 
 class GateParams(NamedTuple):

@@ -175,13 +175,12 @@ def _cmd_count(args) -> int:
     if args.n is None:
         raise ValueError("count needs --n unless --check-8n2n")
     if args.binary:
-        # the full-basis budget is analytic and weight-free; the real one
-        # also bounds the complex encoder, whose phased gates never cost more
+        # the full-basis count is exact and weight-free
         if args.mode != "analytic":
             raise ValueError(f"count --binary has no --mode {args.mode}")
         if args.k is not None:
             raise ValueError(f"count --binary has no --k {args.k}")
-        payload = _budget_payload(count_binary(args.n))
+        payload = _budget_payload(count_binary(args.n, args.complex_amplitudes))
         payload["n"] = args.n
         print(json.dumps(payload, indent=2))
         return 0

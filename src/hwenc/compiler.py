@@ -6,7 +6,9 @@ turns it back after. The controlled Y rotation takes one of two
 constructions by a rule on the control count. Up to six controls it is a
 Gray-code Ry multiplexor of exactly 2^(number of controls) CNOTs; its
 rotations take only two angles, so it builds two Ry gates and reuses them
-at every step. From seven controls on it is an ancilla-free linear
+at every step. The same stack with its own angle on each control pattern
+is :func:`uniformly_controlled`, which the full-basis encoders emit
+directly. From seven controls on it is an ancilla-free linear
 construction of 16 * controls - 24 CNOTs, the per-gate budget of
 ``counting.mcry_bound`` (Vale et al., arXiv:2302.06377). It splits the
 controls into two halves and interleaves four multi-controlled X gates,
@@ -102,6 +104,35 @@ def _gray_steps(ell: int) -> tuple[tuple[float, int], ...]:
     return tuple(steps)
 
 
+def _gray_stack(rotations, target: int, ctrls: tuple[int, ...]) -> list[Gate]:
+    """Rotation j on ``target``, then the CNOT of step j of :func:`_gray_steps`,
+    for each j; without controls, the one rotation alone."""
+    gates: list[Gate] = []
+    for rotation, (_, wire) in zip(rotations, _gray_steps(len(ctrls))):
+        gates += [rotation, cnot(ctrls[wire], target)] if ctrls else [rotation]
+    return gates
+
+
+def uniformly_controlled(make, angles, target: int,
+                         ctrls: tuple[int, ...]) -> list[Gate]:
+    """``make(angles[p], target)`` on each control pattern p, ``ctrls[i]``
+    being bit i of p, as one stack of 2^len(ctrls) CNOTs (none without).
+
+    ``make`` is ``ry`` or ``rz``. Before rotation j the CNOTs have flipped
+    the target, which negates the angle, by the parity of p AND gray(j), so
+    rotation j takes the Walsh-Hadamard transform of the angles at gray(j)
+    over 2^len(ctrls) (Mottonen et al., quant-ph/0407010).
+    """
+    if len(angles) != 1 << len(ctrls):
+        raise ValueError(f"need {1 << len(ctrls)} angles for {len(ctrls)} controls")
+    stack = np.array(angles, dtype=float).reshape(-1, 1)
+    while len(stack) > 1:
+        stack = np.hstack((stack[::2] + stack[1::2], stack[::2] - stack[1::2]))
+    stack = stack[0] / len(angles)
+    rotations = [make(float(stack[j ^ (j >> 1)]), target) for j in range(len(angles))]
+    return _gray_stack(rotations, target, ctrls)
+
+
 def _multiplexed(tau: float, target: int, ctrls: tuple[int, ...]) -> list[Gate]:
     """Gray-code Ry stack firing Ry(tau) on the all-ones pattern.
 
@@ -111,15 +142,14 @@ def _multiplexed(tau: float, target: int, ctrls: tuple[int, ...]) -> list[Gate]:
     +-tau/2^len(ctrls), so it builds those two gates once and every step
     appends one of them; negation and division by a power of two are
     sign-symmetric in IEEE arithmetic, so each equals sign * tau / size.
+    It is :func:`uniformly_controlled` with the one angle tau, save that a
+    transform's sums would turn a -0.0 tau into +0.0.
     """
     size = 1 << len(ctrls)
     plus = ry(tau / size, target)
     minus = ry(-tau / size, target)
-    gates: list[Gate] = []
-    for sign, wire in _gray_steps(len(ctrls)):
-        gates.append(plus if sign > 0 else minus)
-        gates.append(cnot(ctrls[wire], target))
-    return gates
+    steps = _gray_steps(len(ctrls))
+    return _gray_stack([plus if sign > 0 else minus for sign, _ in steps], target, ctrls)
 
 
 def compile_mcry(gate: Gate) -> list[Gate]:

@@ -7,7 +7,7 @@ Each entry is a ceiling: ``compiler.lower`` never spends more CNOTs on a
 gate than ``gate_cnot_bound`` gives it, whatever its control count, so a
 budget, which sums those entries over the gate census of a construction,
 bounds the lowered circuit. The dense budgets additionally collapse to
-closed-form polynomials in n.
+closed-form polynomials in n, and the full-basis one is exact.
 
 The sparse budget defines none of its inputs itself: its addresses pass the
 encoder's rules (``encoders._check_addresses``) and its wires come from the
@@ -102,10 +102,10 @@ class BudgetRow:
 class CnotBudget:
     """Row-by-row analytic budget.
 
-    ``total`` sums the rows. ``analytic_total`` carries the closed
-    formula where one exists (dense and full-basis budgets); for the
-    full-basis budget the formula intentionally prices one bridge more
-    than the circuit contains, so it exceeds the row total.
+    ``total`` sums the rows. ``analytic_total`` carries the paper's closed
+    formula where one exists: the dense budgets, where it equals the row
+    total, and the real full-basis budget, where it prices the paper's
+    weight-stacked loader rather than the circuit built here.
     """
 
     rows: tuple[BudgetRow, ...]
@@ -202,36 +202,31 @@ def count_sparse(
     return CnotBudget(rows=rows, total=sum(r.subtotal for r in rows))
 
 
-def count_binary(n: int) -> CnotBudget:
-    """Budget for the full-basis encoder.
+def count_binary(n: int, complex_amplitudes: bool = False) -> CnotBudget:
+    """Exact CNOT count of the full-basis encoder, one row per qubit.
 
-    Rows alternate bridge rotations (k - 1 controls entering stage k)
-    with the stage sweeps (choose(n, k) - 1 mixing gates, each fully
-    controlled on k - 1 wires). ``analytic_total`` is the quartic-plus-
-    tail formula, which books bridges one stage late and therefore
-    includes a phantom n-controlled bridge; the row total is the
-    structural sum for the circuit as built.
+    Qubit n - ell takes a Gray-code Ry stack of 2^ell CNOTs under the ell
+    qubits above it (none for ell = 0), and with complex amplitudes an Rz
+    stack as well: 2^n - 2 in all, or 2^(n+1) - 4. ``analytic_total`` is
+    the paper's quartic-plus-tail figure for its weight-stacked real
+    loader; the complex count has none.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
-    rows = []
-    for k in range(1, n + 1):
-        rows.append(
-            BudgetRow(label=f"bridge into weight {k}", gates=1, per_gate=mcry_bound(k - 1))
+    rows = tuple(
+        BudgetRow(
+            label=f"qubit {n - ell}, {ell} controls",
+            gates=2 if complex_amplitudes else 1,
+            per_gate=(1 << ell) if ell else 0,
         )
-        rows.append(
-            BudgetRow(
-                label=f"weight-{k} sweep",
-                gates=comb(n, k) - 1,
-                per_gate=rbs_bound(k - 1),
-            )
-        )
-    rows = tuple(rows)
-
-    poly = 13 * n**4 - 58 * n**3 + 119 * n**2 - 50 * n + 120
-    analytic = _exact_div(poly, 12)
-    for k in range(5, n + 1):
-        analytic += comb(n, k) * (16 * k - 22) - 2
+        for ell in range(n)
+    )
+    analytic = None
+    if not complex_amplitudes:
+        poly = 13 * n**4 - 58 * n**3 + 119 * n**2 - 50 * n + 120
+        analytic = _exact_div(poly, 12)
+        for k in range(5, n + 1):
+            analytic += comb(n, k) * (16 * k - 22) - 2
 
     return CnotBudget(
         rows=rows,

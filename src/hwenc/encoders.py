@@ -1,8 +1,8 @@
 """Circuit constructions that load classical vectors into quantum amplitudes.
 
-Every encoder is one walk-and-split cascade, :func:`_cascade`: walk a list
-of basis states and split amplitude onto each next state with one mixing
-gate per consecutive pair. The five encoders differ only in their walk:
+Four encoders are one walk-and-split cascade, :func:`_cascade`: walk a
+list of basis states and split amplitude onto each next state with one
+mixing gate per consecutive pair. They differ only in their walk:
 
 - ``encode_dense_real`` / ``encode_dense_complex``: a full (or leading
   slice of a) fixed-weight basis in minimal-change order, walked at the
@@ -11,16 +11,17 @@ gate per consecutive pair. The five encoders differ only in their walk:
   non-decreasing address weight. It checks its circuit with one
   ``simulator.run`` and replays the gates through ``simulator.apply_gate``
   only to name the gate of a failed load.
-- ``encode_binary`` / ``encode_binary_complex``: the complete n-qubit
-  basis, 0^n and then each weight class in turn, so that every class
-  boundary is a single-flip raising gate.
+
+The full-basis ``encode_binary`` / ``encode_binary_complex`` walk no list:
+they split amplitude down a binary tree over the indices with one uniformly
+controlled rotation per qubit, in 2^n - 2 CNOTs (twice that with phases).
 
 Every encoder returns an :class:`EncoderReport` whose ``ordering`` maps
 vector slot i to the basis state that receives amplitude ``x[i] / |x|``.
 
-Each gate's wires come from ``bitstrings.walk_wires`` and the sparse
-address rules are :func:`_check_addresses`; ``counting.count_sparse`` uses
-both, so a budget prices the very gates the encoder emits. A complex
+Each cascade gate's wires come from ``bitstrings.walk_wires`` and the
+sparse address rules are :func:`_check_addresses`; ``counting.count_sparse``
+uses both, so a budget prices the very gates the encoder emits. A complex
 encoder adds one gate in front, the global phase on |0^n> as an
 uncontrolled Rz, which costs no CNOT and so has no row in any budget.
 """
@@ -32,13 +33,8 @@ from math import comb
 
 import numpy as np
 
-from .bitstrings import (
-    BitString,
-    EhrlichState,
-    ehrlich_sequence,
-    walk_states,
-    walk_wires,
-)
+from .bitstrings import BitString, EhrlichState, walk_states, walk_wires
+from .compiler import uniformly_controlled
 from .coordinates import angles_from_complex, angles_from_real
 from .ir import Circuit, Gate, rbs, ry, rz, x_gate
 from .simulator import _to_arrays, apply_gate, run
@@ -294,49 +290,47 @@ def _raise_at_disturbing_gate(report: EncoderReport, target: np.ndarray) -> None
 # full binary-basis encoder
 
 
-def _stage_seed(n: int, k: int, prev_end: BitString) -> bool:
-    """Whether the weight-k stage walks from 0^(n-k) 1^k rather than 1^k 0^(n-k).
-
-    The stage starts from whichever block string is one bit flip from
-    prev_end: 1^k 0^(n-k) (walked with the ones marked) or 0^(n-k) 1^k
-    (walked with the zeros marked). Exactly one is a single flip away
-    except for small-n ties, where the first form wins.
-    """
-    ones_form = BitString.initial(n, k)
-    zeros_form = BitString("0" * (n - k) + "1" * k)
-    for cand, rev in ((ones_form, False), (zeros_form, True)):
-        if len(prev_end.differing_qubits(cand)) == 1:
-            return rev
-    raise EncodingError(
-        f"no single-flip seed of weight {k} from {prev_end.bits}"
-    )
-
-
 def _binary(n: int, x, with_phases: bool) -> EncoderReport:
+    """Load x / |x| in index order down a binary tree, one level per qubit.
+
+    Qubit q takes a uniformly controlled Ry under the qubits above it: on
+    each pattern, the ``atan2`` of its two subtrees' norms, or at qubit 1 of
+    the two signed entries. With phases the tree holds |x|, a node's phase
+    is its children's mean, an Rz stack of half their difference splits
+    it, and the root's psi comes first as ``rz(-psi, 1)``.
+    """
     if n < 1:
         raise EncodingError("need at least one qubit")
     x = _as_vector(x, with_phases)
     d = len(x)
     if d != 2**n:
         raise EncodingError(f"need 2^{n} = {2**n} amplitudes, got {d}")
-    # 0^n, then each weight class walked from a seed one flip away from the
-    # end of the class before. 0^n has no ones, so no control is dropped as
-    # redundant, and full controls keep every loaded amplitude fixed
-    walk = [BitString("0" * n)]
-    for k in range(1, n + 1):
-        walk.extend(ehrlich_sequence(n, k, reverse=_stage_seed(n, k, walk[-1])))
-    if walk[-1].bits != "1" * n or len(walk) != d:
-        raise EncodingError("stage chain failed to cover the basis")
-    return _cascade(n, walk, _normalized(x), with_phases)
+    x = _normalized(x)
+    values = np.abs(x) if with_phases else x.real
+    phases = np.where(x == 0, 0.0, np.angle(x))
+    gates: list[Gate] = []
+    for target in range(1, n + 1):  # from the leaves up
+        (v0, v1), (p0, p1) = values.reshape(-1, 2).T, phases.reshape(-1, 2).T
+        ctrls = tuple(range(target + 1, n + 1))
+        level = uniformly_controlled(ry, np.arctan2(v1, v0), target, ctrls)
+        if with_phases:
+            level += uniformly_controlled(rz, (p1 - p0) / 2.0, target, ctrls)
+        gates = level + gates
+        values, phases = np.hypot(v0, v1), (p0 + p1) / 2.0
+    if with_phases:
+        gates.insert(0, rz(-phases[0], 1))
+    return EncoderReport(
+        circuit=Circuit(n=n, gates=tuple(gates)),
+        ordering=tuple(BitString.from_index(n, i) for i in range(d)),
+        param_count=2 * d - 1 if with_phases else d - 1,
+    )
 
 
 def encode_binary(n: int, x) -> EncoderReport:
-    """Load a full 2^n-entry real vector over the complete basis.
+    """Load a full 2^n-entry real vector over the complete basis, in index order.
 
-    The basis is visited weight class by weight class: a controlled Ry
-    bridge splits amplitude onto the next class's seed string, then the
-    class is swept by fully controlled two-wire mixing gates. Parameter
-    count is 2^n - 1.
+    One uniformly controlled Ry per qubit, qubit n first and each under
+    all the qubits above it: 2^n - 1 angles and exactly 2^n - 2 CNOTs.
     """
     return _binary(n, x, with_phases=False)
 
@@ -344,8 +338,8 @@ def encode_binary(n: int, x) -> EncoderReport:
 def encode_binary_complex(n: int, x) -> EncoderReport:
     """Complex variant of :func:`encode_binary`; 2^(n+1) - 1 parameters.
 
-    Bridges become raising RBS gates (no in-wire, one out-wire) under the
-    same controls, every RBS carries a phase angle, and one leading
-    uncontrolled Rz sets the global phase at no CNOT cost.
+    Each qubit's Ry stack is followed by a uniformly controlled Rz of the
+    same size, and one leading uncontrolled Rz sets the global phase at no
+    CNOT cost: exactly 2^(n+1) - 4 CNOTs.
     """
     return _binary(n, x, with_phases=True)

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from hwenc.compiler import axis_angle
-from hwenc.ir import Circuit, rw
+from hwenc.ir import Circuit, Gate, rw
 from hwenc.simulator import (NoiseModel, _basis_index, _noisy_runs, dense_run,
                               run_noisy)
 
@@ -70,10 +70,11 @@ def single_qubit_cliffords() -> tuple[np.ndarray, ...]:
     return mats
 
 
-@lru_cache(maxsize=1)
-def _clifford_rotations() -> tuple[tuple[float, tuple[float, float, float]], ...]:
-    """``axis_angle`` of each of ``single_qubit_cliffords()``, in its order."""
-    return tuple(axis_angle(m) for m in single_qubit_cliffords())
+@lru_cache(maxsize=4096)
+def _clifford_gate(index: int, wire: int) -> Gate:
+    """Clifford ``index`` of ``single_qubit_cliffords()`` on ``wire``, as a
+    rotation about its own axis; gates are frozen, so each is built once."""
+    return rw(*axis_angle(single_qubit_cliffords()[index]), wire)
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,6 @@ def near_clifford_ensemble(circuit: Circuit, config: CdrConfig,
     positions = rotation_positions(circuit)
     if not positions:
         raise ValueError("circuit has no rotation gates to replace")
-    pool = _clifford_rotations()
     rng = np.random.default_rng(seed)
     ensemble = []
     for rate in config.replacement_rates:
@@ -152,8 +152,7 @@ def near_clifford_ensemble(circuit: Circuit, config: CdrConfig,
             gates = list(circuit.gates)
             for c in chosen:
                 pos = positions[int(c)]
-                lam, axis = pool[int(rng.integers(24))]
-                gates[pos] = rw(lam, axis, circuit.gates[pos].target)
+                gates[pos] = _clifford_gate(int(rng.integers(24)), circuit.gates[pos].target)
             ensemble.append(Circuit(circuit.n, gates, level="cnot"))
     return ensemble
 

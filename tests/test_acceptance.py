@@ -107,19 +107,37 @@ GOLDEN_SPARSE_GATES = (
 )
 GOLDEN_SPARSE_ROWS = (2, 6, 30, 6, 66, 64)
 
-# Frozen skeleton of the six-qubit full-basis circuit.
-GOLDEN_BINARY_BRIDGE_SLOTS = [1, 7, 22, 42, 57, 63]
-GOLDEN_BINARY_BRIDGE_TARGETS = [6, 6, 3, 3, 5, 1]
-GOLDEN_BINARY_BRIDGE_CTRLS = [
-    (),
-    (5,),
-    (1, 2),
-    (4, 5, 6),
-    (1, 2, 3, 4),
-    (2, 3, 4, 5, 6),
-]
-GOLDEN_BINARY_STAGE_SEEDS = ["100000", "110000", "000111", "111100", "011111", "111111"]
-GOLDEN_BINARY_STAGE_ENDS = ["010000", "000011", "111000", "001111", "111110", "111111"]
+# Frozen layout of the six-qubit full-basis circuit, derived by hand from
+# the Gray code: per level, the rotated qubit and the controls of its
+# stack's CNOTs in order. Step j's CNOT comes from control ctz(j + 1), the
+# last step's from the top control.
+GOLDEN_BINARY_LEVELS = (
+    (6, ""),
+    (5, "66"),
+    (4, "5656"),
+    (3, "45464546"),
+    (2, "3435343634353436"),
+    (1, "23242325232423262324232523242326"),
+)
+
+
+def stack_layout(gates) -> list[tuple[str, int, str]]:
+    """(kind, target, CNOT controls) of each rotation stack in ``gates``.
+
+    A stack is a run of rotations of one kind on one target, each but a
+    lone one followed by a CNOT onto that target. A controlled rotation or
+    a CNOT onto another wire shows as ``!``.
+    """
+    layout: list[list] = []
+    for g in gates:
+        if g.kind == "CNOT":
+            ok = layout and g.target == layout[-1][1]
+            layout[-1][2] += str(g.ctrls[0]) if ok else "!"
+        elif g.ctrls or g.anti_ctrls:
+            layout.append(["!", g.target, ""])
+        elif not layout or layout[-1][:2] != [g.kind, g.target]:
+            layout.append([g.kind, g.target, ""])
+    return [tuple(stack) for stack in layout]
 
 
 def _max_load_error(report, x) -> float:
@@ -225,24 +243,12 @@ def test_criterion_3_sparse_and_binary():
     ok = xs == [3, 2, 1] and mixers == list(GOLDEN_SPARSE_GATES)
     worst = _max_load_error(rep, vals)
 
-    # frozen full-basis skeleton
+    # frozen full-basis layout, loaded in index order
     x_bin = rng.normal(size=64)
     rep_bin = encode_binary(6, x_bin)
-    bridges = [
-        (i + 1, g) for i, g in enumerate(rep_bin.circuit.gates) if g.kind == "Ry"
-    ]
-    ok = ok and [i for i, _ in bridges] == GOLDEN_BINARY_BRIDGE_SLOTS
-    ok = ok and [g.target for _, g in bridges] == GOLDEN_BINARY_BRIDGE_TARGETS
-    ok = ok and [g.ctrls for _, g in bridges] == GOLDEN_BINARY_BRIDGE_CTRLS
-    offset = 1
-    seeds, ends = [], []
-    for k in range(1, 7):
-        size = comb(6, k)
-        seeds.append(rep_bin.ordering[offset].bits)
-        ends.append(rep_bin.ordering[offset + size - 1].bits)
-        offset += size
-    ok = ok and seeds == GOLDEN_BINARY_STAGE_SEEDS
-    ok = ok and ends == GOLDEN_BINARY_STAGE_ENDS
+    want = [("Ry", t, ctrls) for t, ctrls in GOLDEN_BINARY_LEVELS]
+    ok = ok and stack_layout(rep_bin.circuit.gates) == want
+    ok = ok and [b.to_index() for b in rep_bin.ordering] == list(range(64))
     worst = max(worst, _max_load_error(rep_bin, x_bin))
 
     # random sparse instances
@@ -287,7 +293,7 @@ def test_criterion_4_headline_budgets():
     ok = ok and mixing == list(GOLDEN_SPARSE_ROWS) and sparse.total == 174
 
     full = count_binary(6)
-    ok = ok and full.analytic_total == 1120
+    ok = ok and full.total == 62 and full.analytic_total == 1120
 
     ok = ok and [mcry_bound(ell) for ell in range(5)] == [0, 2, 4, 12, 36]
     ok = ok and all(mcry_bound(ell) == 16 * ell - 24 for ell in range(5, 9))
@@ -307,7 +313,8 @@ def test_criterion_4_headline_budgets():
     _verdict(
         4,
         ok and dt < 1.0,
-        f"68 / 174 / 1120 and every frozen per-gate cell reproduced ({dt:.3f}s)",
+        f"68 / 174 / 62 (analytic 1120) and every frozen per-gate cell reproduced"
+        f" ({dt:.3f}s)",
     )
 
 

@@ -84,10 +84,6 @@ class TestBitString:
         assert b.weight == 3
         assert b.complement().bits == "011010"
 
-    def test_differing_qubits(self):
-        a, b = BitString("110000"), BitString("100001")
-        assert a.differing_qubits(b) == {5, 1}
-
     def test_initial(self):
         assert BitString.initial(6, 2).bits == "110000"
         assert BitString.initial(4, 0).bits == "0000"
@@ -123,21 +119,12 @@ class TestWalk:
             assert len(set(seq)) == len(seq)
             assert all(b.weight == k for b in seq)
             for a, b in zip(seq, seq[1:]):
-                assert len(a.differing_qubits(b)) == 2
+                assert sum(p != q for p, q in zip(a.bits, b.bits)) == 2
 
     def test_forward_endpoints(self):
         seq = ehrlich_sequence(6, 2)
         assert seq[0].bits == "110000"
         assert seq[-1].bits == "000011"
-
-    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 3), (7, 3)])
-    def test_reverse_walk(self, n, k):
-        seq = ehrlich_sequence(n, k, reverse=True)
-        assert seq[0].bits == "0" * (n - k) + "1" * k
-        assert len(seq) == comb(n, k)
-        assert len(set(seq)) == len(seq)
-        for a, b in zip(seq, seq[1:]):
-            assert len(a.differing_qubits(b)) == 2
 
     def test_degenerate_weights(self):
         assert [b.bits for b in ehrlich_sequence(4, 0)] == ["0000"]

@@ -201,16 +201,16 @@ class TestCount:
     def test_binary_budget(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--n", "6", "--binary")
         payload = json.loads(out)
-        assert payload["total"] == 1048
+        assert payload["total"] == 62
         assert payload["analytic_total"] == 1120
 
     def test_binary_budget_bounds_complex(self, capsys):
-        # phased gates never cost more than the real ones count_binary prices
-        code, out, _ = run_cli(capsys, "count", "--n", "6", "--binary")
-        code_c, out_c, err = run_cli(capsys, "count", "--n", "6", "--binary",
-                                     "--complex")
-        assert code == code_c == 0 and err == ""
-        assert out_c == out and json.loads(out_c)["total"] == 1048
+        # the complex loader adds an Rz stack to every Ry stack
+        code, out, err = run_cli(capsys, "count", "--n", "6", "--binary", "--complex")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["total"] == 124 and payload["analytic_total"] is None
+        assert [r["gates"] for r in payload["rows"]] == [2] * 6
 
     # --k 0 is falsy, so the check must test for presence, not truth
     @pytest.mark.parametrize("flags", [("--k", "0"), ("--mode", "actual"),

@@ -95,9 +95,8 @@ class TestActualUnderBound:
             assert cnots(lower_gate(g)) <= gate_cnot_bound(g) == rbs_bound(ell, True), ell
 
     def test_phased_binary_gates_meet_real_columns_through_twelve(self):
-        # the complex full-basis encoder's phased sweep gates and raising
-        # bridges cost no more than the real gates count_binary prices,
-        # so its real budget bounds the complex encoder too
+        # phased two-wire and raising mixing gates cost no more than the
+        # real gates of the same columns
         for ell in range(13):
             wires = tuple(range(3, 3 + ell))
             for w in (dict(ctrls=wires), self.wiring(3, ell)):
@@ -305,26 +304,32 @@ class TestSparseBudgetPricesTheCircuit:
 class TestBinaryBudget:
     def test_six_qubits(self):
         budget = count_binary(6)
-        assert budget.total == 1048
+        assert budget.total == 62
         assert budget.analytic_total == 1120
+        budget = count_binary(6, complex_amplitudes=True)
+        assert budget.total == 124
+        assert budget.analytic_total is None
 
     def test_four_qubits(self):
         budget = count_binary(4)
-        assert budget.total == 84
+        assert budget.total == 14
         assert budget.analytic_total == 120
 
-    def test_rows_cover_stages(self):
-        budget = count_binary(5)
-        bridges = [r for r in budget.rows if r.label.startswith("bridge")]
-        sweeps = [r for r in budget.rows if r.label.endswith("sweep")]
-        assert len(bridges) == 5 and len(sweeps) == 5
-        assert [r.per_gate for r in bridges] == [mcry_bound(k) for k in range(5)]
-        assert [r.gates for r in sweeps] == [comb(5, k) - 1 for k in range(1, 6)]
+    def test_rows_cover_levels(self):
+        for complex_amplitudes, stacks in ((False, 1), (True, 2)):
+            budget = count_binary(5, complex_amplitudes)
+            assert [r.label for r in budget.rows] == [
+                "qubit 5, 0 controls", "qubit 4, 1 controls", "qubit 3, 2 controls",
+                "qubit 2, 3 controls", "qubit 1, 4 controls",
+            ]
+            assert [r.gates for r in budget.rows] == [stacks] * 5
+            assert [r.per_gate for r in budget.rows] == [0, 2, 4, 8, 16]
 
     def test_formula_matches_stage_sum_from_four(self):
-        # the closed formula books each bridge one stage late and keeps a
-        # phantom fully controlled bridge; from four qubits on it equals
-        # the shifted stage sum exactly
+        # the paper's closed formula prices its weight-stacked loader, one
+        # bridge and one sweep per weight class, with each bridge booked one
+        # class late and a phantom fully controlled one; from four qubits on
+        # it equals that shifted stage sum exactly
         for n in range(4, 17):
             alt = sum(
                 (comb(n, k) - 1) * rbs_bound(k - 1) + mcry_bound(k)
@@ -337,23 +342,29 @@ class TestBinaryBudget:
             assert count_binary(n).analytic_total <= 8 * n * 2**n, n
 
     def test_actual_under_structural(self):
+        # the rows price the encoders' own gates: CNOTs cost one, and the
+        # uncontrolled rotations nothing
         rng = np.random.default_rng(63)
-        for n in range(2, 7):
-            rep = encode_binary(n, rng.normal(size=2**n))
-            assert lower(rep.circuit).cnot_total <= count_binary(n).total, n
+        for n in range(1, 7):
+            x = rng.normal(size=2**n)
+            for rep, complex_amplitudes in (
+                (encode_binary(n, x), False),
+                (encode_binary_complex(n, x + 1j * rng.normal(size=2**n)), True),
+            ):
+                bounds = sum(gate_cnot_bound(g) for g in rep.circuit.gates)
+                assert bounds == count_binary(n, complex_amplitudes).total, n
 
     def test_lowered_within_budget_through_twelve(self):
+        # the count is exact: 2^n - 2 CNOTs real, twice that complex
         rng = np.random.default_rng(64)
         for n in range(1, 13):
             x = rng.normal(size=2**n)
             real = lower(encode_binary(n, x).circuit).cnot_total
-            assert real <= count_binary(n).total, n
+            assert real == 2**n - 2 == count_binary(n).total, n
             if n == 10:
-                assert real == 44_472  # 60,032 when every rotation was a stack
-            # count_binary prices the real gates, and bounds the phased ones too
+                assert real == 1_022  # 44,472 with the weight-stacked loader
             phased = encode_binary_complex(n, x + 1j * rng.normal(size=2**n)).circuit
-            bound = sum(gate_cnot_bound(g) for g in phased.gates)
-            assert lower(phased).cnot_total <= min(bound, count_binary(n).total), n
+            assert lower(phased).cnot_total == 2 * real == count_binary(n, True).total, n
 
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -27,11 +27,7 @@ from hwenc.compiler import lower, lower_gate
 from hwenc.counting import gate_cnot_bound
 from hwenc.ir import serialize
 from hwenc.simulator import SparseState, run
-from test_acceptance import (
-    GOLDEN_BINARY_BRIDGE_CTRLS,
-    GOLDEN_BINARY_BRIDGE_SLOTS,
-    GOLDEN_BINARY_BRIDGE_TARGETS,
-)
+from test_acceptance import GOLDEN_BINARY_LEVELS, stack_layout
 from test_simulator import apply_to_amps
 
 # Frozen layout for the weight-2 walk on six qubits: (ins, outs, ctrls)
@@ -236,6 +232,11 @@ class TestDenseReal:
         assert_loads(encode_dense_real(3, 1, tiny), [1.0, 0.0, 1.0])
 
 
+def _cascade_psi0(z):
+    """The global phase the cascade encoders load first."""
+    return angles_from_complex(z / np.linalg.norm(z))[1][0]
+
+
 class TestDenseComplex:
     def test_exact_phases(self):
         rng = np.random.default_rng(21)
@@ -283,23 +284,24 @@ class TestDenseComplex:
         assert gate_cnot_bound(head) == 0
         assert all(g.kind != "Rz" for g in rest)
 
-    @pytest.mark.parametrize("encode", [
-        lambda z: encode_dense_complex(6, 2, z[:15]),
-        lambda z: encode_dense_complex(6, 4, z[:15]),
-        lambda z: encode_binary_complex(4, z),
-        lambda z: encode_sparse(5, list(zip(z[:3], ["00011", "00101", "11100"]))),
+    @pytest.mark.parametrize("encode,psi0", [
+        (lambda z: encode_dense_complex(6, 2, z[:15]), _cascade_psi0),
+        (lambda z: encode_dense_complex(6, 4, z[:15]), _cascade_psi0),
+        # the full-basis tree gives every node the mean phase of its leaves
+        (lambda z: encode_binary_complex(4, z), lambda z: np.mean(np.angle(z))),
+        (lambda z: encode_sparse(5, list(zip(z[:3], ["00011", "00101", "11100"]))),
+         _cascade_psi0),
     ], ids=["dense", "mirrored", "binary", "sparse"])
-    def test_global_phase_is_rz_of_minus_psi0(self, encode):
+    def test_global_phase_is_rz_of_minus_psi0(self, encode, psi0):
         # Rz(-psi0)|0> = exp(i psi0)|0>, exact on |0^n>, so the gate lowers
         # to itself and costs no CNOT
         rng = np.random.default_rng(24)
         z = rng.normal(size=16) + 1j * rng.normal(size=16)
         rep = encode(z)
         target = np.array([z[i] for i in range(len(rep.ordering))])
-        _, phis = angles_from_complex(target / np.linalg.norm(target))
         head = rep.circuit.gates[0]
         assert (head.kind, head.ins, head.ctrls, head.anti_ctrls) == ("Rz", (1,), (), ())
-        assert head.phi == pytest.approx(-phis[0], abs=1e-12)
+        assert head.phi == pytest.approx(-psi0(target), abs=1e-12)
         assert lower_gate(head) == [head]
         lowered = lower(rep.circuit)
         assert lowered.circuit.gates[0] == head and lowered.gate_cnots[0] == 0
@@ -504,44 +506,16 @@ class TestBinary:
         x = rng.normal(size=64)
         rep = encode_binary(6, x)
         assert rep.param_count == 63
-        # bridge rotations sit at these parameter slots, counting from 1
-        bridges = [
-            (i + 1, g)
-            for i, g in enumerate(rep.circuit.gates)
-            if g.kind == "Ry"
-        ]
-        assert [i for i, _ in bridges] == [1, 7, 22, 42, 57, 63]
-        assert [g.target for _, g in bridges] == [6, 6, 3, 3, 5, 1]
-        assert [g.ctrls for _, g in bridges] == [
-            (),
-            (5,),
-            (1, 2),
-            (4, 5, 6),
-            (1, 2, 3, 4),
-            (2, 3, 4, 5, 6),
+        # one uncontrolled Ry stack per qubit, top qubit first
+        assert stack_layout(rep.circuit.gates) == [
+            ("Ry", t, ctrls) for t, ctrls in GOLDEN_BINARY_LEVELS
         ]
         assert_loads(rep, x)
-
-    def test_stage_boundaries_6(self):
-        rep = encode_binary(6, np.arange(1.0, 65.0))
-        assert rep.ordering[0].bits == "000000"
-        offset = 1
-        seeds, ends = [], []
-        for k in range(1, 7):
-            size = comb(6, k)
-            seeds.append(rep.ordering[offset].bits)
-            ends.append(rep.ordering[offset + size - 1].bits)
-            assert all(b.weight == k for b in rep.ordering[offset : offset + size])
-            offset += size
-        assert seeds == ["100000", "110000", "000111", "111100", "011111", "111111"]
-        assert ends == ["010000", "000011", "111000", "001111", "111110", "111111"]
 
     def test_ordering_covers_basis(self):
         for n in range(1, 7):
             rep = encode_binary(n, np.arange(1.0, 2.0**n + 1.0))
-            indices = [b.to_index() for b in rep.ordering]
-            assert sorted(indices) == list(range(2**n))
-            assert rep.ordering[-1].bits == "1" * n
+            assert [b.to_index() for b in rep.ordering] == list(range(2**n))
 
     def test_round_trips(self):
         rng = np.random.default_rng(42)
@@ -559,18 +533,14 @@ class TestBinary:
             assert rep.param_count == 2 ** (n + 1) - 1
             assert_loads(rep, z)
 
-    def test_complex_bridge_pairs(self):
-        # a complex bridge is one raising RBS: no in-wire, one out-wire,
-        # under the same controls as the real Ry bridge, and one gate later,
-        # behind the leading global phase
+    def test_complex_levels_pair_stacks(self):
+        # after the global phase, each qubit's Ry stack is followed by an Rz
+        # stack on the same CNOTs
         rep = encode_binary_complex(6, np.arange(1.0, 65.0) * (1 + 1j))
-        mixers = [(i, g) for i, g in enumerate(rep.circuit.gates) if g.kind == "RBS"]
-        bridges = [(i, g) for i, g in mixers if not g.ins]
-        assert len(bridges) == 6 and len(mixers) == 63
-        assert all(len(g.outs) == 1 and g.phi is not None for _, g in bridges)
-        assert [i for i, _ in bridges] == GOLDEN_BINARY_BRIDGE_SLOTS
-        assert [g.outs[0] for _, g in bridges] == GOLDEN_BINARY_BRIDGE_TARGETS
-        assert [g.ctrls for _, g in bridges] == GOLDEN_BINARY_BRIDGE_CTRLS
+        want = [("Rz", 1, "")]
+        for t, ctrls in GOLDEN_BINARY_LEVELS:
+            want += [("Ry", t, ctrls), ("Rz", t, ctrls)]
+        assert stack_layout(rep.circuit.gates) == want
 
     def test_wrong_length(self):
         with pytest.raises(EncodingError, match="need 2\\^3 = 8"):
@@ -739,9 +709,11 @@ GOLDEN_FAMILIES = {
 # The complex and sparse ones were taken again when the global phase moved
 # to the front, and again when the mixing gates became one RBS kind and the
 # global phase an Rz: each equals the earlier JSON with the kinds relabelled.
-# sparse_real holds a lone negative value, loaded as a phase.
+# sparse_real holds a lone negative value, loaded as a phase. binary_real
+# was taken again when the full-basis loader became one uniformly
+# controlled Ry per qubit.
 GOLDEN_DIGESTS = {
-    "binary_real": "0c2a114f3ada319de4eff677ec9c8ceca14836112ab63dbfbfa8e2d09421e779",
+    "binary_real": "935ef4c6b7e6353112a0061ca1b3980625163ac394f13bb1289fabbf4416d71b",
     "dense_complex": "6c1de75f65c91df24f187fcbe549e521321c4cc387578616307725dc51d8fb2b",
     "dense_complex_mirrored": "d7c7efffa74f558eb81590dfb3b088e68c702f36a14b41ed84f3c4f6474598ac",
     "dense_real": "a70fe91b3eada93afd86468f37307ea72481832420bb2f79a9e4a15eccbf3752",

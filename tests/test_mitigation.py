@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from hwenc.bitstrings import BitString
-from hwenc.compiler import lower
+from hwenc.compiler import axis_angle, lower
 from hwenc.encoders import encode_dense_real
-from hwenc.ir import Circuit, cnot, rbs, ry, rz, x_gate
+from hwenc.ir import Circuit, cnot, rbs, rw, ry, rz, x_gate
 from hwenc.mitigation import (
     CdrConfig,
     bootstrap_bands,
@@ -96,6 +96,28 @@ class TestEnsemble:
                     assert b.kind == "Rw" and b.target == a.target
                 else:
                     assert a == b
+
+    def test_clifford_gates_built_once(self):
+        # the same draws as one fresh Rw per replaced position, with one gate
+        # object per (Clifford, wire) shared across the ensemble
+        circuit, _ = small_lowered()
+        cfg = CdrConfig(replacement_rates=(0.5, 1.0), circuits_per_rate=6)
+        ens = near_clifford_ensemble(circuit, cfg, seed=11)
+        positions = rotation_positions(circuit)
+        pool = [axis_angle(m) for m in single_qubit_cliffords()]
+        rng = np.random.default_rng(11)
+        shared = {}
+        for i, proxy in enumerate(ens):
+            count = math.ceil((0.5, 1.0)[i // 6] * len(positions))
+            want = list(circuit.gates)
+            for c in rng.choice(len(positions), size=count, replace=False):
+                pos = positions[int(c)]
+                lam, axis = pool[int(rng.integers(24))]
+                want[pos] = rw(lam, axis, circuit.gates[pos].target)
+            assert list(proxy.gates) == want
+            for a, b in zip(circuit.gates, proxy.gates):
+                if a is not b:
+                    assert shared.setdefault((b.theta, b.axis, b.target), b) is b
 
     def test_ceiling_floor_is_one(self):
         circuit = lower(Circuit(1, [ry(0.3, 1)])).circuit
