@@ -179,6 +179,11 @@ def _dense(n: int, k: int, x, with_phases: bool) -> EncoderReport:
         raise EncodingError(f"weight {k} out of range for {n} qubits")
     d = len(x)
     space = comb(n, k)
+    if space < 2:
+        raise EncodingError(
+            f"weight {k} on {n} qubits holds a single string, so no dense"
+            f" load of 2 or more amplitudes exists; got {d}"
+        )
     if not 2 <= d <= space:
         raise EncodingError(
             f"need between 2 and {space} amplitudes for weight {k}"

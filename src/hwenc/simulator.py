@@ -25,7 +25,8 @@ the final density matrix under the matching depolarizing channel.  Up to 9
 qubits rho is evolved exactly and the counts are one multinomial draw.  That
 density kernel evolves a stack of circuits with one skeleton (width, and the
 kind and wires at every gate position) in one pass, with a statevector stack
-beside it for the noiseless amplitudes; a stack holds at most
+beside it for the noiseless amplitudes; the density stack's axis order is
+tracked, not restored after each gate.  A stack holds at most
 ``_STACK_ENTRIES`` density entries, a single run is the one-circuit stack,
 and each circuit's arithmetic is the same in any stack.  One function,
 ``_noisy_runs``, checks a batch of circuits (CNOT-level, one skeleton, at
@@ -326,74 +327,82 @@ class NoiseModel:
             raise ValueError(f"p2 must be in [0, 1), got {self.p2}")
 
 
-def _depolarize(rho: np.ndarray, n: int, wires: tuple[int, int],
-                lam: float) -> None:
-    """rho -> (1 - lam) rho + lam Tr_{c,t}(rho) (x) I/4 on each row of a
-    stack of vectorized density matrices, in place."""
-    rows = [1 + n - q for q in wires]
-    view = np.moveaxis(rho.reshape((-1,) + (2,) * (2 * n)),
-                       rows + [n + r for r in rows], (0, 1, 2, 3))
-    blocks = [(a, b, a, b) for a in (0, 1) for b in (0, 1)]
-    traced = sum(view[blk] for blk in blocks) * (lam / 4.0)
-    view *= 1.0 - lam
-    for blk in blocks:
-        view[blk] += traced
+def _at(ndim: int, axes, values) -> tuple:
+    """Index of an ndim-axis array fixing each given axis to its value."""
+    key = [slice(None)] * ndim
+    for axis, value in zip(axes, values):
+        key[axis] = value
+    return tuple(key)
 
 
-def _evolve_stack(circuits, p2: float) -> tuple[np.ndarray, np.ndarray]:
+def _evolve_stack(circuits, p2: float,
+                  mats: dict) -> tuple[np.ndarray, np.ndarray]:
     """Noisy outcome distributions and noiseless amplitudes of a stack of
     circuits with one skeleton, each of shape (B, 2^n).
 
     The circuits are CNOT-level and share their width and, at every gate
     position, the kind (CNOT or one-qubit gate) and wires; only the
     one-qubit matrices differ.  :func:`_check_noisy_runs` checks that.
-    Each density matrix is kept flat, row b of rho holding rho_b[r, c] at
-    r * 2^n + c, so a one-qubit U rho U^dagger is
-    U (x) conj(U) on the qubit's row and column bits: one batched matmul
-    per position over the gathered 4x4 matrices, and a 2x2 one on the
-    statevector stack.  A CNOT permutes rows and columns alike, and after
-    it, on wires (c, t), rho -> (1 - 16 p2/15) rho + (16 p2/15)
-    Tr_{c,t}(rho) (x) I/4, which is a uniformly random non-identity Pauli
-    pair with probability p2.  Each circuit's arithmetic is the same as if
-    it ran alone, so a result does not depend on its stack.
+    ``mats`` maps one-qubit gates to 2x2 matrices and gains the missing
+    ones, so a batch of stacks builds each once.  Each rho_b is a
+    (2, ..., 2) tensor over the bits of r * 2^n + c, and ``order`` tracks
+    which bit each axis holds.  A one-qubit U rho U^dagger is U (x) conj(U)
+    on the qubit's row and column bits: one transposed copy puts those bits
+    first and the rest in canonical order for one batched 4x4 matmul, whose
+    result keeps that order.  A CNOT swaps two quarter slices in place for
+    its row bits and two for its column bits; then, on wires (c, t),
+    rho -> (1 - 16 p2/15) rho + (16 p2/15) Tr_{c,t}(rho) (x) I/4, a
+    uniformly random non-identity Pauli pair with probability p2, by
+    scaling the stack in place and adding the traced blocks back through
+    slices.  Each circuit's arithmetic is the same as if it ran alone, so a
+    result does not depend on its stack.
     """
     n, size = circuits[0].n, len(circuits)
     dim = 2**n
-    rho = np.zeros((size, dim * dim), dtype=complex)
-    rho[:, 0] = 1.0
+    rho = np.zeros((size,) + (2,) * (2 * n), dtype=complex)
+    rho[(slice(None),) + (0,) * (2 * n)] = 1.0
     psi = np.zeros((size, dim), dtype=complex)
     psi[:, 0] = 1.0
     lam = 16.0 * p2 / 15.0
-    # each distinct one-qubit gate's U and U (x) conj(U), built once: the
-    # proxies of one circuit share most of their gates
-    mats = {}
+    # bits counted from the top of r * 2^n + c: qubit q's row bit is n - q
+    # and its column bit 2n - q
+    order = list(range(2 * n))
     for column in zip(*(c.gates for c in circuits)):
         g = column[0]
+        q = g.ins[0]
         if g.kind == "CNOT":
-            c, t = g.ctrls[0], g.ins[0]
-            perm = _cnot_permutation(dim, c, t)
-            rho = rho.reshape(size, dim, dim)[:, perm[:, None], perm]
-            rho = rho.reshape(size, -1)
-            psi = psi[:, perm]
+            c = g.ctrls[0]
+            # the axes of the control's and the target's row and column bits
+            axes = [1 + order.index(b)
+                    for b in (n - c, n - q, 2 * n - c, 2 * n - q)]
+            for wires in (axes[:2], axes[2:]):
+                one, both = (_at(rho.ndim, wires, (1, v)) for v in (0, 1))
+                rho[one], rho[both] = rho[both], rho[one].copy()
+            psi = psi[:, _cnot_permutation(dim, c, q)]
             if lam:
-                _depolarize(rho, n, (c, t), lam)
+                blocks = [_at(rho.ndim, axes, (a, b, a, b))
+                          for a in (0, 1) for b in (0, 1)]
+                traced = sum(rho[blk] for blk in blocks) * (lam / 4.0)
+                rho *= 1.0 - lam
+                for blk in blocks:
+                    rho[blk] += traced
             continue
         for h in column:
             if h not in mats:
-                u = _single_qubit_matrix(h)
-                mats[h] = u, np.kron(u, u.conj())
-        lo = 1 << (g.ins[0] - 1)
-        # axes: stack, row bits above q, row bit q, row bits below q with
-        # column bits above q, column bit q, column bits below q; each step
-        # rebinds rho, so at most two stacks are alive at once
-        rho = rho.reshape(size, dim // (2 * lo), 2, -1, 2, lo)
-        rho = rho.transpose(0, 2, 4, 1, 3, 5).reshape(size, 4, -1)
-        rho = np.matmul(np.array([mats[h][1] for h in column]), rho)
-        rho = rho.reshape(size, 2, 2, dim // (2 * lo), -1, lo)
-        rho = rho.transpose(0, 3, 1, 4, 2, 5).reshape(size, -1)
+                mats[h] = _single_qubit_matrix(h)
+        us = np.array([mats[h] for h in column])
+        want = [n - q, 2 * n - q] + [b for b in range(2 * n) if b % n != n - q]
+        # each step rebinds rho, so at most two stacks are alive at once
+        rho = rho.transpose([0] + [1 + order.index(b) for b in want])
+        rho = rho.reshape(size, 4, -1)
+        kron = us[:, :, None, :, None] * us.conj()[:, None, :, None, :]
+        rho = np.matmul(kron.reshape(size, 4, 4), rho)
+        rho, order = rho.reshape((size,) + (2,) * (2 * n)), want
+        lo = 1 << (q - 1)
         psi = psi.reshape(size, -1, 2, lo).transpose(0, 2, 1, 3).reshape(size, 2, -1)
-        psi = np.matmul(np.array([mats[h][0] for h in column]), psi)
+        psi = np.matmul(us, psi)
         psi = psi.reshape(size, 2, -1, lo).transpose(0, 2, 1, 3).reshape(size, -1)
+    rho = rho.transpose([0] + [1 + order.index(b) for b in range(2 * n)])
     probs = np.clip(rho.reshape(size, dim, dim).diagonal(axis1=1, axis2=2).real,
                     0.0, None)
     # row by row: a sum over a whole axis may round differently
@@ -483,6 +492,8 @@ def _check_noisy_runs(circuits, shots: int) -> None:
     for j, circ in enumerate(circuits):
         if circ.level != "cnot":
             raise ValueError(
+                "noisy runs need a cnot-level circuit; lower the circuit first"
+                if len(circuits) == 1 else
                 f"noisy runs need a cnot-level circuit, circuit {j} is {circ.level}")
         if circ.n != first.n or len(circ.gates) != len(first.gates):
             raise ValueError(
@@ -513,8 +524,9 @@ def _noisy_runs(circuits, noise: NoiseModel, shots: int, seeds):
             yield _trajectory_counts(circ, noise.p2, shots, rng), dense_run(circ)
         return
     size = max(1, _STACK_ENTRIES >> 2 * n)
+    mats = {}
     for start in range(0, len(circuits), size):
-        probs, amps = _evolve_stack(circuits[start:start + size], noise.p2)
+        probs, amps = _evolve_stack(circuits[start:start + size], noise.p2, mats)
         for p, a, seed in zip(probs, amps, seeds[start:start + size]):
             yield np.random.default_rng(seed).multinomial(shots, p), a
 

@@ -66,6 +66,17 @@ class TestEncode:
         assert code == 1
         assert "needs --level cnot" in err
 
+    @pytest.mark.parametrize("k", ["0", "4"])
+    def test_single_string_weight_class(self, capsys, tmp_path, k):
+        path = tmp_path / "two.csv"
+        path.write_text("1\n2\n")
+        code, out, err = run_cli(
+            capsys, "encode", "--n", "4", "--k", k, "--input", str(path),
+        )
+        assert code == 1 and out == ""
+        assert f"weight {k} on 4 qubits holds a single string" in err
+        assert "between" not in err
+
     def test_complex_csv(self, capsys, tmp_path):
         path = tmp_path / "cplx.csv"
         rng = np.random.default_rng(3)
@@ -271,6 +282,22 @@ class TestSimulate:
         assert code == 0
         probs = json.loads(out)["probabilities"]
         assert abs(sum(probs.values()) - 1.0) < 1e-9
+
+    def test_noise_on_a_logical_circuit_asks_to_lower_it(self, capsys,
+                                                         demo_csv, tmp_path):
+        path, _ = demo_csv
+        code, out, _ = run_cli(
+            capsys, "encode", "--n", "6", "--k", "2", "--input", path,
+        )
+        logical = tmp_path / "logical.json"
+        logical.write_text(out)
+        code, out, err = run_cli(
+            capsys, "simulate", str(logical), "--shots", "100",
+            "--noise", "depol:0.01", "--seed", "1",
+        )
+        assert code == 1 and out == ""
+        assert "cnot-level circuit; lower the circuit first" in err
+        assert "circuit 0" not in err
 
     def test_exact_probabilities(self, capsys, circuit_file):
         circ, ordering, target = circuit_file

@@ -203,8 +203,12 @@ class TestDenseReal:
             encode_dense_real(6, 2, [1.0])
         with pytest.raises(EncodingError, match="between 2 and"):
             encode_dense_real(6, 2, np.ones(16))
-        with pytest.raises(EncodingError, match="between 2 and"):
-            encode_dense_real(4, 0, [1.0, 2.0])
+        # a weight class of one string has no dense load at all
+        for k, x in ((0, [1.0, 2.0]), (4, [1.0]), (0, [1.0])):
+            with pytest.raises(EncodingError, match="holds a single string"):
+                encode_dense_real(4, k, x)
+        with pytest.raises(EncodingError, match="holds a single string"):
+            encode_dense_complex(0, 0, [1.0, 1j])
 
     def test_zero_vector(self):
         with pytest.raises(EncodingError, match="zero vector"):

@@ -19,6 +19,7 @@ from hwenc.ir import (
     GATE_KINDS,
     Circuit,
     Gate,
+    _single_qubit_matrix,
     apply_to_basis_state,
     circuit_unitary,
     cnot,
@@ -513,7 +514,7 @@ class TestNoise:
 
     def test_rejects_logical(self):
         c = Circuit(2, (rbs(0.3, (2,), (1,)),))
-        with pytest.raises(ValueError, match="cnot-level"):
+        with pytest.raises(ValueError, match="cnot-level circuit; lower the circuit"):
             run_noisy(c, NoiseModel(0.01), 10, seed=1)
 
     def test_p2_zero_equals_noiseless(self):
@@ -559,7 +560,7 @@ class TestNoise:
             state = circuit_unitary(with_paulis(NOISY_CIRCUIT, choice))[:, 0]
             want += weight * np.abs(state) ** 2
         # the stacked kernel's one-circuit case, which run_noisy draws from
-        (noisy,), _ = _evolve_stack([NOISY_CIRCUIT], p)
+        (noisy,), _ = _evolve_stack([NOISY_CIRCUIT], p, {})
         np.testing.assert_allclose(noisy, want, rtol=0, atol=1e-12)
 
     def test_replay_matches_explicit_paulis(self):
@@ -628,7 +629,8 @@ def one_skeleton(rng, n, length, size):
                 x_gate(q)][rng.integers(4)]
 
     first = [cnot(*(int(q) for q in rng.choice(n, size=2, replace=False) + 1))
-             if rng.random() < 0.4 else one_qubit(int(rng.integers(1, n + 1)))
+             if n > 1 and rng.random() < 0.4
+             else one_qubit(int(rng.integers(1, n + 1)))
              for _ in range(length)]
     circuits = [first] + [
         [g if g.kind == "CNOT" or rng.random() < 0.5 else one_qubit(g.ins[0])
@@ -644,6 +646,88 @@ def demo_ensemble(config):
     return near_clifford_ensemble(lower(report.circuit).circuit, config, seed=3)
 
 
+def canonical_stack(circuits, p2):
+    """The stacked density kernel with the density stack back in canonical
+    layout after every gate: a CNOT gathers the permuted rows and columns,
+    the depolarizing update goes through an ``np.moveaxis`` view, and a
+    one-qubit position transposes into the matmul operand and back.  The
+    kernel must match it bit for bit."""
+    n, size = circuits[0].n, len(circuits)
+    dim = 2**n
+    rho = np.zeros((size, dim * dim), dtype=complex)
+    rho[:, 0] = 1.0
+    psi = np.zeros((size, dim), dtype=complex)
+    psi[:, 0] = 1.0
+    lam = 16.0 * p2 / 15.0
+    for column in zip(*(c.gates for c in circuits)):
+        g = column[0]
+        if g.kind == "CNOT":
+            c, t = g.ctrls[0], g.ins[0]
+            index = np.arange(dim)
+            perm = index ^ (((index >> (c - 1)) & 1) << (t - 1))
+            rho = rho.reshape(size, dim, dim)[:, perm[:, None], perm]
+            rho = rho.reshape(size, -1)
+            psi = psi[:, perm]
+            if lam:
+                rows = [1 + n - c, 1 + n - t]
+                view = np.moveaxis(rho.reshape((-1,) + (2,) * (2 * n)),
+                                   rows + [n + r for r in rows], (0, 1, 2, 3))
+                blocks = [(a, b, a, b) for a in (0, 1) for b in (0, 1)]
+                traced = sum(view[blk] for blk in blocks) * (lam / 4.0)
+                view *= 1.0 - lam
+                for blk in blocks:
+                    view[blk] += traced
+            continue
+        us = [_single_qubit_matrix(h) for h in column]
+        lo = 1 << (g.ins[0] - 1)
+        rho = rho.reshape(size, dim // (2 * lo), 2, -1, 2, lo)
+        rho = rho.transpose(0, 2, 4, 1, 3, 5).reshape(size, 4, -1)
+        rho = np.matmul(np.array([np.kron(u, u.conj()) for u in us]), rho)
+        rho = rho.reshape(size, 2, 2, dim // (2 * lo), -1, lo)
+        rho = rho.transpose(0, 3, 1, 4, 2, 5).reshape(size, -1)
+        psi = psi.reshape(size, -1, 2, lo).transpose(0, 2, 1, 3).reshape(size, 2, -1)
+        psi = np.matmul(np.array(us), psi)
+        psi = psi.reshape(size, 2, -1, lo).transpose(0, 2, 1, 3).reshape(size, -1)
+    probs = np.clip(rho.reshape(size, dim, dim).diagonal(axis1=1, axis2=2).real,
+                    0.0, None)
+    return np.array([p / p.sum() for p in probs]), psi
+
+
+def assert_bitwise_canonical(circuits, p2):
+    noisy, amps = _evolve_stack(circuits, p2, {})
+    want_noisy, want_amps = canonical_stack(circuits, p2)
+    assert noisy.tobytes() == want_noisy.tobytes()
+    assert amps.tobytes() == want_amps.tobytes()
+
+
+class TestKernelBitwise:
+    """The stacked kernel keeps its density stack in a tracked axis order,
+    and every probability and amplitude it returns is byte for byte the
+    canonical-layout kernel's.  Seeded p2 = 0 draws hang on rounding
+    residue, so this pins the arithmetic, not just the values."""
+
+    # (n, circuits in the stack, gate positions)
+    STACKS = [(1, 11, 30), (2, 7, 40), (3, 1, 40), (4, 5, 50), (5, 11, 60),
+              (6, 8, 70), (7, 3, 60), (8, 2, 40), (9, 1, 30)]
+
+    @pytest.mark.parametrize("p2", [0.0, 0.01, 0.2])
+    @pytest.mark.parametrize("n, size, length", STACKS)
+    def test_random_skeletons(self, n, size, length, p2):
+        circuits = one_skeleton(np.random.default_rng(40 + n), n, length, size)
+        cnots = [g for g in circuits[0].gates if g.kind == "CNOT"]
+        if n > 1:
+            # CNOTs whose control sits above the target and below it
+            assert {g.ctrls[0] > g.ins[0] for g in cnots} == {True, False}
+        assert_bitwise_canonical(circuits, p2)
+
+    @pytest.mark.parametrize("p2", [0.0, 0.01])
+    def test_demo_ensemble(self, p2):
+        ens = demo_ensemble(CdrConfig((0.5, 0.8, 1.0), circuits_per_rate=5))
+        size = _STACK_ENTRIES >> 2 * ens[0].n
+        for start in range(0, len(ens), size):
+            assert_bitwise_canonical(ens[start:start + size], p2)
+
+
 class TestStackedKernel:
     """The stacked density kernel: each row is bit for bit the one-circuit
     run, whatever the stack, and its statevector rows are dense_run's.  The
@@ -651,10 +735,10 @@ class TestStackedKernel:
     from that circuit's own seed."""
 
     def assert_rows_are_single_runs(self, circuits, p2):
-        noisy, amps = _evolve_stack(circuits, p2)
+        noisy, amps = _evolve_stack(circuits, p2, {})
         assert len(noisy) == len(amps) == len(circuits)
         for circ, row, vec in zip(circuits, noisy, amps):
-            (alone,), (alone_vec,) = _evolve_stack([circ], p2)
+            (alone,), (alone_vec,) = _evolve_stack([circ], p2, {})
             assert np.array_equal(row, alone)
             assert np.array_equal(vec, alone_vec)
             assert np.array_equal(vec, dense_run(circ))
@@ -664,7 +748,7 @@ class TestStackedKernel:
         runs = list(_noisy_runs(circuits, NoiseModel(p2), shots, seeds))
         assert len(runs) == len(circuits)
         for circ, seed, (counts, amps) in zip(circuits, seeds, runs):
-            (alone,), _ = _evolve_stack([circ], p2)
+            (alone,), _ = _evolve_stack([circ], p2, {})
             want = np.random.default_rng(seed).multinomial(shots, alone)
             assert np.array_equal(counts, want)
             assert np.array_equal(amps, dense_run(circ))
@@ -698,7 +782,7 @@ class TestStackedKernel:
 
     def test_rows_are_distributions(self):
         ens = demo_ensemble(CdrConfig((1.0,), circuits_per_rate=9))
-        for noisy, amps in zip(*_evolve_stack(ens, 0.02)):
+        for noisy, amps in zip(*_evolve_stack(ens, 0.02, {})):
             assert np.all(noisy >= 0.0)
             assert abs(noisy.sum() - 1.0) < 1e-12
             assert abs(np.vdot(amps, amps).real - 1.0) < 1e-12
