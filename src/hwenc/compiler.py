@@ -293,10 +293,11 @@ def _rbs_top(gate: Gate) -> list[Gate]:
     """Entangle, rotate both wires by theta/2, disentangle.
 
     The two half-angle Ry stacks (and, with phases, a trailing pair of
-    quarter-turn Rz stacks) carry all the controls; the H/CNOT frame is
-    unconditioned and cancels to the identity when the rotations do not
-    fire. :func:`lower_gate` takes it only without controls; the controlled
-    form is what shows the ladder no dearer under controls.
+    quarter-turn Rz stacks) carry all the controls; the H/CNOT frame (iH,
+    then -iH) is unconditioned and cancels to the identity when the
+    rotations do not fire. :func:`lower_gate` takes it only without
+    controls; the controlled form is what shows the ladder no dearer under
+    controls.
     """
     if gate.ins:
         src, dst, flip = gate.ins[0], gate.outs[0], []
@@ -309,7 +310,7 @@ def _rbs_top(gate: Gate) -> list[Gate]:
     gates = flip + [rw(np.pi / 2.0, _H_AXIS, src), cnot(src, dst)]
     gates += compile_mcry(ry(half, src, ctrls=ctrls, anti_ctrls=antis))
     gates += compile_mcry(ry(half, dst, ctrls=ctrls, anti_ctrls=antis))
-    gates += [cnot(src, dst), rw(np.pi / 2.0, _H_AXIS, src)]
+    gates += [cnot(src, dst), rw(-np.pi / 2.0, _H_AXIS, src)]
     if gate.phi:
         quarter = gate.phi / 2.0
         gates += compile_mcry(rz(quarter, src, ctrls=ctrls, anti_ctrls=antis))

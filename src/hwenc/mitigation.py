@@ -21,8 +21,7 @@ import numpy as np
 
 from hwenc.compiler import axis_angle
 from hwenc.ir import Circuit, Gate, rw
-from hwenc.simulator import (NoiseModel, _basis_index, _noisy_runs, dense_run,
-                              run_noisy)
+from hwenc.simulator import NoiseModel, _basis_index, _noisy_runs
 
 ROTATION_KINDS = frozenset({"Ry", "Rz", "Rw"})
 
@@ -172,12 +171,6 @@ def _observable_indices(keys, n: int) -> list[int]:
     return list(named)
 
 
-def _frequencies(counts: dict, indices, shots: int) -> list[float]:
-    """The share of ``shots`` that ``run_noisy`` counts hold at each basis index."""
-    at = {b.to_index(): c for b, c in counts.items()}
-    return [at.get(i, 0) / shots for i in indices]
-
-
 def build_training_set(ensemble, noise: NoiseModel, shots: int,
                        observables, seed: int) -> dict:
     """(noisy, noiseless) probability pairs per tracked basis state.
@@ -190,7 +183,7 @@ def build_training_set(ensemble, noise: NoiseModel, shots: int,
     with columns (noisy, noiseless).
 
     The proxies run together through the simulator's noisy kernel, each
-    drawing its counts from its own seed as ``run_noisy`` would: up to 9
+    drawing its counts from its own seed as a lone noisy run would: up to 9
     qubits in density stacks of bounded size, wider one trajectory run at a
     time.  They are CNOT-level, take at least one shot and share one
     skeleton: a proxy that differs from proxy 0 in width, or in the kind
@@ -201,14 +194,26 @@ def build_training_set(ensemble, noise: NoiseModel, shots: int,
         raise ValueError("need at least one proxy circuit")
     keys = list(observables)
     indices = _observable_indices(keys, ensemble[0].n)
+    pairs, _ = _run_pairs(ensemble, noise, shots, indices, _proxy_seeds(ensemble, seed))
+    return dict(zip(keys, pairs))
+
+
+def _proxy_seeds(ensemble, seed: int) -> list[int]:
     rng = np.random.default_rng(seed)
-    seeds = [int(rng.integers(2**63)) for _ in ensemble]
-    pairs = np.zeros((len(keys), len(ensemble), 2))
-    runs = _noisy_runs(ensemble, noise, shots, seeds)
-    for j, (counts, amps) in enumerate(runs):
+    return [int(rng.integers(2**63)) for _ in ensemble]
+
+
+def _run_pairs(circuits, noise: NoiseModel, shots: int, indices,
+               seeds) -> tuple[np.ndarray, np.ndarray]:
+    """(noisy, noiseless) probabilities at each index, shaped (index, circuit,
+    2), from one batch of noisy runs, and circuit 0's counts at every index."""
+    pairs = np.zeros((len(indices), len(circuits), 2))
+    for j, (counts, amps) in enumerate(_noisy_runs(circuits, noise, shots, seeds)):
         pairs[:, j, 0] = counts[indices] / shots
         pairs[:, j, 1] = (np.abs(amps) ** 2)[indices]
-    return dict(zip(keys, pairs))
+        if not j:
+            first = counts
+    return pairs, first
 
 
 def fit_pairs(pairs) -> RegressionFit:
@@ -282,26 +287,24 @@ def mitigate_circuit(circuit: Circuit, observables, noise: NoiseModel,
                      bootstrap: int = 0) -> MitigationReport:
     """Full regression-mitigation pass over one compiled circuit.
 
-    Measures the circuit under noise, trains on a fresh proxy ensemble,
-    and reports target/raw/mitigated probabilities per observable, with
-    optional bootstrap bands on the raw frequencies.  The circuit and every
-    proxy run ``shots`` shots, and all randomness derives from ``seed``.
+    The circuit runs as row 0 of a fresh proxy ensemble's batch, under the
+    batch's one check; that row's amplitudes give the target and its counts
+    the raw frequencies, with optional bootstrap bands.  Every row runs
+    ``shots`` shots, and all randomness derives from ``seed``.
     """
     keys = list(observables)
     indices = _observable_indices(keys, circuit.n)
     s_raw, s_ens, s_noise, s_boot = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(4)
     )
-    exact = np.abs(dense_run(circuit)) ** 2
-    target = {k: float(exact[i]) for k, i in zip(keys, indices)}
-
-    counts = run_noisy(circuit, noise, shots, seed=s_raw)
-    raw = dict(zip(keys, _frequencies(counts, indices, shots)))
-
     ensemble = near_clifford_ensemble(circuit, config, s_ens)
-    training = build_training_set(ensemble, noise, shots, keys, s_noise)
-    mitigated, fits = fit_and_mitigate(training, raw)
-    bands = (bootstrap_bands(counts, bootstrap, s_boot, keys)
+    seeds = [s_raw] + _proxy_seeds(ensemble, s_noise)
+    pairs, counts = _run_pairs([circuit] + ensemble, noise, shots, indices, seeds)
+    target = dict(zip(keys, pairs[:, 0, 1].tolist()))
+    raw = dict(zip(keys, pairs[:, 0, 0].tolist()))
+    mitigated, fits = fit_and_mitigate(dict(zip(keys, pairs[:, 1:])), raw)
+    bands = (bootstrap_bands({format(i, f"0{circuit.n}b"): int(counts[i])
+                              for i in np.flatnonzero(counts)}, bootstrap, s_boot, keys)
              if bootstrap else None)
     return MitigationReport(
         observables=tuple(keys), target=target, raw=raw,

@@ -18,12 +18,7 @@ import numpy as np
 
 from hwenc.compiler import lower
 from hwenc.encoders import encode_dense_real
-from hwenc.mitigation import (
-    CdrConfig,
-    _frequencies,
-    bootstrap_bands,
-    mitigate_circuit,
-)
+from hwenc.mitigation import CdrConfig, bootstrap_bands, mitigate_circuit
 from hwenc.simulator import NoiseModel, run_noisy
 
 
@@ -155,8 +150,7 @@ def run_demo(spec: QGaussianSpec = QGaussianSpec(), *, n: int = 6, k: int = 2,
             int(s) for s in np.random.SeedSequence(seed).generate_state(2)
         )
         counts = run_noisy(compiled, noise, shots, seed=s_run)
-        indices = [b.to_index() for b in ordering]
-        raw = dict(zip(ordering, _frequencies(counts, indices, shots)))
+        raw = {b: counts.get(b, 0) / shots for b in ordering}
         if bootstrap:
             bands = bootstrap_bands(counts, bootstrap, s_boot, ordering)
 

@@ -12,11 +12,12 @@ a circuit and the dense engine runs its controlled and mixing gates through
 it.  The per-state action of ``ir.apply_to_basis_state`` is the reference it
 is tested against.
 
-A dense engine (plain numpy vectors, up to 16 qubits) backs exact runs of
-CNOT-level circuits, where mid-circuit superpositions fill out and index
-bookkeeping over a full support would dominate.  It runs logical circuits
-too: a controlled or mixing gate goes through the sparse pair kernel over
-every index, so no gate is ever built as a 2^n x 2^n matrix.
+A dense engine (numpy vectors, up to 16 qubits) backs exact runs of
+CNOT-level circuits.  Its two steps serve every statevector here: a one-qubit
+gate is a 2x2 product on one axis of a stack of vectors, and a CNOT swaps two
+quarter slices in place, so its caller owns the array.  A controlled or
+mixing gate goes through the sparse pair kernel over every index, so no gate
+is ever built as a 2^n x 2^n matrix.
 
 Noise is a single synthetic channel: after every CNOT, with probability p2,
 a uniformly random non-identity two-qubit Pauli hits that CNOT's wires.
@@ -24,14 +25,14 @@ Shots are iid, so their counts are Multinomial(shots, diag rho), with rho
 the final density matrix under the matching depolarizing channel.  Up to 9
 qubits rho is evolved exactly and the counts are one multinomial draw.  That
 density kernel evolves a stack of circuits with one skeleton (width, and the
-kind and wires at every gate position) in one pass, with a statevector stack
-beside it for the noiseless amplitudes; the density stack's axis order is
-tracked, not restored after each gate.  A stack holds at most
-``_STACK_ENTRIES`` density entries, a single run is the one-circuit stack,
-and each circuit's arithmetic is the same in any stack.  One function,
+kind and wires at every gate position) in one pass, and their noiseless
+amplitudes as a statevector stack through the dense steps; the density
+stack's axis order is tracked, not restored after each gate.  A stack holds
+at most ``_STACK_ENTRIES`` density entries, a single run is the one-circuit
+stack, and each circuit's arithmetic is the same in any stack.  One function,
 ``_noisy_runs``, checks a batch of circuits (CNOT-level, one skeleton, at
 least one shot), picks the engine by width and draws each circuit's counts
-from its own seed; ``run_noisy`` and the CDR training set both use it.  From
+from its own seed; ``run_noisy`` and ``mitigation`` use it.  From
 10 to 16 qubits, where rho would need 4^n entries, each shot is its own
 trajectory: shots sharing an insertion pattern see the same final state, so
 each distinct pattern is simulated once and its counts are a multinomial
@@ -258,14 +259,21 @@ def sample(state: SparseState, shots: int, seed: int) -> dict[BitString, int]:
 
 # dense engine
 
-def _apply_1q_dense(vec: np.ndarray, q: int, u: np.ndarray) -> np.ndarray:
-    t = np.tensordot(u, vec.reshape(-1, 2, 1 << (q - 1)), axes=([1], [1]))
-    return t.transpose(1, 0, 2).reshape(-1)
+def _swap_cnot(stack: np.ndarray, ctrl: int, tgt: int) -> None:
+    """CNOT in place on a C-contiguous array the caller owns: where bit
+    ``ctrl`` of the flat index reads 1, the two quarter slices along bit
+    ``tgt`` swap."""
+    v = stack.reshape(-1, 2, 1 << (abs(ctrl - tgt) - 1), 2, 1 << min(ctrl, tgt))
+    half = v[:, 1] if ctrl > tgt else v[:, :, :, 1]
+    half[...] = half[:, :, ::-1] if ctrl > tgt else half[:, ::-1]
 
 
-def _cnot_permutation(dim: int, ctrl: int, tgt: int) -> np.ndarray:
-    index = np.arange(dim)
-    return index ^ (((index >> (ctrl - 1)) & 1) << (tgt - 1))
+def _apply_1q_dense(stack: np.ndarray, q: int, u: np.ndarray) -> np.ndarray:
+    """u on qubit q of each row of a (B, 2^n) stack; u is 2x2 or one per row."""
+    size, lo = stack.shape[0], 1 << (q - 1)
+    v = stack.reshape(size, -1, 2, lo).transpose(0, 2, 1, 3).reshape(size, 2, -1)
+    v = np.matmul(u, v)
+    return v.reshape(size, 2, -1, lo).transpose(0, 2, 1, 3).reshape(size, -1)
 
 
 def dense_run(circuit: Circuit, initial=0) -> np.ndarray:
@@ -273,9 +281,9 @@ def dense_run(circuit: Circuit, initial=0) -> np.ndarray:
 
     ``initial`` is one basis state as ``_basis_index`` reads it; a bool, a
     non-integer, another width or an index out of range raises ValueError.
-    CNOTs are an index permutation and plain one-qubit gates a 2x2 block
-    on one axis; controlled and mixing gates run the sparse pair kernel
-    over every index.
+    A CNOT swaps two quarter slices of the vector in place and a plain
+    one-qubit gate is a 2x2 block on one axis; controlled and mixing gates
+    run the sparse pair kernel over every index.
     """
     n = circuit.n
     if n > 16:
@@ -288,14 +296,16 @@ def dense_run(circuit: Circuit, initial=0) -> np.ndarray:
 
 
 def _apply_gate_dense(vec: np.ndarray, g: Gate) -> np.ndarray:
+    """One gate on a statevector the caller owns; a CNOT changes it in place."""
     if g.kind == "CNOT":
-        return vec[_cnot_permutation(vec.size, g.ctrls[0], g.ins[0])]
+        _swap_cnot(vec, g.ctrls[0] - 1, g.ins[0] - 1)
+        return vec
     if g.kind == "RBS" or g.ctrls or g.anti_ctrls:
-        idx, amp = apply_gate(np.arange(vec.size), vec.copy(), g)
+        idx, amp = apply_gate(np.arange(vec.size), vec, g)
         out = np.zeros_like(vec)
         out[idx] = amp
         return out
-    return _apply_1q_dense(vec, g.ins[0], _single_qubit_matrix(g))
+    return _apply_1q_dense(vec[None], g.ins[0], _single_qubit_matrix(g))[0]
 
 
 # noise
@@ -375,10 +385,10 @@ def _evolve_stack(circuits, p2: float,
             # the axes of the control's and the target's row and column bits
             axes = [1 + order.index(b)
                     for b in (n - c, n - q, 2 * n - c, 2 * n - q)]
-            for wires in (axes[:2], axes[2:]):
-                one, both = (_at(rho.ndim, wires, (1, v)) for v in (0, 1))
-                rho[one], rho[both] = rho[both], rho[one].copy()
-            psi = psi[:, _cnot_permutation(dim, c, q)]
+            # axis a of a row holds bit 2n - a of its flat index
+            _swap_cnot(rho, 2 * n - axes[0], 2 * n - axes[1])
+            _swap_cnot(rho, 2 * n - axes[2], 2 * n - axes[3])
+            _swap_cnot(psi, c - 1, q - 1)
             if lam:
                 blocks = [_at(rho.ndim, axes, (a, b, a, b))
                           for a in (0, 1) for b in (0, 1)]
@@ -387,10 +397,8 @@ def _evolve_stack(circuits, p2: float,
                 for blk in blocks:
                     rho[blk] += traced
             continue
-        for h in column:
-            if h not in mats:
-                mats[h] = _single_qubit_matrix(h)
-        us = np.array([mats[h] for h in column])
+        us = np.array([u if (u := mats.get(h)) is not None
+                       else mats.setdefault(h, _single_qubit_matrix(h)) for h in column])
         want = [n - q, 2 * n - q] + [b for b in range(2 * n) if b % n != n - q]
         # each step rebinds rho, so at most two stacks are alive at once
         rho = rho.transpose([0] + [1 + order.index(b) for b in want])
@@ -398,10 +406,7 @@ def _evolve_stack(circuits, p2: float,
         kron = us[:, :, None, :, None] * us.conj()[:, None, :, None, :]
         rho = np.matmul(kron.reshape(size, 4, 4), rho)
         rho, order = rho.reshape((size,) + (2,) * (2 * n)), want
-        lo = 1 << (q - 1)
-        psi = psi.reshape(size, -1, 2, lo).transpose(0, 2, 1, 3).reshape(size, 2, -1)
-        psi = np.matmul(us, psi)
-        psi = psi.reshape(size, 2, -1, lo).transpose(0, 2, 1, 3).reshape(size, -1)
+        psi = _apply_1q_dense(psi, q, us)
     rho = rho.transpose([0] + [1 + order.index(b) for b in range(2 * n)])
     probs = np.clip(rho.reshape(size, dim, dim).diagonal(axis1=1, axis2=2).real,
                     0.0, None)
@@ -416,7 +421,7 @@ def _apply_pauli_pair(vec: np.ndarray, cnot_gate: Gate,
     wires = (cnot_gate.ctrls[0], cnot_gate.ins[0])
     for q, which in zip(wires, divmod(pauli_index + 1, 4)):
         if which:
-            vec = _apply_1q_dense(vec, q, _PAULIS[which])
+            vec = _apply_1q_dense(vec[None], q, _PAULIS[which])[0]
     return vec
 
 
@@ -545,10 +550,6 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int,
     whose noiseless amplitudes it drops (from 10 qubits, one dense_run at
     well under 1% of the trajectory run's time).
     """
-    n = circuit.n
     ((totals, _),) = _noisy_runs([circuit], noise, shots, [seed])
-    return {
-        BitString.from_index(n, int(i)): int(c)
-        for i, c in enumerate(totals)
-        if c
-    }
+    return {BitString.from_index(circuit.n, int(i)): int(totals[i])
+            for i in np.flatnonzero(totals)}

@@ -312,6 +312,41 @@ def linear_path_gate(shape, n, rng):
     return rbs(theta, ins, outs, phi, **wiring)
 
 
+class TestExactLowering:
+    """Lowered gates equal their unitary outright, global phase included:
+    the amplitudes are the product, so a load run under a control sees a
+    sign that probabilities do not."""
+
+    def assert_exact(self, g, n):
+        got = lowered_unitary(lower_gate(g), n)
+        assert np.max(np.abs(got - gate_unitary(g, n))) < 1e-12, g
+
+    def test_two_wire_rbs_frames(self):
+        # an in-wire and an out-wire, on either side, and two out-wires
+        rng = np.random.default_rng(70)
+        for ins, outs in (((3,), (1,)), ((1,), (2,)), ((), (1, 3)), ((), (2, 3))):
+            for phased in (False, True):
+                theta, phi = (float(v) for v in rng.uniform(-3, 3, size=2))
+                g = rbs(theta, ins, outs, phi if phased else None)
+                assert lower_gate(g) == _rbs_top(g)
+                self.assert_exact(g, 3)
+
+    def test_rotations_up_to_six_controls(self):
+        # all controls, all anti-controls, and half of each
+        rng = np.random.default_rng(71)
+        for ell in range(7):
+            for cut in sorted({0, ell // 2, ell}):
+                target, *rest = (int(q) for q in rng.permutation(np.arange(1, ell + 2)))
+                wiring = dict(ctrls=tuple(sorted(rest[cut:])),
+                              anti_ctrls=tuple(sorted(rest[:cut])))
+                angle = float(rng.uniform(-3, 3))
+                axis = rng.normal(size=3)
+                axis = tuple(float(v) for v in axis / np.linalg.norm(axis))
+                for g in (ry(angle, target, **wiring), rz(angle, target, **wiring),
+                          rw(angle, axis, target, **wiring)):
+                    self.assert_exact(g, ell + 1)
+
+
 class TestLinearRotations:
     """From seven controls on, rotations take the 16 * ell - 24 CNOT construction."""
 
@@ -666,10 +701,11 @@ def lowered_digest(reports, full: bool) -> str:
 # Those four were taken again when the trailing phase fix gave way to a
 # leading global phase, which lowers to no CNOT. binary_real was taken again
 # when the full-basis loader became one uniformly controlled Ry per qubit,
-# which lowers to itself.
+# which lowers to itself. dense_real was taken again when the closing H turn
+# of the two-CNOT RBS frame became -iH, which lowers the frame to U, not -U.
 GOLDEN_LOWERED_CIRCUITS = {
     "binary_real": "75d9b62ed22c884ac6dc4279963224be43a8e3605871100aa58c92e884241779",
-    "dense_real": "b06573ffc96c83b742681d3215113d8acc06694c2cd6ec1d738ef7d1b22e205c",
+    "dense_real": "066de7ebc385d4e58c13964db0e943fd98b6da59e18f91000415f77c658deb05",
 }
 GOLDEN_LOWERED_CNOTS = {
     "dense_complex": "6b5ff32fda81f0a45fe3a2efce1eaba8d0e3d9873b10757e7d09b3f34923d9f7",

@@ -396,6 +396,33 @@ class TestBootstrap:
             bootstrap_bands({"0": 10}, 1, seed=0)
 
 
+class TestMitigateParts:
+    """The circuit runs as row 0 of its proxies' batch, and every field of
+    the report is exactly what the separate calls give."""
+
+    @pytest.mark.parametrize("n, k, p2, per_rate", [(4, 2, 0.02, 6), (4, 2, 0.0, 6),
+                                                    (10, 1, 0.02, 2)])
+    def test_equals_its_parts(self, n, k, p2, per_rate):
+        rng = np.random.default_rng(n)
+        rep = encode_dense_real(n, k, rng.normal(size=math.comb(n, k)))
+        circuit, ordering = lower(rep.circuit).circuit, list(rep.ordering)
+        cfg = CdrConfig(replacement_rates=(0.9, 1.0), circuits_per_rate=per_rate)
+        noise, shots, seed = NoiseModel(p2), 300, 17
+        report = mitigate_circuit(circuit, ordering, noise, cfg, shots=shots,
+                                  seed=seed, bootstrap=40)
+        s_raw, s_ens, s_noise, s_boot = (
+            int(s) for s in np.random.SeedSequence(seed).generate_state(4))
+        exact = np.abs(dense_run(circuit)) ** 2
+        assert report.target == {b: float(exact[b.to_index()]) for b in ordering}
+        counts = run_noisy(circuit, noise, shots, seed=s_raw)
+        assert report.raw == {b: counts.get(b, 0) / shots for b in ordering}
+        training = build_training_set(near_clifford_ensemble(circuit, cfg, s_ens),
+                                      noise, shots, ordering, s_noise)
+        assert report.fits == {b: fit_pairs(p) for b, p in training.items()}
+        assert report.mitigated == fit_and_mitigate(training, report.raw)[0]
+        assert report.bands == bootstrap_bands(counts, 40, s_boot, ordering)
+
+
 class TestEndToEnd:
     def test_report_shape_and_determinism(self):
         circuit, ordering = small_lowered(seed=5)

@@ -91,6 +91,9 @@ NOISY_CIRCUIT = Circuit(
 )
 
 PAULI_AXES = {1: (1.0, 0.0, 0.0), 2: (0.0, 1.0, 0.0), 3: (0.0, 0.0, 1.0)}
+PAULI_MATRICES = {1: np.array([[0, 1], [1, 0]], dtype=complex),
+                  2: np.array([[0, -1j], [1j, 0]], dtype=complex),
+                  3: np.array([[1, 0], [0, -1]], dtype=complex)}
 
 
 def with_paulis(circuit, choice):
@@ -726,6 +729,70 @@ class TestKernelBitwise:
         size = _STACK_ENTRIES >> 2 * ens[0].n
         for start in range(0, len(ens), size):
             assert_bitwise_canonical(ens[start:start + size], p2)
+
+
+def tensordot_1q(vec, q, u):
+    t = np.tensordot(u, vec.reshape(-1, 2, 1 << (q - 1)), axes=([1], [1]))
+    return t.transpose(1, 0, 2).reshape(-1)
+
+
+def tensordot_step(vec, g):
+    """The dense engine's old step: a CNOT gathers the vector through an
+    index permutation and a one-qubit gate is a ``tensordot`` on one axis."""
+    if g.kind == "CNOT":
+        index = np.arange(vec.size)
+        return vec[index ^ (((index >> (g.ctrls[0] - 1)) & 1) << (g.ins[0] - 1))]
+    return tensordot_1q(vec, g.ins[0], _single_qubit_matrix(g))
+
+
+def tensordot_replay(circuit, pattern):
+    """One insertion pattern's final vector through the old steps, from
+    |0...0>: Pauli pair p after CNOT s is X, Y or Z by divmod(p + 1, 4)."""
+    inserts = dict(pattern)
+    vec = np.zeros(2**circuit.n, dtype=complex)
+    vec[0] = 1.0
+    cnots = 0
+    for g in circuit.gates:
+        vec = tensordot_step(vec, g)
+        if g.kind == "CNOT":
+            for q, which in zip((g.ctrls[0], g.ins[0]),
+                                divmod(inserts.get(cnots, -1) + 1, 4)):
+                if which:
+                    vec = tensordot_1q(vec, q, PAULI_MATRICES[which])
+            cnots += 1
+    return vec
+
+
+class TestDenseStepBitwise:
+    """dense_run and trajectory replay share the noisy stack's one-qubit
+    step and its in-place CNOT swap, and every vector they return is byte
+    for byte the old tensordot-and-gather engine's."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_random_circuits(self, n):
+        rng = np.random.default_rng(80 + n)
+        for circ in one_skeleton(rng, n, 60, 3):
+            initial = int(rng.integers(2**n))
+            want = np.zeros(2**n, dtype=complex)
+            want[initial] = 1.0
+            for g in circ.gates:
+                want = tensordot_step(want, g)
+            assert dense_run(circ, initial).tobytes() == want.tobytes()
+
+    def test_replay_of_a_lowered_load(self):
+        # the lowered (10, 2) load of 1..45, 232 CNOTs, under the insertion
+        # patterns of 60 shots at p2 = 0.02, the noiseless one among them
+        report = encode_dense_real(10, 2, np.arange(1.0, 46.0))
+        circuit = lower(report.circuit).circuit
+        rng = np.random.default_rng(81)
+        fire = rng.random((60, circuit.cnot_count)) < 0.02
+        pauli = rng.integers(0, 15, size=fire.shape)
+        patterns = sorted({tuple((int(s), int(pauli[shot, s]))
+                                 for s in np.flatnonzero(fire[shot]))
+                           for shot in range(60)} | {()})
+        assert len(patterns) > 50
+        for pattern, vec in zip(patterns, _replay(circuit, patterns)):
+            assert vec.tobytes() == tensordot_replay(circuit, pattern).tobytes()
 
 
 class TestStackedKernel:
