@@ -128,6 +128,18 @@ class TestMultiplexedRotations:
         ax = (0.6, 0.0, 0.8)
         assert compile_mcry(rw(0.0, ax, 3, ctrls=(1, 2))) == []
         assert compile_mcry(rw(2 * np.pi, ax, 3, ctrls=(1,))) == []
+        # anti-controls leave no X pair around the empty rotation
+        assert compile_mcry(ry(0.0, 3, ctrls=(1,), anti_ctrls=(2, 4))) == []
+        assert compile_mcry(rz(0.0, 3, anti_ctrls=(1, 2, 4, 5, 6, 7, 8))) == []
+
+    def test_identity_mixing_gates_lower_to_their_ladder(self):
+        # a mirrored load of trailing zeros: each zero is an RBS with theta
+        # = 0 under an anti-control, and lowers to its ladder CNOTs alone
+        rep = encode_dense_real(9, 7, list(range(1, 21)) + [0] * 16)
+        zeros = [g for g in rep.circuit.gates if g.kind == "RBS" and g.theta == 0.0]
+        assert len(zeros) == 16
+        for g in zeros:
+            assert g.anti_ctrls and {x.kind for x in lower_gate(g)} == {"CNOT"}, g
 
     def test_half_turn_generic_axis(self):
         # exp(i*pi*W) = -I for every axis; the lowering must reproduce
@@ -255,14 +267,15 @@ class TestUniformlyControlled:
             compiler.uniformly_controlled(ry, [0.1, 0.2], 1, (2, 3))
 
 
-def pushed_unitary(gates, n):
+def pushed_unitary(gates, n, u=None):
     """Unitary of CNOT-level gates, all identity columns pushed through at once.
 
     A CNOT permutes rows and a one-qubit gate is a 2x2 on one row axis, so
     ten wires take a fraction of a second where circuit_unitary takes tens.
+    Given the columns ``u``, it pushes those instead.
     """
     dim = 1 << n
-    u = np.eye(dim, dtype=complex)
+    u = np.eye(dim, dtype=complex) if u is None else u
     rows = np.arange(dim)
     for g in gates:
         if g.kind == "CNOT":
@@ -270,7 +283,7 @@ def pushed_unitary(gates, n):
             u = u[rows ^ (((rows >> (c - 1)) & 1) << (t - 1))]
         else:
             blocks = u.reshape(dim >> g.target, 2, -1)
-            u = np.matmul(_single_qubit_matrix(g), blocks).reshape(dim, dim)
+            u = np.matmul(_single_qubit_matrix(g), blocks).reshape(dim, -1)
     return u
 
 
@@ -318,8 +331,13 @@ class TestExactLowering:
     sign that probabilities do not."""
 
     def assert_exact(self, g, n):
-        got = lowered_unitary(lower_gate(g), n)
-        assert np.max(np.abs(got - gate_unitary(g, n))) < 1e-12, g
+        # on random unit states, since eleven wires are too many to push a
+        # whole unitary through
+        rng = np.random.default_rng(n)
+        states = rng.normal(size=(1 << n, 4)) + 1j * rng.normal(size=(1 << n, 4))
+        states /= np.linalg.norm(states, axis=0)
+        got = pushed_unitary(lower_gate(g), n, states)
+        assert np.max(np.abs(got - gate_unitary(g, n) @ states)) < 1e-12, g
 
     def test_two_wire_rbs_frames(self):
         # an in-wire and an out-wire, on either side, and two out-wires
@@ -331,10 +349,11 @@ class TestExactLowering:
                 assert lower_gate(g) == _rbs_top(g)
                 self.assert_exact(g, 3)
 
-    def test_rotations_up_to_six_controls(self):
-        # all controls, all anti-controls, and half of each
+    def test_rotations_up_to_ten_controls(self):
+        # all controls, all anti-controls, and half of each; from seven
+        # controls on they take the linear construction
         rng = np.random.default_rng(71)
-        for ell in range(7):
+        for ell in range(11):
             for cut in sorted({0, ell // 2, ell}):
                 target, *rest = (int(q) for q in rng.permutation(np.arange(1, ell + 2)))
                 wiring = dict(ctrls=tuple(sorted(rest[cut:])),
@@ -345,6 +364,20 @@ class TestExactLowering:
                 for g in (ry(angle, target, **wiring), rz(angle, target, **wiring),
                           rw(angle, axis, target, **wiring)):
                     self.assert_exact(g, ell + 1)
+
+    def test_wide_rbs_with_linear_central_rotation(self):
+        # the central rotation gets the in-wire's partner as a control and
+        # every other mixed wire as an anti-control: 8 and 7 controls here
+        shapes = (((1, 2), (3, 4), dict(ctrls=(5, 6, 7), anti_ctrls=(8, 9))),
+                  ((), (1, 2, 3, 4), dict(ctrls=(5, 6), anti_ctrls=(7, 8))))
+        for ins, outs, wiring in shapes:
+            for phi in (None, 0.9):
+                g = rbs(1.3, ins, outs, phi, **wiring)
+                ell = len(g.ctrls + g.anti_ctrls) + len(ins + outs) - 1
+                assert ell >= 7
+                ladder = 2 * (len(ins + outs) - 1)
+                assert cnots(lower_gate(g)) == ladder + 16 * ell - 24
+                self.assert_exact(g, max(g.qubits))
 
 
 class TestLinearRotations:
@@ -360,7 +393,7 @@ class TestLinearRotations:
         for shape, n in cases:
             g = linear_path_gate(shape, n, rng)
             lowered = lower_gate(g)
-            dist = phase_distance(gate_unitary(g, n), pushed_unitary(lowered, n))
+            dist = np.max(np.abs(gate_unitary(g, n) - pushed_unitary(lowered, n)))
             assert dist < TOL, (g, dist)
             # a stack would cost 2^(n-1) CNOTs for its widest rotation
             linear += cnots(lowered) < 1 << (n - 1)
@@ -376,18 +409,19 @@ class TestLinearRotations:
             g = rw(lam, axis, 6, ctrls=ctrls, anti_ctrls=antis)
             lowered = compile_mcry(g)
             assert cnots(lowered) == 16 * 8 - 24
-            assert phase_distance(gate_unitary(g, 9), pushed_unitary(lowered, 9)) < TOL
+            assert np.max(np.abs(gate_unitary(g, 9) - pushed_unitary(lowered, 9))) < TOL
 
     def test_fixed_gates_built_once(self):
         ctrls = tuple(range(2, 10))
         first = compile_mcry(ry(0.4, 1, ctrls=ctrls))
         second = compile_mcry(ry(-1.3, 1, ctrls=ctrls))
         assert len(first) == len(second)
-        # only the two target rotations depend on the angle
+        # only the target rotations depend on the angle: A, its inverse, and
+        # the leading -A = Ry(pi - lam/4), which folds the X gates' phase of -1
         differ = [i for i, (a, b) in enumerate(zip(first, second)) if a is not b]
         assert [first[i].kind for i in differ] == ["Ry"] * 4
-        assert len({id(first[i]) for i in differ}) == 2
-        assert {first[i].theta for i in differ} == {-0.4 / 4, 0.4 / 4}
+        assert len({id(first[i]) for i in differ}) == 3
+        assert {first[i].theta for i in differ} == {np.pi + 0.4 / 4, -0.4 / 4, 0.4 / 4}
 
     def test_lowered_binary_emits_its_cnots(self):
         rep = encode_binary(8, np.random.default_rng(61).normal(size=256))
@@ -444,7 +478,7 @@ class TestLoweringProperty:
     def test_exact_and_within_bound(self, case):
         n, g = case
         lowered = lower_gate(g)
-        assert phase_distance(gate_unitary(g, n), pushed_unitary(lowered, n)) < TOL
+        assert np.max(np.abs(gate_unitary(g, n) - pushed_unitary(lowered, n))) < TOL
         assert cnots(lowered) <= gate_cnot_bound(g)
 
 
@@ -528,8 +562,20 @@ class TestMixingGates:
 
 
 class TestTemplateChoice:
-    """A two-wire mixing gate takes "top" only without controls; building
-    both templates shows that the pick never needs more CNOTs."""
+    """A two-wire mixing gate takes "top" only without controls; pricing
+    "top" under controls shows that the pick never needs more CNOTs."""
+
+    @staticmethod
+    def top_price(g):
+        """CNOTs of the frame with its rotations under the gate's controls:
+        2 + 2 c(l), plus 2 c_z(l) with a phase, c and c_z being the CNOTs of
+        the half-angle Ry and the quarter-turn Rz under those controls."""
+        wiring = dict(ctrls=g.ctrls, anti_ctrls=g.anti_ctrls)
+        t = g.outs[0]
+        price = 2 + 2 * cnots(compile_mcry(ry(g.theta / 2.0, t, **wiring)))
+        if g.phi:
+            price += 2 * cnots(compile_mcry(rz(g.phi / 2.0, t, **wiring)))
+        return price
 
     def test_rule_never_dearer_than_other_template(self):
         rng = np.random.default_rng(54)
@@ -548,14 +594,18 @@ class TestTemplateChoice:
                         gates += [rbs(theta, (src,), (dst,), phi, **wires),
                                   rbs(theta, (), tuple(sorted((src, dst))), phi, **wires)]
                     for g in gates:
-                        top, bottom = _rbs_top(g), _mixing_bottom(g)
-                        picked, other = (top, bottom) if ell == 0 else (bottom, top)
-                        assert lower_gate(g) == picked, g
-                        assert cnots(picked) <= cnots(other), g
-                        if cnots(top) == cnots(bottom):
+                        top, bottom = self.top_price(g), cnots(_mixing_bottom(g))
+                        if ell == 0:
+                            assert lower_gate(g) == _rbs_top(g), g
+                            assert cnots(_rbs_top(g)) == top, g
+                            assert top <= bottom, g
+                        else:
+                            assert lower_gate(g) == _mixing_bottom(g), g
+                            assert bottom <= top, g
+                        if top == bottom:
                             seen["tie"] += 1
                         else:
-                            seen["top" if cnots(top) < cnots(bottom) else "bottom"] += 1
+                            seen["top" if top < bottom else "bottom"] += 1
         # each template is strictly cheaper somewhere, and ties occur
         assert min(seen.values()) > 0, seen
 
@@ -657,19 +707,14 @@ class TestLower:
         assert dist < TOL
 
     def test_lowered_encoders_match_logical(self):
+        # outright, global phase included
         rng = np.random.default_rng(57)
         z = rng.normal(size=10) + 1j * rng.normal(size=10)
-        rep = encode_dense_complex(5, 2, z)
-        dist = phase_distance(
-            circuit_unitary(rep.circuit), circuit_unitary(lower(rep.circuit).circuit)
-        )
-        assert dist < TOL
-
-        rep = encode_binary(4, rng.normal(size=16))
-        dist = phase_distance(
-            circuit_unitary(rep.circuit), circuit_unitary(lower(rep.circuit).circuit)
-        )
-        assert dist < TOL
+        for rep in (encode_dense_complex(5, 2, z), encode_binary(4, rng.normal(size=16))):
+            dist = np.max(np.abs(
+                circuit_unitary(rep.circuit) - circuit_unitary(lower(rep.circuit).circuit)
+            ))
+            assert dist < TOL
 
     def test_lowered_state_matches_on_simulator(self):
         from hwenc.simulator import run
