@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from hwenc.compiler import lower
-from hwenc.counting import closed_form_dense, count_binary, count_dense
+from hwenc.counting import count_binary, count_dense
 from hwenc.encoders import (
     EncodingError,
     encode_binary,
@@ -186,10 +186,6 @@ def _cmd_count(args) -> int:
         return 0
     if args.k is None:
         raise ValueError("count needs --k unless --binary or --check-8n2n")
-    if args.mode == "closed-form":
-        total = closed_form_dense(args.n, args.k, args.complex_amplitudes)
-        print(json.dumps({"n": args.n, "k": args.k, "total": total}))
-        return 0
     if args.mode == "actual":
         seed = _resolve_seed(args.seed)
         from math import comb
@@ -350,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--complex", dest="complex_amplitudes",
                    action="store_true")
-    p.add_argument("--mode", choices=("analytic", "closed-form", "actual"),
+    p.add_argument("--mode", choices=("analytic", "actual"),
                    default="analytic")
     p.add_argument("--binary", action="store_true",
                    help="budget the all-weights encoder instead")

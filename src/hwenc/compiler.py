@@ -26,7 +26,8 @@ need two rotations under l controls where "bottom" needs one under l + 1,
 and with c(l) the CNOTs of a rotation under l controls, c(l + 1) <= 2 c(l):
 2^(l+1) = 2 * 2^l for the multiplexor, 88 <= 128 where seven controls first
 take the linear construction, and 16 l - 8 <= 32 l - 48 beyond. Without
-controls "top" costs 2 CNOTs and "bottom" 2 or 4.
+controls "top" costs 2 CNOTs and "bottom" 2 or 4. A mixing gate whose block
+is the identity lowers to nothing under either template.
 
 Every lowered gate equals its logical unitary exactly, global phase
 included; :func:`phase_distance` compares up to a global phase, for checks
@@ -305,7 +306,7 @@ def _rbs_top(gate: Gate) -> list[Gate]:
     The frame (iH and a CNOT, then the CNOT and -iH) holds two half-angle
     Ry gates and, with a phase, is followed by a pair of quarter-turn Rz
     gates. :func:`lower_gate` takes it only for an uncontrolled two-wire
-    gate, so every rotation is a plain one.
+    gate that is not the identity, so every rotation is a plain one.
     """
     if gate.ins:
         src, dst, flip = gate.ins[0], gate.outs[0], []
@@ -338,7 +339,8 @@ def _mixing_bottom(gate: Gate) -> list[Gate]:
     The ladder maps the two mixed basis patterns onto the values of a
     single wire; every spectator wire must read zero there, which the
     central rotation enforces with anti-controls, so the construction is
-    exact on the full space.
+    exact on the full space.  When that rotation is no gate, neither is the
+    ladder around it.
     """
     ins, outs = gate.ins, gate.outs
     ladder: list[Gate] = []
@@ -359,6 +361,8 @@ def _mixing_bottom(gate: Gate) -> list[Gate]:
     lam, axis = _mixing_central(gate)
     rotation = _controlled(lam, axis, target, gate.ctrls + extra_ctrl,
                            tuple(sorted(gate.anti_ctrls + spectators)))
+    if not rotation:
+        return []
     return ladder + rotation + list(reversed(ladder))
 
 
@@ -378,7 +382,7 @@ def lower_gate(gate: Gate) -> list[Gate]:
     if gate.kind in ("Ry", "Rz", "Rw"):
         return compile_mcry(gate)
     if len(gate.ins) + len(gate.outs) == 2 and not (gate.ctrls or gate.anti_ctrls):
-        return _rbs_top(gate)
+        return [] if _is_identity(_mixing_central(gate)[0]) else _rbs_top(gate)
     return _mixing_bottom(gate)
 
 

@@ -18,7 +18,12 @@ import numpy as np
 
 from hwenc.compiler import lower
 from hwenc.encoders import encode_dense_real
-from hwenc.mitigation import CdrConfig, bootstrap_bands, mitigate_circuit
+from hwenc.mitigation import (
+    CdrConfig,
+    bootstrap_bands,
+    mean_relative_error,
+    mitigate_circuit,
+)
 from hwenc.simulator import NoiseModel, run_noisy
 
 
@@ -76,17 +81,14 @@ class DemoReport:
     mitigated: bool
 
     def mean_rel_err_raw(self) -> float:
-        return _mean_err([r.rel_err_raw for r in self.rows])
+        return mean_relative_error({r.bits: r.raw for r in self.rows},
+                                   {r.bits: r.target for r in self.rows})
 
     def mean_rel_err_mitigated(self) -> float:
-        return _mean_err([r.rel_err_mitigated for r in self.rows])
-
-
-def _mean_err(errs) -> float:
-    present = [e for e in errs if e is not None]
-    if not present:
-        raise ValueError("no relative errors present")
-    return float(np.mean(present))
+        if not self.mitigated:
+            raise ValueError("the report was not mitigated")
+        return mean_relative_error({r.bits: r.mitigated for r in self.rows},
+                                   {r.bits: r.target for r in self.rows})
 
 
 def q_exponential(x: float, q: float) -> float:

@@ -6,18 +6,16 @@ beyond).  X and CNOT flip an index bit on the entries whose controls hold and
 re-sort; every other gate is a 2x2 block on pairs of indices that differ by a
 fixed bit flip, found with ``searchsorted``, with a partner inserted only when
 it is new and nonzero.  A gate thus costs a few array passes over the support,
-which for encoder circuits is d << 2^n, so this is the default.  That step is
-:func:`apply_gate`, the engine's only one-gate entry: :func:`run` loops it over
-a circuit and the dense engine runs its controlled and mixing gates through
-it.  The per-state action of ``ir.apply_to_basis_state`` is the reference it
-is tested against.
+which for encoder circuits is d << 2^n, so this is the one exact engine for
+logical circuits.  That step is :func:`apply_gate`, the engine's only
+one-gate entry, which :func:`run` loops over a circuit.  The per-state action
+of ``ir.apply_to_basis_state`` is the reference it is tested against.
 
-A dense engine (numpy vectors, up to 16 qubits) backs exact runs of
-CNOT-level circuits.  Its two steps serve every statevector here: a one-qubit
-gate is a 2x2 product on one axis of a stack of vectors, and a CNOT swaps two
-quarter slices in place, so its caller owns the array.  A controlled or
-mixing gate goes through the sparse pair kernel over every index, so no gate
-is ever built as a 2^n x 2^n matrix.
+A dense engine (numpy vectors, up to 16 qubits) is the exact engine for
+CNOT-level circuits, and refuses logical ones.  Its two steps serve every
+statevector here: a one-qubit gate is a 2x2 product on one axis of a stack
+of vectors, and a CNOT swaps two quarter slices in place, so its caller owns
+the array.  No gate is ever built as a 2^n x 2^n matrix.
 
 Noise is a single synthetic channel: after every CNOT, with probability p2,
 a uniformly random non-identity two-qubit Pauli hits that CNOT's wires.
@@ -85,8 +83,8 @@ class SparseState:
         }
 
     def as_vector(self) -> np.ndarray:
-        if self.n > 12:
-            raise ValueError("dense view limited to 12 qubits")
+        if self.n > 16:
+            raise ValueError("dense view limited to 16 qubits")
         v = np.zeros(2**self.n, dtype=complex)
         for i, a in self.amps.items():
             v[i] = a
@@ -167,7 +165,7 @@ def _scatter(values: np.ndarray, new: np.ndarray, at: np.ndarray,
 def apply_gate(idx: np.ndarray, amp: np.ndarray,
                gate: Gate) -> tuple[np.ndarray, np.ndarray]:
     """One gate on a sorted index array and its amplitudes: the step that
-    :func:`run` and the dense engine loop over.
+    :func:`run` loops over.
 
     Matches ``apply_to_basis_state`` summed over the support, to rounding;
     amplitudes that cancel exactly are dropped.  ``amp`` may be updated in
@@ -277,15 +275,18 @@ def _apply_1q_dense(stack: np.ndarray, q: int, u: np.ndarray) -> np.ndarray:
 
 
 def dense_run(circuit: Circuit, initial=0) -> np.ndarray:
-    """Full statevector run of any circuit up to 16 qubits.
+    """Full statevector run of a CNOT-level circuit up to 16 qubits.
 
     ``initial`` is one basis state as ``_basis_index`` reads it; a bool, a
-    non-integer, another width or an index out of range raises ValueError.
-    A CNOT swaps two quarter slices of the vector in place and a plain
-    one-qubit gate is a 2x2 block on one axis; controlled and mixing gates
-    run the sparse pair kernel over every index.
+    non-integer, another width or an index out of range raises ValueError,
+    and so does a logical circuit: :func:`run` is the exact engine for those.
+    A CNOT swaps two quarter slices of the vector in place and a one-qubit
+    gate is a 2x2 block on one axis.
     """
     n = circuit.n
+    if circuit.level != "cnot":
+        raise ValueError(
+            "dense runs need a cnot-level circuit; lower the circuit first or use run")
     if n > 16:
         raise ValueError("dense run limited to 16 qubits")
     vec = np.zeros(2**n, dtype=complex)
@@ -296,15 +297,11 @@ def dense_run(circuit: Circuit, initial=0) -> np.ndarray:
 
 
 def _apply_gate_dense(vec: np.ndarray, g: Gate) -> np.ndarray:
-    """One gate on a statevector the caller owns; a CNOT changes it in place."""
+    """One CNOT-level gate on a statevector the caller owns; a CNOT changes
+    it in place."""
     if g.kind == "CNOT":
         _swap_cnot(vec, g.ctrls[0] - 1, g.ins[0] - 1)
         return vec
-    if g.kind == "RBS" or g.ctrls or g.anti_ctrls:
-        idx, amp = apply_gate(np.arange(vec.size), vec, g)
-        out = np.zeros_like(vec)
-        out[idx] = amp
-        return out
     return _apply_1q_dense(vec[None], g.ins[0], _single_qubit_matrix(g))[0]
 
 

@@ -195,10 +195,9 @@ class TestCount:
         assert [r["gates"] for r in payload["rows"]] == [4, 10]
 
     def test_closed_form(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "count", "--n", "6", "--k", "2", "--mode", "closed-form",
-        )
-        assert json.loads(out)["total"] == 68
+        # the default output carries the paper's closed form next to the rows
+        code, out, _ = run_cli(capsys, "count", "--n", "6", "--k", "2")
+        assert json.loads(out)["analytic_total"] == 68
 
     def test_actual_prints_seed(self, capsys):
         code, out, _ = run_cli(
@@ -225,11 +224,17 @@ class TestCount:
 
     # --k 0 is falsy, so the check must test for presence, not truth
     @pytest.mark.parametrize("flags", [("--k", "0"), ("--mode", "actual"),
-                                       ("--mode", "closed-form"), ("--k", "2")])
+                                       ("--k", "2")])
     def test_binary_budget_rejects_ignored_flags(self, capsys, flags):
         code, out, err = run_cli(capsys, "count", "--n", "3", "--binary", *flags)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and all(f in err for f in flags)
+
+    def test_closed_form_mode_is_gone(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--n", "3", "--binary",
+                                 "--mode", "closed-form")
+        assert code == 2 and out == ""
+        assert "invalid choice: 'closed-form'" in err
 
     def test_size_bound_check(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--n", "2", "--check-8n2n", "10")

@@ -27,6 +27,7 @@ from hwenc.ir import (
     GATE_KINDS,
     Circuit,
     Gate,
+    _mixing_matrix,
     _single_qubit_matrix,
     circuit_unitary,
     cnot,
@@ -132,14 +133,22 @@ class TestMultiplexedRotations:
         assert compile_mcry(ry(0.0, 3, ctrls=(1,), anti_ctrls=(2, 4))) == []
         assert compile_mcry(rz(0.0, 3, anti_ctrls=(1, 2, 4, 5, 6, 7, 8))) == []
 
-    def test_identity_mixing_gates_lower_to_their_ladder(self):
+    def test_identity_mixing_gates_lower_to_nothing(self):
         # a mirrored load of trailing zeros: each zero is an RBS with theta
-        # = 0 under an anti-control, and lowers to its ladder CNOTs alone
-        rep = encode_dense_real(9, 7, list(range(1, 21)) + [0] * 16)
+        # = 0 under an anti-control, and its ladder goes with its rotation
+        from hwenc.simulator import run
+
+        x = np.array(list(range(1, 21)) + [0] * 16, dtype=float)
+        rep = encode_dense_real(9, 7, x)
         zeros = [g for g in rep.circuit.gates if g.kind == "RBS" and g.theta == 0.0]
         assert len(zeros) == 16
         for g in zeros:
-            assert g.anti_ctrls and {x.kind for x in lower_gate(g)} == {"CNOT"}, g
+            assert g.anti_ctrls and lower_gate(g) == [], g
+        lowered = lower(rep.circuit)
+        assert lowered.cnot_total == 86
+        want = {b.to_index(): v for b, v in zip(rep.ordering, x / np.linalg.norm(x))}
+        got = run(lowered.circuit).as_vector()
+        assert np.max(np.abs(got - [want.get(i, 0.0) for i in range(2**9)])) < 1e-12
 
     def test_half_turn_generic_axis(self):
         # exp(i*pi*W) = -I for every axis; the lowering must reproduce
@@ -595,6 +604,11 @@ class TestTemplateChoice:
                                   rbs(theta, (), tuple(sorted((src, dst))), phi, **wires)]
                     for g in gates:
                         top, bottom = self.top_price(g), cnots(_mixing_bottom(g))
+                        if ell == 0 and np.allclose(_mixing_matrix(g), np.eye(2),
+                                                    rtol=0, atol=1e-12):
+                            # no gate under either template
+                            assert lower_gate(g) == _mixing_bottom(g) == [], g
+                            continue
                         if ell == 0:
                             assert lower_gate(g) == _rbs_top(g), g
                             assert cnots(_rbs_top(g)) == top, g
@@ -609,13 +623,16 @@ class TestTemplateChoice:
         # each template is strictly cheaper somewhere, and ties occur
         assert min(seen.values()) > 0, seen
 
-    def test_uncontrolled_identity_takes_top(self):
-        # theta = 0 with no controls: both templates cost 2 CNOTs, and the
-        # gate takes the frame
-        g = rbs(0.0, (1,), (2,))
-        assert cnots(_rbs_top(g)) == cnots(_mixing_bottom(g)) == 2
-        assert lower_gate(g) == _rbs_top(g)
-        assert cnots(lower_gate(g)) == 2
+    def test_uncontrolled_identity_is_no_gate(self):
+        # theta = 0 or 2 pi with no controls is no gate; the block -I
+        # (theta = pi) and a phase at theta = 0 are not the identity
+        for g in (rbs(0.0, (1,), (2,)), rbs(2 * np.pi, (2,), (1,)),
+                  rbs(0.0, (), (1, 2)), rbs(np.pi, (1,), (2,), np.pi)):
+            assert lower_gate(g) == [], g
+        for g in (rbs(np.pi, (1,), (2,)), rbs(0.0, (1,), (2,), 0.3),
+                  rbs(0.0, (), (1, 2), 0.3)):
+            assert lower_gate(g) == _rbs_top(g), g
+            assert np.max(np.abs(lowered_unitary(_rbs_top(g), 2) - gate_unitary(g, 2))) < 1e-12
 
 
 class TestLower:

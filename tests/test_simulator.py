@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from hwenc.bitstrings import BitString
 from hwenc.compiler import lower
-from hwenc.encoders import encode_dense_real
-from hwenc.encoders import encode_dense_complex
+from hwenc.encoders import encode_binary, encode_dense_complex, encode_dense_real
 from hwenc.ir import (
     GATE_KINDS,
     Circuit,
@@ -195,6 +194,12 @@ class TestSparseState:
     def test_as_vector(self):
         s = SparseState(2, {0b01: 1j})
         np.testing.assert_allclose(s.as_vector(), [0, 1j, 0, 0])
+
+    def test_as_vector_up_to_16_qubits(self):
+        vec = SparseState(16, {0: 0.6 + 0j, 2**16 - 1: 0.8j}).as_vector()
+        assert vec.shape == (2**16,) and vec[0] == 0.6 and vec[-1] == 0.8j
+        with pytest.raises(ValueError, match="16 qubits"):
+            SparseState(17, {0: 1.0 + 0j}).as_vector()
 
     @pytest.mark.parametrize("ref", [1.5, True, "0101", 4, -1])
     def test_amplitude_rejects_what_is_not_a_basis_state(self, ref):
@@ -413,61 +418,26 @@ class TestDenseRun:
                 dense_run(c), circuit_unitary(c)[:, 0], atol=1e-12
             )
 
-    def test_logical_matches_unitary_column(self):
-        # every logical gate kind, RBS in three shapes, each under random
-        # controls and anti-controls, from a random basis state
-        rng = np.random.default_rng(29)
-        for _ in range(30):
-            n = int(rng.integers(2, 7))
-            gates = []
-            for _ in range(10):
-                shape = rng.choice(["Ry", "Rz", "Rw", "X", "CNOT",
-                                   "RBS", "RBS phased", "RBS wide"])
-                w = [int(q) for q in rng.permutation(n) + 1]
-                theta, phi = rng.uniform(-3, 3, size=2)
-                if shape == "X":
-                    gates.append(x_gate(w[0]))
-                    continue
-                if shape == "CNOT":
-                    gates.append(cnot(w[0], w[1]))
-                    continue
-                if shape == "RBS wide":
-                    m = int(rng.integers(0, min(3, n)))
-                    mp = int(rng.integers(1, min(3, n - m) + 1))
-                    ins, outs = w[:m], w[m : m + mp]
-                elif shape in ("RBS", "RBS phased"):
-                    ins, outs = w[:1], w[1:2]
-                else:
-                    ins, outs = w[:1], []
-                spare = w[len(ins) + len(outs):]
-                split = int(rng.integers(0, len(spare) + 1))
-                ctrls = spare[:int(rng.integers(0, split + 1))]
-                anti = spare[split : split + int(rng.integers(0, 3))]
-                if shape == "Ry":
-                    g = ry(theta, ins[0], ctrls, anti)
-                elif shape == "Rz":
-                    g = rz(phi, ins[0], ctrls, anti)
-                elif shape == "Rw":
-                    ax = rng.normal(size=3)
-                    g = rw(theta, tuple(ax / np.linalg.norm(ax)), ins[0], ctrls, anti)
-                else:
-                    g = rbs(theta, ins, outs, None if shape == "RBS" else phi, ctrls, anti)
-                gates.append(g)
-            c = Circuit(n, tuple(gates))
-            initial = int(rng.integers(1, 2**n))
-            np.testing.assert_allclose(
-                dense_run(c, initial=initial), circuit_unitary(c)[:, initial],
-                rtol=0, atol=1e-12,
-            )
-
     def test_logical_past_12_qubits_matches_sparse(self):
+        # a logical circuit's dense view is run's: every amplitude in place
         rng = np.random.default_rng(31)
         x = rng.normal(size=91) + 1j * rng.normal(size=91)
-        c = encode_dense_complex(14, 2, x).circuit
-        want = np.zeros(2**14, dtype=complex)
-        for i, a in run(c).amps.items():
-            want[i] = a
-        np.testing.assert_allclose(dense_run(c), want, rtol=0, atol=1e-12)
+        state = run(encode_dense_complex(14, 2, x).circuit)
+        vec = state.as_vector()
+        assert vec.shape == (2**14,)
+        assert np.count_nonzero(vec) == len(state.amps) == 91
+        for i, a in state.amps.items():
+            assert vec[i] == a
+
+    def test_logical_circuits_refused(self):
+        logical = [encode_dense_real(4, 2, np.arange(1.0, 7.0)).circuit,
+                   encode_binary(3, np.arange(1.0, 9.0)).circuit]
+        for c in logical:
+            assert c.level == "logical"
+            with pytest.raises(ValueError, match="lower the circuit first or use run"):
+                dense_run(c)
+            assert np.allclose(dense_run(lower(c).circuit), run(c).as_vector(),
+                               rtol=0, atol=1e-12)
 
     def test_cnot_level_past_12_qubits(self):
         c = Circuit(14, (x_gate(14), cnot(14, 1), ry(0.5, 7)), level="cnot")
@@ -478,10 +448,10 @@ class TestDenseRun:
     @pytest.mark.parametrize("index", [-1, 4, True, 1.5])
     def test_initial_index_out_of_range_rejected(self, index):
         with pytest.raises(ValueError, match="outside|not an integer"):
-            dense_run(Circuit(2), initial=index)
+            dense_run(Circuit(2, level="cnot"), initial=index)
 
     def test_initial_numpy_integer_index(self):
-        vec = dense_run(Circuit(2, (x_gate(1),)), initial=np.int64(3))
+        vec = dense_run(Circuit(2, (x_gate(1),), level="cnot"), initial=np.int64(3))
         np.testing.assert_array_equal(vec, [0, 0, 1, 0])
 
     def test_sparse_agrees_with_dense(self):
