@@ -222,9 +222,10 @@ class TestCount:
         assert payload["total"] == 124 and payload["analytic_total"] is None
         assert [r["gates"] for r in payload["rows"]] == [2] * 6
 
-    # --k 0 is falsy, so the check must test for presence, not truth
+    # --k 0 is falsy, so the check must test for presence, not truth;
+    # --k 3 is the full weight, a k that count without --binary accepts
     @pytest.mark.parametrize("flags", [("--k", "0"), ("--mode", "actual"),
-                                       ("--k", "2")])
+                                       ("--k", "3"), ("--k", "2")])
     def test_binary_budget_rejects_ignored_flags(self, capsys, flags):
         code, out, err = run_cli(capsys, "count", "--n", "3", "--binary", *flags)
         assert code == 1 and out == ""
