@@ -11,9 +11,12 @@ The walk over weight-k strings operates on positions (its pivot rules talk
 about "left" and "right" of the written word); everything gate-facing is
 expressed in qubit labels.
 
-:func:`walk_wires` is the one place that reads a gate's wires off a walk:
-the encoders build their gates from it and ``counting.count_sparse`` prices
-the same wires.
+:func:`walk_wires` reads a gate's wires off a walk: ones shared by a pair
+are its controls. The sparse encoder builds its gates from it and
+``counting.count_sparse`` prices the same wires. :func:`walk_literals`
+keeps its in- and out-wires and, where that takes fewer, controls the gate
+only on what separates it from the strings loaded before; the dense
+encoders build their gates from it.
 """
 
 from dataclasses import dataclass
@@ -195,3 +198,78 @@ def walk_wires(
         p = gate_params(b, b_next, untouched)
         untouched = p.untouched
         yield tuple(sorted(p.ins)), tuple(sorted(p.outs)), tuple(sorted(p.ctrls))
+
+
+def walk_literals(
+    walk: Sequence[BitString],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """Sorted ``(ins, outs, ctrls, anti_ctrls)`` of each gate of
+    :func:`walk_wires`, with controls that separate only the strings
+    loaded before it.
+
+    The gate taking b_j onto b_{j+1} acts on every basis state that reads
+    b_j's or b_{j+1}'s pattern on its mixed wires, so it must leave out each
+    earlier string b_i (i < j) that does; later strings hold no amplitude
+    yet. A literal is a wire off the mixed pair held at b_j's value, a
+    control where b_j reads 1 and an anti-control where it reads 0, and it
+    leaves out every string that reads the other value there. Literals are
+    picked greedily, the one leaving out the most strings not yet left out
+    first (ties to the lowest label), and they replace :func:`walk_wires`'
+    controls only when they are strictly fewer, so no gate carries more
+    controls than that walk gives it.
+
+    Each wire holds its ones over the walk positions as one integer bit
+    set, so a greedy round costs two big-integer operations per free wire.
+    """
+    n, full = walk[0].n, (1 << len(walk)) - 1
+    # column p of the written strings is qubit n - p; bit i is walk[i]
+    ones = {n - p: int("".join(column)[::-1], 2)
+            for p, column in enumerate(zip(*(b.bits for b in walk)))}
+    zeros = {q: full ^ s for q, s in ones.items()}
+    for j, (ins, outs, ctrls) in enumerate(walk_wires(walk)):
+        here = there = (1 << j) - 1
+        for q in ins:
+            here &= ones[q]
+            there &= zeros[q]
+        for q in outs:
+            here &= zeros[q]
+            there &= ones[q]
+        # bit i of hits is walk[base + i]
+        hits, base = here | there, 0
+        bits = walk[j].bits
+        free = [q for q in range(1, n + 1) if q not in ins and q not in outs]
+        # the strings a literal keeps: those reading b_j's value on its wire
+        keep = [ones[q] if bits[n - q] == "1" else zeros[q] for q in free]
+        picks = []
+        while hits and len(picks) + 1 < len(ctrls):
+            if len(picks) + 2 == len(ctrls):
+                # a last pick that leaves a hit means the fallback, so only a
+                # wire leaving out every hit, the latest one too, can be it
+                latest = walk[base + hits.bit_length() - 1].bits
+                q = next((q for q, s in zip(free, keep)
+                          if latest[n - q] != bits[n - q] and not hits & s), None)
+                if q is not None:
+                    hits = 0
+                    picks.append(q)
+                break
+            left = [(hits & s).bit_count() for s in keep]
+            i = left.index(min(left))
+            hits &= keep.pop(i)
+            picks.append(free.pop(i))
+            # the hits left gather late in the walk: once the first of them
+            # is past half way, drop the bits below it. That is one more
+            # pass over the wires, which pays only once the sets run to
+            # thousands of bits; below that the interpreter's work dominates
+            top = hits.bit_length()
+            if top > 4096:
+                low = (hits & -hits).bit_length() - 1
+                if 2 * low > top:
+                    width = (1 << top) - 1
+                    hits >>= low
+                    base += low
+                    keep = [(s & width) >> low for s in keep]
+        if hits:
+            yield ins, outs, ctrls, ()
+        else:
+            yield (ins, outs, tuple(sorted(q for q in picks if bits[n - q] == "1")),
+                   tuple(sorted(q for q in picks if bits[n - q] == "0")))

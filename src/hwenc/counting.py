@@ -163,9 +163,12 @@ def closed_form_dense(n: int, k: int, complex_amplitudes: bool = False) -> int:
 def count_dense(n: int, k: int, complex_amplitudes: bool = False) -> CnotBudget:
     """Budget for the full dense encoder at weight k, one row per control count.
 
-    The census is fixed by the walk: choose(n - (k - ell), ell + 1)
-    mixing gates carry ell controls. The row total equals the closed
-    form for every n and k.
+    The census is the paper's, fixed by the walk: choose(n - (k - ell),
+    ell + 1) mixing gates carry ell controls under ``walk_wires``. A built
+    dense circuit takes the controls of ``walk_literals``, at most that
+    many per gate, and every per-gate bound grows with the control count,
+    so the total stays a ceiling. The row total equals the closed form for
+    every n and k.
     """
     analytic = closed_form_dense(n, k, complex_amplitudes)
     kk = min(k, n - k)

@@ -19,21 +19,27 @@ controlled rotation per qubit, in 2^n - 2 CNOTs (twice that with phases).
 Every encoder returns an :class:`EncoderReport` whose ``ordering`` maps
 vector slot i to the basis state that receives amplitude ``x[i] / |x|``.
 
-Each cascade gate's wires come from ``bitstrings.walk_wires`` and the
-sparse address rules are :func:`_check_addresses`; ``counting.count_sparse``
-uses both, so a budget prices the very gates the encoder emits. A complex
-encoder adds one gate in front, the global phase on |0^n> as an
-uncontrolled Rz, which costs no CNOT and so has no row in any budget.
+A sparse gate's wires come from ``bitstrings.walk_wires`` and the sparse
+address rules are :func:`_check_addresses`; ``counting.count_sparse`` uses
+both, so a sparse budget prices the very gates the encoder emits. A dense
+gate takes the same in- and out-wires with the controls of
+``bitstrings.walk_literals``: a greedy set of wires, held at their value in
+the first string of the pair, that leaves every string loaded before it
+alone, used only where it is smaller than the controls ``walk_wires``
+gives, so the dense budgets price each gate at or above its cost. A complex encoder adds one gate in
+front, the global phase on |0^n> as an uncontrolled Rz, which costs no
+CNOT and so has no row in any budget.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .bitstrings import BitString, EhrlichState, walk_states, walk_wires
+from .bitstrings import BitString, EhrlichState, walk_literals, walk_states, walk_wires
 from .compiler import uniformly_controlled
 from .coordinates import angles_from_complex, angles_from_real
 from .ir import Circuit, Gate, rbs, ry, rz, x_gate
@@ -125,18 +131,20 @@ def _x_layer(labels) -> list[Gate]:
 
 
 def _cascade(
-    n: int, walk: list[BitString], x: np.ndarray, with_phases: bool, mirrored: bool = False
+    n: int, walk: list[BitString], steps: Iterable[tuple[tuple[int, ...], ...]],
+    x: np.ndarray, with_phases: bool, mirrored: bool = False,
 ) -> EncoderReport:
     """Load the normalized ``x`` onto ``walk``, one mixing gate per consecutive pair.
 
-    The wires come from :func:`walk_wires`: ones shared by a pair are
-    controls (minus those on wires still in their initial state), ones only
-    in the first string are in-wires and ones only in the second are
-    out-wires. A real single raise is a controlled Ry and every other
-    step an RBS on those wires. ``mirrored`` loads the complement of every
-    walk string instead. With phases every RBS carries a phase angle, and
-    the global phase psi_0 comes first as ``rz(-psi_0, 1)``, which sends
-    |0^n> to exp(i psi_0)|0^n> exactly and lowers to no CNOT.
+    ``steps`` gives each gate's ``(ins, outs, ctrls, anti_ctrls)``, from
+    :func:`walk_wires` (with no anti-controls) or :func:`walk_literals`:
+    ones only in the first string of a pair are in-wires, ones only in the
+    second are out-wires, and the controls leave alone every string loaded
+    before. A real single raise is a controlled Ry and every other step an
+    RBS on those wires. ``mirrored`` loads the complement of every walk
+    string instead. With phases every RBS carries a phase angle, and the
+    global phase psi_0 comes first as ``rz(-psi_0, 1)``, which sends |0^n>
+    to exp(i psi_0)|0^n> exactly and lowers to no CNOT.
     """
     d = len(walk)
     if with_phases:
@@ -147,13 +155,11 @@ def _cascade(
 
     gates = [rz(-phis[0], 1)] if with_phases else []
     gates += _x_layer(ordering[0].ones)
-    for j, (ins, outs, ctrls) in enumerate(walk_wires(walk)):
+    for j, (ins, outs, ctrls, anti_ctrls) in enumerate(steps):
         if mirrored:
-            # complemented wires swap roles and shared ones become shared zeros
-            ins, outs = outs, ins
-            wires = dict(ctrls=(), anti_ctrls=ctrls)
-        else:
-            wires = dict(ctrls=ctrls)
+            # complemented wires swap roles, and so do ones and zeros held
+            ins, outs, ctrls, anti_ctrls = outs, ins, anti_ctrls, ctrls
+        wires = dict(ctrls=ctrls, anti_ctrls=anti_ctrls)
         if with_phases:
             gates.append(rbs(thetas[j], ins, outs, phis[j + 1], **wires))
         elif not ins and len(outs) == 1:
@@ -194,7 +200,7 @@ def _dense(n: int, k: int, x, with_phases: bool) -> EncoderReport:
     mirrored = k > n - k
     start = EhrlichState.start(n, n - k if mirrored else k)
     walk = [s.string for s in walk_states(start, d)]
-    return _cascade(n, walk, _normalized(x), with_phases, mirrored)
+    return _cascade(n, walk, walk_literals(walk), _normalized(x), with_phases, mirrored)
 
 
 def encode_dense_real(n: int, k: int, x) -> EncoderReport:
@@ -252,7 +258,8 @@ def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderRepor
     # a lone negative value needs its argument fixed like a complex one
     with_phases = bool(np.any(values.imag != 0.0) or (s == 1 and values[0].real < 0))
     target = _normalized(values)
-    report = _cascade(n, addresses, target, with_phases)
+    steps = ((ins, outs, ctrls, ()) for ins, outs, ctrls in walk_wires(addresses))
+    report = _cascade(n, addresses, steps, target, with_phases)
 
     amps = run(report.circuit).amps
     got = np.array([amps.get(b.to_index(), 0j) for b in report.ordering])

@@ -10,7 +10,9 @@ from hwenc.bitstrings import (
     ehrlich_sequence,
     gate_params,
     next_state,
+    walk_literals,
     walk_states,
+    walk_wires,
 )
 
 # Golden run for n=6, k=2: every visited string with its marked positions,
@@ -170,3 +172,39 @@ class TestGateParams:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             gate_params(BitString("01"), BitString("011"), frozenset())
+
+
+def _plain_literals(walk, j, ctrls):
+    """Controls and anti-controls of gate j by the greedy of walk_literals,
+    over a plain list of earlier strings: score every free wire every round."""
+    b, b_next = walk[j].to_index(), walk[j + 1].to_index()
+    n = walk[j].n
+    mixed = b ^ b_next
+    hits = [s for s in (w.to_index() for w in walk[:j])
+            if s & mixed in (b & mixed, b_next & mixed)]
+    free = [q for q in range(1, n + 1) if not mixed >> (q - 1) & 1]
+    picks = []
+    while hits and len(picks) + 1 < len(ctrls):
+        # most strings left out first, ties to the lowest label
+        q = max(free, key=lambda q: (sum((s ^ b) >> (q - 1) & 1 for s in hits), -q))
+        free.remove(q)
+        picks.append(q)
+        hits = [s for s in hits if not (s ^ b) >> (q - 1) & 1]
+    if hits:
+        return ctrls, ()
+    held = [q for q in sorted(picks) if b >> (q - 1) & 1]
+    return tuple(held), tuple(q for q in sorted(picks) if q not in held)
+
+
+def test_walk_literals_is_the_plain_greedy():
+    # every gate of the short walks, and gates of a walk long enough for
+    # walk_literals to shift its bit sets (past 4,096 strings)
+    cases = [(ehrlich_sequence(n, k), None) for n in range(2, 10) for k in range(1, n)]
+    cases.append((ehrlich_sequence(15, 7), range(4098, 6434, 61)))
+    for walk, gates in cases:
+        wires = list(walk_wires(walk))
+        steps = list(walk_literals(walk))
+        assert len(steps) == len(wires) == len(walk) - 1
+        for j in gates or range(len(steps)):
+            ins, outs, ctrls = wires[j]
+            assert steps[j] == (ins, outs) + _plain_literals(walk, j, ctrls), (walk[j], j)

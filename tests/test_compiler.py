@@ -765,12 +765,14 @@ def lowered_digest(reports, full: bool) -> str:
 # when the full-basis loader became one uniformly controlled Ry per qubit,
 # which lowers to itself. dense_real was taken again when the closing H turn
 # of the two-CNOT RBS frame became -iH, which lowers the frame to U, not -U.
+# dense_real and dense_complex were taken again when dense gates took the
+# controls of walk_literals, which lowers three gates of each to fewer CNOTs.
 GOLDEN_LOWERED_CIRCUITS = {
     "binary_real": "75d9b62ed22c884ac6dc4279963224be43a8e3605871100aa58c92e884241779",
-    "dense_real": "066de7ebc385d4e58c13964db0e943fd98b6da59e18f91000415f77c658deb05",
+    "dense_real": "2bbfa0321aac6908051951a183364d6fad042a79883abbd88a122c13721d9b91",
 }
 GOLDEN_LOWERED_CNOTS = {
-    "dense_complex": "6b5ff32fda81f0a45fe3a2efce1eaba8d0e3d9873b10757e7d09b3f34923d9f7",
+    "dense_complex": "983a0c8ea8ebd5e387b1e234cfc5ea6ae2c92e6a73ce056f9557c0d39ce366ee",
     "dense_complex_mirrored": "1509133dc4bade4d78e456b920ffa657d5b8a4d6e0e58e743764724abac2ea3a",
     "sparse_complex": "bec1461b385dd2f0237334f55120813559556a09c074b52ada718700c4486fa2",
     "sparse_real": "b8ce2634e66e0782b676f2f65d452616a803df9eb071fb3c6c027f48ec8be379",

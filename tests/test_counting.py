@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwenc import compiler
-from hwenc.bitstrings import BitString
+from hwenc.bitstrings import BitString, walk_wires
 from hwenc.compiler import compile_mcry, lower, lower_gate
 from hwenc.counting import (
     BudgetRow,
@@ -163,12 +163,15 @@ class TestDenseBudget:
         for n, k in [(5, 2), (6, 2), (6, 3), (7, 3), (6, 4)]:
             budget = count_dense(n, k)
             rep = encode_dense_real(n, k, rng.normal(size=comb(n, k)))
-            mixers = [g for g in rep.circuit.gates if g.kind != "X"]
+            # a heavy weight walks the complements
+            walk = [b.complement() if 2 * k > n else b for b in rep.ordering]
+            steps = list(walk_wires(walk))
             for ell, row in enumerate(budget.rows):
-                have = sum(
-                    1 for g in mixers if len(g.ctrls) + len(g.anti_ctrls) == ell
-                )
+                have = sum(1 for _, _, ctrls in steps if len(ctrls) == ell)
                 assert have == row.gates, (n, k, ell)
+            mixers = [g for g in rep.circuit.gates if g.kind != "X"]
+            for g, (_, _, ctrls) in zip(mixers, steps, strict=True):
+                assert len(g.ctrls) + len(g.anti_ctrls) <= len(ctrls), (n, k, g)
 
     def test_closed_form_equals_summation(self):
         for n in range(2, 17):

@@ -24,8 +24,8 @@ from hwenc.encoders import (
     encode_sparse,
 )
 from hwenc.compiler import lower, lower_gate
-from hwenc.counting import gate_cnot_bound
-from hwenc.ir import serialize
+from hwenc.counting import count_dense, count_sparse, gate_cnot_bound
+from hwenc.ir import apply_to_basis_state, serialize
 from hwenc.simulator import SparseState, run
 from test_acceptance import GOLDEN_BINARY_LEVELS, stack_layout
 from test_simulator import apply_to_amps
@@ -190,13 +190,18 @@ class TestDenseReal:
         assert_loads(rep, x)
 
     def test_control_census(self):
+        # the paper's census holds on the walk's own wires; a built gate
+        # carries at most as many controls as its walk_wires gate
         for n, k in [(5, 2), (6, 2), (6, 3), (7, 3)]:
             rep = encode_dense_real(n, k, np.arange(1.0, comb(n, k) + 1.0))
-            mixers = [g for g in rep.circuit.gates if g.kind != "X"]
+            steps = list(walk_wires(rep.ordering))
             for ell in range(0, k):
                 expect = comb(n - (k - ell), ell + 1)
-                have = sum(1 for g in mixers if len(g.ctrls) == ell)
+                have = sum(1 for _, _, ctrls in steps if len(ctrls) == ell)
                 assert have == expect, (n, k, ell)
+            mixers = [g for g in rep.circuit.gates if g.kind != "X"]
+            for g, (_, _, ctrls) in zip(mixers, steps, strict=True):
+                assert len(g.ctrls) + len(g.anti_ctrls) <= len(ctrls), (n, k, g)
 
     def test_d_out_of_range(self):
         with pytest.raises(EncodingError, match="between 2 and"):
@@ -234,6 +239,36 @@ class TestDenseReal:
     def test_smallest_subnormal_is_not_zero(self):
         tiny = np.array([5e-324, 0.0, 5e-324])
         assert_loads(encode_dense_real(3, 1, tiny), [1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_dense_gates_leave_loaded_strings_alone(n):
+    """Each dense mixing gate fixes every string loaded before it, and the
+    pruned controls keep every lowered gate and load within its budget.
+
+    Every weight (mirrored ones included), the full class and a prefix of
+    it, real and complex.
+    """
+    rng = np.random.default_rng(900 + n)
+    for k in range(1, n):
+        space = comb(n, k)
+        for d in sorted({space, max(2, space // 3)}):
+            for encode, cplx in ((encode_dense_real, False), (encode_dense_complex, True)):
+                x = rng.normal(size=d)
+                if cplx:
+                    x = x + 1j * rng.normal(size=d)
+                rep = encode(n, k, x)
+                mixers = rep.circuit.gates[-(d - 1):]
+                for j, gate in enumerate(mixers):
+                    for b in rep.ordering[:j]:
+                        i = b.to_index()
+                        assert apply_to_basis_state(gate, i) == {i: 1}, (n, k, d, j, b.bits)
+                low = lower(rep.circuit)
+                for gate, cnots in zip(rep.circuit.gates, low.gate_cnots, strict=True):
+                    assert cnots <= gate_cnot_bound(gate), (n, k, d, gate)
+                budget = (count_dense(n, k, cplx) if d == space
+                          else count_sparse(n, rep.ordering, cplx))
+                assert low.cnot_total <= budget.total, (n, k, d, cplx)
 
 
 def _cascade_psi0(z):
@@ -715,12 +750,14 @@ GOLDEN_FAMILIES = {
 # global phase an Rz: each equals the earlier JSON with the kinds relabelled.
 # sparse_real holds a lone negative value, loaded as a phase. binary_real
 # was taken again when the full-basis loader became one uniformly
-# controlled Ry per qubit.
+# controlled Ry per qubit. dense_real and dense_complex were taken again
+# when dense gates took the controls of walk_literals: three gates of each
+# carry fewer controls, and every other field is unchanged.
 GOLDEN_DIGESTS = {
     "binary_real": "935ef4c6b7e6353112a0061ca1b3980625163ac394f13bb1289fabbf4416d71b",
-    "dense_complex": "6c1de75f65c91df24f187fcbe549e521321c4cc387578616307725dc51d8fb2b",
+    "dense_complex": "279999725edbe4ca4849545e0b1be9e36c85915c6078de4d6b2b7a607e879ff2",
     "dense_complex_mirrored": "d7c7efffa74f558eb81590dfb3b088e68c702f36a14b41ed84f3c4f6474598ac",
-    "dense_real": "a70fe91b3eada93afd86468f37307ea72481832420bb2f79a9e4a15eccbf3752",
+    "dense_real": "c3fd32c4f10efa54e1e53f131498fcadf18a55b84a60cdebfb5e00222ad5d4c3",
     "sparse_complex": "8720b0c8ab3065ffe00a6e1273ab92a5a4fa03fe30d5892bbd230bdf0b20e268",
     "sparse_real": "caaa26e79221c49c9a13196ada36aba3389bd54e939ee04a5f0d65bf67f919b0",
 }
