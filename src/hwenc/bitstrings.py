@@ -218,56 +218,39 @@ def walk_literals(
     controls only when they are strictly fewer, so no gate carries more
     controls than that walk gives it.
 
-    Each wire holds its ones over the walk positions as one integer bit
-    set, so a greedy round costs two big-integer operations per free wire.
+    Each wire holds its ones over the walk as one integer bit set, the
+    first string in the top bit. Gate j shifts the sets it reads down to
+    the strings before b_j, the latest in bit 0, so a greedy round costs
+    two big-integer operations per free wire, each as long as the stretch
+    back to the earliest string still hit.
     """
-    n, full = walk[0].n, (1 << len(walk)) - 1
-    # column p of the written strings is qubit n - p; bit i is walk[i]
-    ones = {n - p: int("".join(column)[::-1], 2)
+    n, d = walk[0].n, len(walk)
+    full = (1 << d) - 1
+    # column p of the written strings is qubit n - p; bit d - 1 - i is walk[i]
+    ones = {n - p: int("".join(column), 2)
             for p, column in enumerate(zip(*(b.bits for b in walk)))}
     zeros = {q: full ^ s for q, s in ones.items()}
     for j, (ins, outs, ctrls) in enumerate(walk_wires(walk)):
+        # shifted by d - j, bit i of a set is walk[j - 1 - i]
+        cut = d - j
         here = there = (1 << j) - 1
         for q in ins:
-            here &= ones[q]
-            there &= zeros[q]
+            here &= ones[q] >> cut
+            there &= zeros[q] >> cut
         for q in outs:
-            here &= zeros[q]
-            there &= ones[q]
-        # bit i of hits is walk[base + i]
-        hits, base = here | there, 0
+            here &= zeros[q] >> cut
+            there &= ones[q] >> cut
+        hits = here | there
         bits = walk[j].bits
         free = [q for q in range(1, n + 1) if q not in ins and q not in outs]
         # the strings a literal keeps: those reading b_j's value on its wire
-        keep = [ones[q] if bits[n - q] == "1" else zeros[q] for q in free]
+        keep = [(ones[q] if bits[n - q] == "1" else zeros[q]) >> cut for q in free]
         picks = []
         while hits and len(picks) + 1 < len(ctrls):
-            if len(picks) + 2 == len(ctrls):
-                # a last pick that leaves a hit means the fallback, so only a
-                # wire leaving out every hit, the latest one too, can be it
-                latest = walk[base + hits.bit_length() - 1].bits
-                q = next((q for q, s in zip(free, keep)
-                          if latest[n - q] != bits[n - q] and not hits & s), None)
-                if q is not None:
-                    hits = 0
-                    picks.append(q)
-                break
             left = [(hits & s).bit_count() for s in keep]
             i = left.index(min(left))
             hits &= keep.pop(i)
             picks.append(free.pop(i))
-            # the hits left gather late in the walk: once the first of them
-            # is past half way, drop the bits below it. That is one more
-            # pass over the wires, which pays only once the sets run to
-            # thousands of bits; below that the interpreter's work dominates
-            top = hits.bit_length()
-            if top > 4096:
-                low = (hits & -hits).bit_length() - 1
-                if 2 * low > top:
-                    width = (1 << top) - 1
-                    hits >>= low
-                    base += low
-                    keep = [(s & width) >> low for s in keep]
         if hits:
             yield ins, outs, ctrls, ()
         else:
