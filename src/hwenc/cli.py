@@ -45,12 +45,21 @@ def _resolve_seed(value) -> int:
 
 
 def _read_vector(path: str, complex_amplitudes: bool) -> np.ndarray:
+    """One amplitude a row: a real number, or with ``complex_amplitudes``
+    a real part and an optional imaginary part. A longer row is refused,
+    not cut short."""
     values = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
+            if len(row) > 1 + complex_amplitudes:
+                want = "re[,im]" if complex_amplitudes else "one real"
+                if len(row) == 2:  # two cells in real mode
+                    want += "; pass --complex for re,im rows"
+                raise EncodingError(
+                    f"{path} row {reader.line_num}: {len(row)} cells, want {want}")
             try:
                 if complex_amplitudes:
                     re = float(row[0])
@@ -126,6 +135,12 @@ def _cmd_sparse(args) -> int:
     for i, e in enumerate(entries):
         if not isinstance(e, dict) or "bits" not in e:
             raise EncodingError(f"sparse entry {i} needs a 'bits' field")
+        extra = set(e) - {"bits", "re", "im"}
+        if extra:
+            raise EncodingError(
+                f"sparse entry {i}: unknown fields {sorted(extra)};"
+                " an entry holds 'bits', 're' and 'im'"
+            )
         parts = (e.get("re", 0.0), e.get("im", 0.0))
         if any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in parts):
             raise EncodingError(f"sparse entry {i}: 're' and 'im' must be numbers")

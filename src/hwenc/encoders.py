@@ -8,9 +8,8 @@ mixing gate per consecutive pair. They differ only in their walk:
   slice of a) fixed-weight basis in minimal-change order, walked at the
   complementary weight and mirrored when k > n/2.
 - ``encode_sparse``: an arbitrary list of (value, address) pairs with
-  non-decreasing address weight. It checks its circuit with one
-  ``simulator.run`` and replays the gates through ``simulator.apply_gate``
-  only to name the gate of a failed load.
+  non-decreasing address weight. Its gates leave every earlier address
+  alone by construction (see :func:`encode_sparse`), so it runs no circuit.
 
 The full-basis ``encode_binary`` / ``encode_binary_complex`` walk no list:
 they split amplitude down a binary tree over the indices with one uniformly
@@ -43,15 +42,10 @@ from .bitstrings import BitString, EhrlichState, walk_literals, walk_states, wal
 from .compiler import uniformly_controlled
 from .coordinates import angles_from_complex, angles_from_real
 from .ir import Circuit, Gate, rbs, ry, rz, x_gate
-from .simulator import _to_arrays, apply_gate, run
 
 
 class EncodingError(ValueError):
     """Raised when encoder input violates a precondition."""
-
-
-class EncodingVerificationError(EncodingError):
-    """Raised when a constructed circuit fails its own simulation check."""
 
 
 @dataclass(frozen=True)
@@ -234,10 +228,13 @@ def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderRepor
     Addresses must appear in non-decreasing weight order (pass
     ``sort_by_weight=True`` for a stable pre-sort; nothing is reordered
     silently). Complex mode switches on automatically when any value has
-    a nonzero imaginary part. The circuit is then run once and every
-    loaded amplitude compared with its target; on a mismatch the gates are
-    replayed to name the first one that disturbs an already-loaded
-    address, and :class:`EncodingVerificationError` is raised.
+    a nonzero imaginary part.
+
+    No circuit is run: mixing gate j leaves every earlier address alone by
+    construction. An earlier b_i that meets its controls and reads b_j's
+    (or b_{j+1}'s) pattern on its mixed wires holds every one of that
+    string's ones, since a control dropped as untouched reads 1 on every
+    loaded string, and weight order then makes b_i that string itself.
     """
     values, addresses = [], []
     for i, item in enumerate(data):
@@ -259,43 +256,7 @@ def encode_sparse(n: int, data, *, sort_by_weight: bool = False) -> EncoderRepor
     with_phases = bool(np.any(values.imag != 0.0) or (s == 1 and values[0].real < 0))
     target = _normalized(values)
     steps = ((ins, outs, ctrls, ()) for ins, outs, ctrls in walk_wires(addresses))
-    report = _cascade(n, addresses, steps, target, with_phases)
-
-    amps = run(report.circuit).amps
-    got = np.array([amps.get(b.to_index(), 0j) for b in report.ordering])
-    if np.any(np.abs(got - target) > 1e-9):
-        _raise_at_disturbing_gate(report, target)
-    return report
-
-
-def _raise_at_disturbing_gate(report: EncoderReport, target: np.ndarray) -> None:
-    """Replay a sparse load gate by gate and raise at the first gate that
-    leaves an already-loaded amplitude off its target.
-
-    After mixing gate j the first j addresses must hold their targets, and
-    after the last one all of them; only a load that has failed its one-run
-    check comes here, so the per-gate checks cost nothing on a good circuit.
-    """
-    ordering, gates = report.ordering, report.circuit.gates
-    s = len(ordering)
-    mixing = len(gates) - (s - 1)  # index of the first mixing gate
-    idx, amp = _to_arrays({0: 1.0 + 0j}, report.circuit.n)
-
-    def check(upto: int, label: str) -> None:
-        amps = dict(zip(idx.tolist(), amp.tolist()))
-        for b, want in zip(ordering[:upto], target[:upto]):
-            got, want = amps.get(b.to_index(), 0j), complex(want)
-            if abs(got - want) > 1e-9:
-                raise EncodingVerificationError(
-                    f"{label} disturbed amplitude of {b.bits}:"
-                    f" got {got:.12g}, want {want:.12g}"
-                )
-
-    for i, gate in enumerate(gates):
-        idx, amp = apply_gate(idx, amp, gate)
-        if i >= mixing:
-            check(i - mixing + 1, f"gate {i - mixing + 1}")
-    check(s, f"gate {s - 1}" if s > 1 else "phase layer")
+    return _cascade(n, addresses, steps, target, with_phases)
 
 
 # ---------------------------------------------------------------------------

@@ -96,18 +96,21 @@ class TestEncode:
         )
         assert code == 1 and err.startswith("error:")
 
+    # a row with more cells than the mode reads is refused, not cut short
     @pytest.mark.parametrize("text, flags, cell", [
         ("0.5\n# note\nabc\n", (), "'abc'"),
         ("0.5,0.1\n\n0.5,x\n", ("--complex",), "'x'"),
+        ("0.5\n0.1\n1,0.5\n", (), "2 cells, want one real; pass --complex"),
+        ("0.5\n0.1\n1,0.5,2\n", (), "3 cells, want one real"),
+        ("0.5,0.1\n0.5\n1,0.5,2\n", ("--complex",), "3 cells, want re[,im]"),
     ])
     def test_bad_cell_names_file_and_row(self, capsys, tmp_path, text, flags, cell):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        code, out, err = run_cli(
-            capsys, "encode", "--n", "3", "--k", "1", "--input", str(path), *flags,
-        )
-        assert code == 1 and out == ""
-        assert err.startswith(f"error: {path} row 3: ") and cell in err
+        for command in (("encode", "--n", "3", "--k", "1"), ("binary", "--n", "2")):
+            code, out, err = run_cli(capsys, *command, "--input", str(path), *flags)
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: {path} row 3: ") and cell in err
 
     def test_empty_input(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
@@ -150,16 +153,19 @@ class TestSparse:
         code, _, err = run_cli(capsys, "sparse", "--n", "4", "--input", path)
         assert code == 1 and "entry 0" in err
 
-    @pytest.mark.parametrize("entry", [
-        {"bits": "011", "re": "0.5"},
-        {"bits": "011", "re": 0.5, "im": None},
-        {"bits": "011", "re": True},
-    ], ids=["string", "null", "bool"])
-    def test_non_number_value(self, capsys, tmp_path, entry):
+    # a field other than bits, re and im is refused, not read as 0
+    @pytest.mark.parametrize("entry, named", [
+        ({"bits": "011", "re": "0.5"}, "'re' and 'im' must be numbers"),
+        ({"bits": "011", "re": 0.5, "im": None}, "'re' and 'im' must be numbers"),
+        ({"bits": "011", "re": True}, "'re' and 'im' must be numbers"),
+        ({"bits": "011", "value": 0.6}, "unknown fields ['value']"),
+        ({"bits": "011", "re": 0.5, "imag": 0.1, "Im": 0.2}, "unknown fields ['Im', 'imag']"),
+    ], ids=["string", "null", "bool", "value", "imag"])
+    def test_non_number_value(self, capsys, tmp_path, entry, named):
         path = self.write(tmp_path, [{"bits": "101", "re": 0.6}, entry])
         code, out, err = run_cli(capsys, "sparse", "--n", "3", "--input", path)
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and "entry 1" in err
+        assert err.startswith("error: sparse entry 1") and named in err
 
     def test_non_list_input(self, capsys, tmp_path):
         path = self.write(tmp_path, {"bits": "0011"})
