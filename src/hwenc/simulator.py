@@ -1,21 +1,30 @@
-"""Sparse statevector simulation, sampling, and synthetic CNOT noise.
+"""Exact statevector simulation, sampling, and synthetic CNOT noise.
 
-The sparse engine keeps the support as a sorted array of basis indices with a
-matching complex amplitude array (int64 indices up to 62 qubits, Python ints
-beyond).  X and CNOT flip an index bit on the entries whose controls hold and
-re-sort; every other gate is a 2x2 block on pairs of indices that differ by a
-fixed bit flip, found with ``searchsorted``, with a partner inserted only when
-it is new and nonzero.  A gate thus costs a few array passes over the support,
-which for encoder circuits is d << 2^n, so this is the one exact engine for
-logical circuits.  That step is :func:`apply_gate`, the engine's only
-one-gate entry, which :func:`run` loops over a circuit.  The per-state action
-of ``ir.apply_to_basis_state`` is the reference it is tested against.
+:func:`run` is the exact engine for every circuit, logical or CNOT-level.
+Up to 16 qubits it holds the state as one complex vector viewed as a
+(2,)*n tensor whose axis n - q holds qubit q, so the flat index is
+``BitString.to_index``.  Each gate is one slice step: controls fix their
+axes to 1 and anti-controls theirs to 0, the lo slice reads the gate's
+in-wires 1 and out-wires 0 (a one-qubit gate: its target 0) and the hi
+slice the mirror, and a 2x2 block mixes the two; X and CNOT swap them.
+Wider circuits keep the support as a sorted array of basis indices with a
+matching complex amplitude array (int64 indices up to 62 qubits, Python
+ints beyond).  X and CNOT flip an index bit on the entries whose controls
+hold and re-sort; every other gate is a 2x2 block on pairs of indices that
+differ by a fixed bit flip, found with ``searchsorted``, with a partner
+inserted only when it is new and nonzero.  A gate thus costs a few array
+passes over the support, which for encoder circuits is d << 2^n.  That
+step is :func:`apply_gate`.  Both steps form the same products and sums,
+so the width decides only the speed, and the per-state action of
+``ir.apply_to_basis_state`` is the reference both are tested against.
 
-A dense engine (numpy vectors, up to 16 qubits) is the exact engine for
-CNOT-level circuits, and refuses logical ones.  Its two steps serve every
-statevector here: a one-qubit gate is a 2x2 product on one axis of a stack
-of vectors, and a CNOT swaps two quarter slices in place, so its caller owns
-the array.  No gate is ever built as a 2^n x 2^n matrix.
+:func:`dense_run` (numpy vectors, up to 16 qubits) runs CNOT-level
+circuits only, and refuses logical ones.  Its two steps serve the noisy
+engines: a one-qubit gate is a 2x2 product on one axis of a stack of
+vectors, and a CNOT swaps two quarter slices in place, so its caller owns
+the array.  Its product rounds differently from :func:`run`'s, and seeded
+noisy counts depend on that rounding.  No gate is ever built as a
+2^n x 2^n matrix.
 
 Noise is a single synthetic channel: after every CNOT, with probability p2,
 a uniformly random non-identity two-qubit Pauli hits that CNOT's wires.
@@ -57,6 +66,9 @@ from hwenc.ir import (
 
 PRUNE_TOL = 1e-12
 
+# widest circuit held as a full statevector (2^n amplitudes, 1 MB at n = 16)
+_DENSE_QUBITS = 16
+
 
 @dataclass
 class SparseState:
@@ -83,8 +95,8 @@ class SparseState:
         }
 
     def as_vector(self) -> np.ndarray:
-        if self.n > 16:
-            raise ValueError("dense view limited to 16 qubits")
+        if self.n > _DENSE_QUBITS:
+            raise ValueError(f"dense view limited to {_DENSE_QUBITS} qubits")
         v = np.zeros(2**self.n, dtype=complex)
         for i, a in self.amps.items():
             v[i] = a
@@ -217,26 +229,77 @@ def _initial_amps(n: int, initial) -> dict:
 
 
 def run(circuit: Circuit, initial=None) -> SparseState:
-    """Run a circuit exactly on the sparse array engine.
+    """Run a circuit exactly, logical or CNOT-level, at any width.
 
-    The state is a sorted index array and its complex amplitudes, one kernel
-    call a gate.  ``initial`` may be a SparseState over the circuit's qubits,
-    one basis state as ``_basis_index`` reads it, or None for the all-zeros
-    state; another width, a bool, a non-integer or an index out of range
-    raises ValueError.  The norm is checked after
-    every gate; its drift past 1e-9 raises ArithmeticError.  Amplitudes
-    below 1e-12 are pruned at the end (mid-circuit cancellation residue),
-    never during the run.
+    Up to 16 qubits the state is one complex vector viewed as a (2,)*n
+    tensor, one :func:`_slice_step` a gate; wider circuits keep a sorted
+    index array and its complex amplitudes, one :func:`apply_gate` a gate.
+    Both steps form the same products and sums, so they agree to the bit.
+    ``initial`` may be a SparseState over the circuit's qubits, one basis
+    state as ``_basis_index`` reads it, or None for the all-zeros state;
+    another width, a bool, a non-integer or an index out of range raises
+    ValueError.  The norm is checked after every gate; its drift past 1e-9
+    raises ArithmeticError.  Amplitudes below 1e-12 are pruned at the end
+    (mid-circuit cancellation residue), never during the run.
     """
     n = circuit.n
-    idx, amp = _to_arrays(_initial_amps(n, initial), n)
+    amps = _initial_amps(n, initial)
+    if n > _DENSE_QUBITS:
+        idx, amp = _to_arrays(amps, n)
+        for i, gate in enumerate(circuit.gates):
+            idx, amp = apply_gate(idx, amp, gate)
+            _check_norm(float(np.vdot(amp, amp).real), i)
+        keep = np.abs(amp) > PRUNE_TOL
+        return SparseState(n, dict(zip(idx[keep].tolist(), amp[keep].tolist())))
+    vec = np.zeros(2**n, dtype=complex)
+    vec[list(amps)] = list(amps.values())
+    tensor, parts = vec.reshape((2,) * n), vec.view(np.float64)
     for i, gate in enumerate(circuit.gates):
-        idx, amp = apply_gate(idx, amp, gate)
-        norm = float(np.vdot(amp, amp).real)
-        if abs(norm - 1.0) > 1e-9:
-            raise ArithmeticError(f"norm drifted to {norm} after gate {i}")
-    keep = np.abs(amp) > PRUNE_TOL
-    return SparseState(n, dict(zip(idx[keep].tolist(), amp[keep].tolist())))
+        _slice_step(tensor, gate)
+        _check_norm(float(parts @ parts), i)
+    idx = np.flatnonzero(np.abs(vec) > PRUNE_TOL)
+    return SparseState(n, dict(zip(idx.tolist(), vec[idx].tolist())))
+
+
+def _check_norm(norm: float, i: int) -> None:
+    if abs(norm - 1.0) > 1e-9:
+        raise ArithmeticError(f"norm drifted to {norm} after gate {i}")
+
+
+def _slice_step(tensor: np.ndarray, gate: Gate) -> None:
+    """One gate in place on a statevector viewed as a (2,)*n tensor, whose
+    axis n - q holds qubit q.
+
+    Controls fix their axes to 1 and anti-controls theirs to 0.  The lo
+    slice reads in-wires 1 and out-wires 0 (an RBS) or the target 0, the hi
+    slice the mirror, and the 2x2 block takes them to u00 a + u01 b and
+    u10 a + u11 b, the products and sums of :func:`_apply_pair`; X and
+    CNOT swap the two slices.
+    """
+    n = tensor.ndim
+    lo = [slice(None)] * n
+    for q in gate.ctrls:
+        lo[n - q] = 1
+    for q in gate.anti_ctrls:
+        lo[n - q] = 0
+    hi = lo[:]
+    if gate.kind == "RBS":
+        for q in gate.ins:
+            lo[n - q], hi[n - q] = 1, 0
+        for q in gate.outs:
+            lo[n - q], hi[n - q] = 0, 1
+    else:
+        lo[n - gate.ins[0]], hi[n - gate.ins[0]] = 0, 1
+    # the trailing Ellipsis keeps a slice that fixes every axis a 0-d array:
+    # NumPy's scalar product rounds differently from its array loop
+    lo, hi = (*lo, ...), (*hi, ...)
+    if gate.kind in ("X", "CNOT"):
+        tensor[lo], tensor[hi] = tensor[hi], tensor[lo].copy()
+        return
+    u = _mixing_matrix(gate) if gate.kind == "RBS" else _single_qubit_matrix(gate)
+    (u00, u01), (u10, u11) = u.tolist()
+    a, b = tensor[lo], tensor[hi]
+    tensor[lo], tensor[hi] = u00 * a + u01 * b, u10 * a + u11 * b
 
 
 def sample(state: SparseState, shots: int, seed: int) -> dict[BitString, int]:
@@ -287,8 +350,8 @@ def dense_run(circuit: Circuit, initial=0) -> np.ndarray:
     if circuit.level != "cnot":
         raise ValueError(
             "dense runs need a cnot-level circuit; lower the circuit first or use run")
-    if n > 16:
-        raise ValueError("dense run limited to 16 qubits")
+    if n > _DENSE_QUBITS:
+        raise ValueError(f"dense run limited to {_DENSE_QUBITS} qubits")
     vec = np.zeros(2**n, dtype=complex)
     vec[_basis_index(initial, n, "initial state")] = 1.0
     for g in circuit.gates:
@@ -489,8 +552,8 @@ def _check_noisy_runs(circuits, shots: int) -> None:
     if shots < 1:
         raise ValueError("need at least one shot")
     first = circuits[0]
-    if first.n > 16:
-        raise ValueError("noisy simulation limited to 16 qubits")
+    if first.n > _DENSE_QUBITS:
+        raise ValueError(f"noisy simulation limited to {_DENSE_QUBITS} qubits")
     for j, circ in enumerate(circuits):
         if circ.level != "cnot":
             raise ValueError(

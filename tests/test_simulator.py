@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 from hwenc.bitstrings import BitString
 from hwenc.compiler import lower
-from hwenc.encoders import encode_binary, encode_dense_complex, encode_dense_real
+from hwenc.encoders import (
+    encode_binary,
+    encode_dense_complex,
+    encode_dense_real,
+    encode_sparse,
+)
 from hwenc.ir import (
     GATE_KINDS,
     Circuit,
@@ -30,7 +35,9 @@ from hwenc.ir import (
 )
 from hwenc.mitigation import CdrConfig, near_clifford_ensemble
 from hwenc.simulator import (
+    _DENSE_QUBITS,
     _STACK_ENTRIES,
+    PRUNE_TOL,
     NoiseModel,
     SparseState,
     _evolve_stack,
@@ -255,11 +262,13 @@ class TestRun:
         s = run(Circuit(3), initial=BitString("101"))
         assert s.amplitude("101") == 1
 
-    def test_norm_drift_detected(self):
-        bad = Circuit(1)  # hand-built non-unitary map cannot exist; drift via amps
-        state = SparseState(1, {0: 0.5 + 0j})
-        with pytest.raises(ArithmeticError, match="norm drifted"):
-            run(Circuit(1, (ry(0.3, 1),)), initial=state)
+    # n = 1 runs on the tensor engine, n = 17 on the sparse arrays
+    @pytest.mark.parametrize("n", [1, _DENSE_QUBITS + 1])
+    def test_norm_drift_detected(self, n):
+        # every gate is unitary, so the drift comes from the initial state
+        state = SparseState(n, {0: 0.5 + 0j})
+        with pytest.raises(ArithmeticError, match="norm drifted .* after gate 0"):
+            run(Circuit(n, (ry(0.3, 1),)), initial=state)
 
     def test_initial_bitstring_of_another_width_rejected(self):
         with pytest.raises(ValueError, match="initial state has 3 qubits"):
@@ -313,6 +322,54 @@ class TestRun:
         got = np.array([state.amps.get(b.to_index(), 0j) for b in report.ordering])
         assert len(state.amps) == len(x)
         assert np.max(np.abs(got - x / np.linalg.norm(x))) < 1e-10
+
+
+def sparse_fold(circuit, start):
+    """``apply_gate`` folded over the circuit from one basis state, pruned as
+    ``run`` prunes: the sparse engine at any width."""
+    idx, amp = _to_arrays({start: 1.0 + 0j}, circuit.n)
+    for g in circuit.gates:
+        idx, amp = apply_gate(idx, amp, g)
+    keep = np.abs(amp) > PRUNE_TOL
+    return dict(zip(idx[keep].tolist(), amp[keep].tolist()))
+
+
+class TestEnginesAgree:
+    """Up to ``_DENSE_QUBITS`` ``run`` evolves a tensor; above, it folds
+    ``apply_gate``.  Both form the same products and sums."""
+
+    def assert_agree(self, circuit, start=0):
+        assert circuit.n <= _DENSE_QUBITS
+        got, want = run(circuit, initial=start).amps, sparse_fold(circuit, start)
+        assert list(got) == sorted(want)
+        assert max((abs(got[s] - want[s]) for s in want), default=0.0) <= 1e-15
+
+    def test_random_logical_circuits(self):
+        # every kind and shape, with controls and anti-controls
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            gates = []
+            for shape in rng.choice(SHAPES, size=int(rng.integers(1, 25))):
+                axis = rng.normal(size=3)
+                gates.append(build_gate(
+                    str(shape), [int(w) for w in rng.permutation(n) + 1],
+                    tuple(int(c) for c in rng.integers(0, 3, size=4)),
+                    rng.uniform(-4, 4), rng.uniform(-4, 4),
+                    tuple(axis / np.linalg.norm(axis))))
+            self.assert_agree(Circuit(n, tuple(gates)), int(rng.integers(1 << n)))
+
+    def test_lowered_dense_load(self):
+        x = np.random.default_rng(8).normal(size=comb(8, 4))
+        self.assert_agree(lower(encode_dense_real(8, 4, x).circuit).circuit)
+
+    def test_lowered_sparse_load(self):
+        rng = np.random.default_rng(10)
+        index = rng.choice(1 << 10, size=12, replace=False)
+        values = rng.normal(size=12) + 1j * rng.normal(size=12)
+        pairs = [(v, format(int(i), "010b")) for v, i in zip(values, index)]
+        report = encode_sparse(10, pairs, sort_by_weight=True)
+        self.assert_agree(lower(report.circuit).circuit)
 
 
 class TestKernel:
